@@ -3,12 +3,20 @@
 Values are immutable and canonical, so equal values have identical
 representations, ``==`` is exact structural equality, and printing is
 deterministic. Nothing here ever rounds.
+
+A polynomial stores each coefficient as an ``int`` when it is integral and
+as a ``Fraction`` only otherwise, and keys each monomial by one int that
+packs its exponents into a 32-bit field per variable. The top bit of each
+field is a guard bit: an exponent that reaches 2^31 raises ``ValueError``
+rather than carrying into the next variable's field.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "Domain",
@@ -120,25 +128,45 @@ class FpElement:
         return f"FpElement({self.value}, {self.p})"
 
 
-def _strip(exps) -> tuple[int, ...]:
-    end = len(exps)
-    while end and exps[end - 1] == 0:
-        end -= 1
-    return tuple(exps[:end])
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_EXPONENT_LIMIT = 1 << (_FIELD_BITS - 1)
 
 
-def _mul_key(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
-    if len(e1) < len(e2):
-        e1, e2 = e2, e1
-    return tuple(a + b for a, b in zip(e1, e2)) + e1[len(e2):]
+@lru_cache(maxsize=16)
+def _guard_mask(num_vars: int) -> int:
+    """The top (guard) bit of each of the num_vars exponent fields."""
+    ones = ((1 << (_FIELD_BITS * num_vars)) - 1) // _FIELD_MASK
+    return ones << (_FIELD_BITS - 1)
+
+
+def _unpack(key: int) -> tuple[int, ...]:
+    """The exponent vector of a packed key, without trailing zeros."""
+    fields = (key.bit_length() + _FIELD_BITS - 1) // _FIELD_BITS
+    # "<I" is a little-endian 32-bit unsigned field, one per variable
+    return struct.unpack(f"<{fields}I", key.to_bytes(4 * fields, "little"))
+
+
+def _rational(q):
+    """``q`` as an int when it is integral, else as a Fraction."""
+    return q.numerator if q.denominator == 1 else q
 
 
 class Polynomial:
     """Sparse multivariate polynomial over the rationals.
 
-    ``terms`` maps exponent vectors (tuples with no trailing zeros) to
-    nonzero Fraction coefficients; the zero polynomial has no terms. The
-    mapping is never mutated after construction.
+    ``terms`` maps packed exponent keys to nonzero coefficients; the zero
+    polynomial has no terms. A key holds the exponent of variable a_{i+1}
+    in bits 32*i .. 32*i + 31, so multiplying two monomials adds their
+    keys. Every exponent stays below 2^31: the top bit of each field is a
+    guard bit that a product sets instead of carrying into the next
+    field, and a set guard bit raises ``ValueError``. A coefficient is an
+    ``int`` when it is integral and a ``Fraction`` otherwise, so equal
+    values have identical representations. The mapping is never mutated
+    after construction.
+
+    The constructor takes exponent tuples (trailing zeros allowed) as
+    keys; packed keys stay internal.
     """
 
     __slots__ = ("num_vars", "terms")
@@ -146,17 +174,19 @@ class Polynomial:
     def __init__(self, num_vars: int, terms=None):
         if num_vars < 1:
             raise ValueError("num_vars must be >= 1")
-        canon: dict[tuple[int, ...], Fraction] = {}
+        canon: dict[int, int | Fraction] = {}
         for exps, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             if any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError("exponents must be nonnegative integers")
-            key = _strip(exps)
-            if len(key) > num_vars:
+            if any(exps[num_vars:]):
                 raise ValueError("exponent vector longer than num_vars")
-            total = canon.get(key, Fraction(0)) + coeff
+            if any(e >= _EXPONENT_LIMIT for e in exps):
+                raise ValueError("exponent too large")
+            key = sum(e << (_FIELD_BITS * i) for i, e in enumerate(exps))
+            total = _rational(canon.get(key, 0) + coeff)
             if total:
                 canon[key] = total
             else:
@@ -183,13 +213,19 @@ class Polynomial:
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in rhs.terms.items():
-            total = out.get(exps, Fraction(0)) + coeff
+        big, small = self.terms, rhs.terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        get = out.get
+        for key, coeff in small.items():
+            total = get(key, 0) + coeff
+            if total.__class__ is not int:
+                total = _rational(total)
             if total:
-                out[exps] = total
+                out[key] = total
             else:
-                out.pop(exps, None)
+                del out[key]
         return Polynomial._raw(self.num_vars, out)
 
     __radd__ = __add__
@@ -209,21 +245,23 @@ class Polynomial:
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         get = out.get
+        rhs_terms = rhs.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in rhs.terms.items():
-                key = _mul_key(e1, e2)
-                total = get(key)
-                if total is None:
-                    out[key] = c1 * c2
-                else:
-                    total = total + c1 * c2
-                    if total:
-                        out[key] = total
-                    else:
-                        del out[key]
-        return Polynomial._raw(self.num_vars, out)
+            for e2, c2 in rhs_terms:
+                key = e1 + e2
+                out[key] = get(key, 0) + c1 * c2
+        guard = _guard_mask(self.num_vars)
+        terms = {}
+        for key, coeff in out.items():
+            if coeff:
+                if key & guard:
+                    raise ValueError("exponent too large")
+                if coeff.__class__ is not int:
+                    coeff = _rational(coeff)
+                terms[key] = coeff
+        return Polynomial._raw(self.num_vars, terms)
 
     __rmul__ = __mul__
 
@@ -231,11 +269,14 @@ class Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         if exponent == 0:
-            return Polynomial._raw(self.num_vars, {(): Fraction(1)})
+            return Polynomial._raw(self.num_vars, {0: 1})
         if len(self.terms) == 1:
-            ((exps, coeff),) = self.terms.items()
-            key = tuple(e * exponent for e in exps)
-            return Polynomial._raw(self.num_vars, {key: coeff ** exponent})
+            ((key, coeff),) = self.terms.items()
+            if max(_unpack(key), default=0) * exponent >= _EXPONENT_LIMIT:
+                raise ValueError("exponent too large")
+            return Polynomial._raw(
+                self.num_vars, {key * exponent: coeff ** exponent}
+            )
         base = self
         result = None
         e = exponent
@@ -259,25 +300,24 @@ class Polynomial:
         return not self.terms
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(_unpack(key)) for key in self.terms), default=0)
 
     def degree_in(self, index: int) -> int:
         """Highest power of variable ``index`` (1-based) in any term."""
         if not 1 <= index <= self.num_vars:
             raise ValueError(f"variable index {index} outside 1..{self.num_vars}")
+        shift = _FIELD_BITS * (index - 1)
         return max(
-            (e[index - 1] for e in self.terms if len(e) >= index), default=0
+            ((key >> shift) & _FIELD_MASK for key in self.terms), default=0
         )
 
     def _ordered_terms(self):
-        # graded-lex, highest first
-        pad = self.num_vars
-
-        def key(item):
-            exps = item[0]
-            return (sum(exps), exps + (0,) * (pad - len(exps)))
-
-        return sorted(self.terms.items(), key=key, reverse=True)
+        # (exponent tuple, coefficient) pairs in graded-lex order, highest
+        # first; tuples without trailing zeros compare as padded ones would
+        items = [(_unpack(key), c) for key, c in self.terms.items()]
+        return sorted(
+            items, key=lambda item: (sum(item[0]), item[0]), reverse=True
+        )
 
     def __str__(self):
         if not self.terms:
@@ -346,8 +386,8 @@ def _parse_polynomial(text: str, num_vars: int) -> Polynomial:
             if not 1 <= index <= num_vars:
                 raise ValueError(f"variable a{index} outside a1..a{num_vars}")
             exps[index - 1] += int(m.group(2) or 1)
-        key = _strip(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + coeff
     return Polynomial(num_vars, terms)
 
 
@@ -522,7 +562,7 @@ class PolynomialRing(Domain):
             raise ValueError("num_vars must be >= 1")
         self.num_vars = num_vars
         self.zero = Polynomial._raw(num_vars, {})
-        self.one = Polynomial._raw(num_vars, {(): Fraction(1)})
+        self.one = Polynomial._raw(num_vars, {0: 1})
 
     def contains(self, x) -> bool:
         return isinstance(x, Polynomial) and x.num_vars == self.num_vars
@@ -533,14 +573,15 @@ class PolynomialRing(Domain):
             raise ValueError(
                 f"variable index {index} outside 1..{self.num_vars}"
             )
-        key = (0,) * (index - 1) + (1,)
-        return Polynomial._raw(self.num_vars, {key: Fraction(1)})
+        return Polynomial._raw(
+            self.num_vars, {1 << (_FIELD_BITS * (index - 1)): 1}
+        )
 
     def from_int(self, m: int):
-        return Polynomial(self.num_vars, {(): Fraction(m)})
+        return Polynomial(self.num_vars, {(): m})
 
     def from_fraction(self, q: Fraction):
-        return Polynomial(self.num_vars, {(): Fraction(q)})
+        return Polynomial(self.num_vars, {(): q})
 
     def parse(self, text: str):
         if not isinstance(text, str):
@@ -564,9 +605,9 @@ class PolynomialRing(Domain):
         for v in values:
             target.check(v)
         result = target.zero
-        for exps, coeff in p.terms.items():
+        for key, coeff in p.terms.items():
             term = target.from_fraction(coeff)
-            for i, e in enumerate(exps):
+            for i, e in enumerate(_unpack(key)):
                 if e:
                     term = term * values[i] ** e
             result = result + term
@@ -599,13 +640,20 @@ def _infer_domain(values) -> Domain:
     raise ValueError(f"cannot infer a domain from {first!r}")
 
 
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a bool or any other type raises."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def domain_from_json(obj) -> Domain:
     """Inverse of Domain.to_json for the three supported domains."""
     if obj == "rational":
         return RATIONALS
     if isinstance(obj, dict):
         if set(obj) == {"prime"}:
-            return PrimeField(obj["prime"])
+            return PrimeField(json_int(obj["prime"], "prime"))
         if set(obj) == {"symbolic"}:
-            return PolynomialRing(obj["symbolic"])
+            return PolynomialRing(json_int(obj["symbolic"], "symbolic"))
     raise ValueError(f"bad domain descriptor {obj!r}")

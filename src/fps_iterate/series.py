@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .domains import Domain, domain_from_json
+from .domains import Domain, domain_from_json, json_int
 
 
 class TruncatedSeries:
@@ -139,7 +139,7 @@ class TruncatedSeries:
             raise ValueError("'coeffs' must be a nonempty array of strings")
         domain = domain_from_json(obj.get("domain", "rational"))
         coeffs = [domain.parse(s) for s in raw]
-        order = obj.get("order", len(coeffs))
+        order = json_int(obj.get("order", len(coeffs)), "'order'")
         if order != len(coeffs):
             raise ValueError(
                 f"'order' {order} does not match {len(coeffs)} coefficients"

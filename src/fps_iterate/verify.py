@@ -23,6 +23,7 @@ from .domains import (
     RATIONALS,
     Rationals,
     domain_from_json,
+    json_int,
 )
 from .formulas import (
     coeff_closed,
@@ -104,13 +105,19 @@ class GeneratorSpec:
     def from_json(cls, obj) -> "GeneratorSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError("generator spec must be an object with 'kind'")
+        order = obj.get("order")
+        if order is not None:
+            order = json_int(order, "generator 'order'")
+        series = obj.get("series", [])
+        if not isinstance(series, list):
+            raise ValueError("generator 'series' must be an array")
         return cls(
             kind=obj["kind"],
-            seed=obj.get("seed", 0),
-            count=obj.get("count", 20),
-            order=obj.get("order"),
+            seed=json_int(obj.get("seed", 0), "generator 'seed'"),
+            count=json_int(obj.get("count", 20), "generator 'count'"),
+            order=order,
             a1=obj.get("a1", "generic"),
-            series=tuple(obj.get("series", ())),
+            series=tuple(series),
         )
 
 
@@ -182,10 +189,16 @@ class SweepSpec:
         try:
             k_range = _range_from_json(obj, "k")
             n_range = _range_from_json(obj, "n")
-            domains = tuple(
-                domain_from_json(d) for d in obj.get("domains", ["rational"])
-            )
-            methods = tuple(aliases.get(m, m) for m in obj.get("methods", ()))
+            domains = obj.get("domains", ["rational"])
+            methods = obj.get("methods", [])
+            if not isinstance(domains, list):
+                raise ValueError("'domains' must be an array")
+            if not isinstance(methods, list) or not all(
+                isinstance(m, str) for m in methods
+            ):
+                raise ValueError("'methods' must be an array of strings")
+            domains = tuple(domain_from_json(d) for d in domains)
+            methods = tuple(aliases.get(m, m) for m in methods)
             generator = GeneratorSpec.from_json(
                 obj.get("generator", {"kind": "random-rational"})
             )
@@ -198,10 +211,12 @@ class SweepSpec:
 
 def _range_from_json(obj, name: str) -> tuple[int, int]:
     if f"{name}_range" in obj:
-        lo, hi = obj[f"{name}_range"]
-        return (int(lo), int(hi))
+        bounds = obj[f"{name}_range"]
+        if not isinstance(bounds, list) or len(bounds) != 2:
+            raise ValueError(f"{name}_range must be a [lo, hi] pair")
+        return tuple(json_int(b, f"{name}_range bound") for b in bounds)
     if f"{name}_max" in obj:
-        return (1, int(obj[f"{name}_max"]))
+        return (1, json_int(obj[f"{name}_max"], f"{name}_max"))
     raise ValueError(f"sweep spec needs {name}_range or {name}_max")
 
 

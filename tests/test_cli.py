@@ -1,9 +1,13 @@
 """Command-line interface: outputs are byte-exact, exit codes are stable."""
 
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import fps_iterate.cli as cli
 from fps_iterate.verify import DiscrepancyReport, Mismatch
@@ -114,6 +118,29 @@ def test_formula_guardrail(capsys):
     assert out.startswith("a1^")
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("formula", "-k", "8", "-n", "8"),
+            "5a5491039a5a8017836673934601abb206fe7a0656d5d23166bb37dafd60d2f4",
+        ),
+        (
+            ("formula", "-k", "8", "-n", "8", "--a1", "one"),
+            "6a89026a8de65904eb9e2a9042701a9cfac5c24d2cb30c75304ba6fa9d2c96d5",
+        ),
+        (
+            ("verify", "--preset", "symbolic", "--json"),
+            "c6b812acf97201b1a1cb8aaaea5c5a1da47cf198ba856751f5a92cc992923c50",
+        ),
+    ],
+)
+def test_symbolic_output_golden(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_identities_command(capsys):
     code, out, _ = run_cli(capsys, "identities", "--n-max", "10", "--alpha-max", "3")
     assert code == 0
@@ -198,6 +225,48 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2 and "order" in err
 
 
+_SPEC = {"k_max": 2, "n_max": 2, "methods": ["oracle", "recursive"]}
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        pytest.param("iterate", {"domain": {"prime": "97"}, "coeffs": ["1"]},
+                     id="prime-string"),
+        pytest.param("iterate", {"domain": {"symbolic": "2"}, "coeffs": ["a1"]},
+                     id="symbolic-string"),
+        pytest.param("iterate", {"domain": {"prime": 2.5}, "coeffs": ["1"]},
+                     id="prime-float"),
+        pytest.param("iterate", {"order": True, "coeffs": ["2"]},
+                     id="order-bool"),
+        pytest.param("verify", {**_SPEC, "domains": [{"symbolic": "2"}],
+                                "generator": {"kind": "symbolic-generic"}},
+                     id="spec-symbolic-string"),
+        pytest.param("verify", {**_SPEC, "k_range": 5}, id="spec-k-range-int"),
+        pytest.param("verify", {**_SPEC, "generator": {
+                         "kind": "random-rational", "count": "3"}},
+                     id="spec-count-string"),
+        pytest.param("verify", {**_SPEC, "methods": 5}, id="spec-methods-int"),
+        pytest.param("verify", {**_SPEC, "domains": 5}, id="spec-domains-int"),
+        pytest.param("verify", {**_SPEC, "generator": {
+                         "kind": "user-supplied", "series": 5}},
+                     id="spec-series-int"),
+    ],
+)
+def test_malformed_json_exits_2(tmp_path, capsys, command, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    if command == "iterate":
+        argv = ("iterate", str(path), "-n", "2")
+    else:
+        argv = ("verify", "--json", "--sweep-spec", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_argparse_errors(tmp_path, capsys):
     path = write_series(tmp_path, "s.json", ["1", "1"])
     assert run_cli(capsys, "iterate", path, "-n", "0")[0] == 2
@@ -213,6 +282,8 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "fps_iterate.cli", "formula", "-k", "2", "-n", "2"],
         capture_output=True,
         text=True,
+        # -m finds the package from the directory that holds it
+        cwd=Path(cli.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert proc.stdout == "a1^2*a2 + a1*a2\n"

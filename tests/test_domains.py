@@ -214,6 +214,47 @@ def test_polynomial_pow():
     assert (ring.from_int(2) * a1) ** 3 == ring.from_int(8) * a1 * a1 * a1
 
 
+def test_polynomial_exponent_guard():
+    ring = PolynomialRing(2)
+    big = ring.variable(1) ** 2**30
+    assert big.degree_in(1) == 2**30 and big.degree_in(2) == 0
+    # 2^31 would set the guard bit, never carry into a2's field
+    with pytest.raises(ValueError, match="exponent too large"):
+        big * big
+    with pytest.raises(ValueError, match="exponent too large"):
+        ring.variable(1) ** 2**31
+    with pytest.raises(ValueError, match="exponent too large"):
+        Polynomial(2, {(2**31,): 1})
+    with pytest.raises(ValueError, match="exponent too large"):
+        ring.parse("a1^2147483648")
+
+
+def test_polynomial_coefficients_canonical():
+    ring = PolynomialRing(2)
+    p = Polynomial(2, {(1,): Fraction(1, 2)}) * Polynomial(2, {(1,): 2})
+    assert p == ring.variable(1) ** 2
+    assert str(p) == "a1^2"
+    assert all(type(c) is int for c in p.terms.values())
+    half = Polynomial(2, {(1,): Fraction(1, 2)})
+    assert all(type(c) is int for c in (half + half).terms.values())
+    text = "1/2*a1^2*a2 - 3/4"
+    assert str(ring.parse(text)) == text
+
+
+def test_polynomial_degrees_and_substitution_multi_field():
+    ring = PolynomialRing(4)
+    p = ring.parse("3*a1^5*a3^2 - 1/2*a2*a4^7 + a4 + 2")
+    assert p.total_degree() == 8
+    assert [p.degree_in(j) for j in (1, 2, 3, 4)] == [5, 1, 2, 7]
+    q_values = [Fraction(2), Fraction(-1, 3), Fraction(1, 2), Fraction(-1)]
+    # 3*2^5*(1/2)^2 - 1/2*(-1/3)*(-1)^7 + (-1) + 2
+    assert ring.substitute(p, q_values) == 24 - Fraction(1, 6) - 1 + 2
+    gf = PrimeField(11)
+    got = ring.substitute(p, [gf.from_int(v) for v in (2, 3, 4, 5)], target=gf)
+    want = 3 * 2**5 * 4**2 - 3 * 5**7 * pow(2, -1, 11) + 5 + 2
+    assert got == gf.from_int(want)
+
+
 def _random_elements(domain, rng, count):
     if domain.kind == "rational":
         return [
