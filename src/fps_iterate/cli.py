@@ -16,15 +16,19 @@ import sys
 from .domains import PolynomialRing
 from .formulas import (
     coeff_closed,
-    coeff_explicit_small_k,
-    coeff_recursive,
     coeff_schroder,
-    muckenhoupt_f2,
     nested_sum_binomial,
     rising_product_sum,
 )
 from .series import TruncatedSeries
-from .verify import PRESET_NAMES, SweepSpec, run_preset, run_sweep
+from .verify import (
+    METHODS,
+    PRESET_NAMES,
+    REGISTRY,
+    SweepSpec,
+    run_preset,
+    run_sweep,
+)
 
 __all__ = ["main", "run"]
 
@@ -65,27 +69,10 @@ def cmd_iterate(args) -> int:
     return 0
 
 
-def _compute_method(method: str, f: TruncatedSeries, k: int, n: int):
-    if method == "oracle":
-        return f.iterate(n).series.coefficient(k)
-    if method == "recursive":
-        return coeff_recursive(f, k, n)
-    if method == "closed":
-        return coeff_closed(f, k, n)
-    if method == "small":
-        return coeff_explicit_small_k(f, k, n)
-    if method == "schroder":
-        return coeff_schroder(f, k, n)
-    if method == "muckenhoupt":
-        if k != 2:
-            raise ValueError("muckenhoupt computes only k = 2")
-        return muckenhoupt_f2(f, n)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def cmd_coeff(args) -> int:
     f = _with_order(_load_series(args.series), args.order)
-    value = _compute_method(args.method, f, args.k, args.n)
+    _, evaluate = REGISTRY[args.method]
+    value = evaluate(f, args.k, args.n, None, None)
     print(
         json.dumps(
             {
@@ -200,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         default="recursive",
-        choices=("oracle", "recursive", "closed", "small", "schroder", "muckenhoupt"),
+        choices=METHODS,
         help="computation route (default: recursive)",
     )
     p.add_argument(

@@ -31,11 +31,16 @@ __all__ = [
 ]
 
 
-_MILLER_RABIN_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact below 3.3e24."""
+    """Miller-Rabin primality test with the prime witnesses 2 through 41.
+
+    Exact for n below _PRIME_BOUND, about 3.3e24 (Sorenson and Webster,
+    Math. Comp. 86, 2017); at or above it, True means only "probable prime".
+    """
     if n < 2:
         return False
     for w in _MILLER_RABIN_WITNESSES:
@@ -392,10 +397,11 @@ def _parse_polynomial(text: str, num_vars: int) -> Polynomial:
 
 
 class Domain:
-    """A coefficient domain: element checks plus exact ring operations.
+    """A coefficient domain: element checks, constants and conversions.
 
-    Subclasses fix the element type and canonical form. The instance doubles
-    as the domain descriptor (value equality, JSON round-trip).
+    Arithmetic is the elements' own exact operators. Subclasses fix the
+    element type and canonical form. The instance doubles as the domain
+    descriptor (value equality, JSON round-trip).
     """
 
     kind = "abstract"
@@ -407,29 +413,6 @@ class Domain:
     def check(self, x) -> None:
         if not self.contains(x):
             raise ValueError(f"{x!r} is not an element of {self}")
-
-    def add(self, a, b):
-        self.check(a)
-        self.check(b)
-        return a + b
-
-    def sub(self, a, b):
-        self.check(a)
-        self.check(b)
-        return a - b
-
-    def mul(self, a, b):
-        self.check(a)
-        self.check(b)
-        return a * b
-
-    def neg(self, a):
-        self.check(a)
-        return -a
-
-    def pow(self, a, exponent: int):
-        self.check(a)
-        return a ** exponent
 
     def inv(self, a):
         raise ValueError("not a field")
@@ -505,6 +488,11 @@ class PrimeField(Domain):
     is_field = True
 
     def __init__(self, p: int):
+        if p >= _PRIME_BOUND:
+            raise ValueError(
+                f"modulus {p} is too large: primality is exact only below "
+                f"{_PRIME_BOUND}"
+            )
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

@@ -90,8 +90,7 @@ def variable_support_bound(k: int, i: int) -> int:
 class PowerCoefficientTable:
     """Memoized a_k^[i] values bound to one series.
 
-    k < i short-circuits to zero. Entries are immutable and writes are
-    idempotent, so concurrent readers always see a consistent value.
+    k < i short-circuits to zero.
     """
 
     def __init__(self, series: TruncatedSeries):

@@ -9,8 +9,6 @@ failed. Reports are deterministic for a fixed seed and sorted cell order.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -37,6 +35,7 @@ from .series import TruncatedSeries
 
 __all__ = [
     "METHODS",
+    "REGISTRY",
     "GENERATOR_KINDS",
     "PRESET_NAMES",
     "GeneratorSpec",
@@ -48,10 +47,53 @@ __all__ = [
     "adjudicate_typo_cases",
     "preset_spec",
     "run_preset",
-    "worker_count",
 ]
 
-METHODS = ("oracle", "recursive", "closed", "small", "schroder", "muckenhoupt")
+
+def _always(f, k, n):
+    return True
+
+
+def _muckenhoupt_applies(f, k, n):
+    dom, a1 = f.domain, f.coefficient(1)
+    return k == 2 and dom.is_field and a1 != dom.zero and a1 != dom.one
+
+
+def _muckenhoupt(f, k, n, table, memo):
+    if k != 2:
+        raise ValueError("muckenhoupt computes only k = 2")
+    return muckenhoupt_f2(f, n)
+
+
+# name -> (applies(f, k, n), evaluate(f, k, n, table, memo)), in report
+# order. evaluate raises ValueError exactly where applies is False. Each
+# evaluate calls one route, named in its body so that the name is looked up
+# in this module at call time (perfbench/tracing.py rebinds it to count and
+# time the route). The oracle ignores the table, keeping it independent.
+REGISTRY = {
+    "oracle": (
+        _always,
+        lambda f, k, n, table, memo: f.iterate(n).series.coefficient(k),
+    ),
+    "recursive": (
+        _always,
+        lambda f, k, n, table, memo: coeff_recursive(f, k, n, table, memo),
+    ),
+    "closed": (
+        _always,
+        lambda f, k, n, table, memo: coeff_closed(f, k, n, table),
+    ),
+    "small": (
+        lambda f, k, n: k <= 5,
+        lambda f, k, n, table, memo: coeff_explicit_small_k(f, k, n),
+    ),
+    "schroder": (
+        lambda f, k, n: f.coefficient(1) == f.domain.one,
+        lambda f, k, n, table, memo: coeff_schroder(f, k, n, table),
+    ),
+    "muckenhoupt": (_muckenhoupt_applies, _muckenhoupt),
+}
+METHODS = tuple(REGISTRY)
 GENERATOR_KINDS = (
     "random-rational",
     "exhaustive-small",
@@ -140,12 +182,17 @@ class SweepSpec:
         if len(self.methods) < 2:
             raise ValueError("at least two methods are required")
         for m in self.methods:
-            if m not in METHODS:
+            if m not in REGISTRY:
                 raise ValueError(f"unknown method {m!r}")
         if "oracle" not in self.methods:
             raise ValueError("the oracle method must always be included")
-        if self.generator.kind not in GENERATOR_KINDS:
-            raise ValueError(f"unknown generator kind {self.generator.kind!r}")
+        gen = self.generator
+        if not isinstance(gen.kind, str) or gen.kind not in GENERATOR_KINDS:
+            raise ValueError(f"unknown generator kind {gen.kind!r}")
+        if gen.a1 not in ("generic", "one"):
+            raise ValueError(f"generator 'a1' must be 'generic' or 'one': {gen.a1!r}")
+        if gen.count < 0:
+            raise ValueError(f"generator 'count' must be >= 0: {gen.count}")
         order = self.effective_order
         if order < self.k_range[1]:
             raise ValueError(
@@ -318,20 +365,6 @@ class DiscrepancyReport:
         return "\n".join(lines)
 
 
-def worker_count() -> int:
-    """Worker cap from FPS_ITERATE_THREADS; 0 means auto, unset means 1."""
-    raw = os.environ.get("FPS_ITERATE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
-
-
 def _domain_label(domain: Domain) -> str:
     if isinstance(domain, Rationals):
         return "rational"
@@ -387,45 +420,12 @@ def _generate_series(spec: SweepSpec, domain: Domain) -> list[TruncatedSeries]:
     return out
 
 
-def _applicable(method: str, f: TruncatedSeries, k: int, n: int) -> bool:
-    dom = f.domain
-    if method in ("oracle", "recursive", "closed"):
-        return True
-    if method == "small":
-        return k <= 5
-    if method == "schroder":
-        return f.coefficient(1) == dom.one
-    if method == "muckenhoupt":
-        if k != 2 or not dom.is_field:
-            return False
-        a1 = f.coefficient(1)
-        return a1 != dom.zero and a1 != dom.one
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _evaluate(method: str, f: TruncatedSeries, k: int, n: int, table, memo):
-    if method == "recursive":
-        return coeff_recursive(f, k, n, table=table, memo=memo)
-    if method == "closed":
-        return coeff_closed(f, k, n, table=table)
-    if method == "small":
-        return coeff_explicit_small_k(f, k, n)
-    if method == "schroder":
-        return coeff_schroder(f, k, n, table=table)
-    if method == "muckenhoupt":
-        return muckenhoupt_f2(f, n)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _sweep_one(spec: SweepSpec, domain: Domain, index: int, f: TruncatedSeries):
     dom = f.domain
     label = _domain_label(domain)
     k_lo, k_hi = spec.k_range
     n_lo, n_hi = spec.n_range
-    methods = []
-    for m in spec.methods:
-        if m != "oracle" and m not in methods:
-            methods.append(m)
+    methods = {m: REGISTRY[m] for m in spec.methods if m != "oracle"}
     table = PowerCoefficientTable(f)
     memo: dict = {}
     iterates = {}
@@ -443,10 +443,10 @@ def _sweep_one(spec: SweepSpec, domain: Domain, index: int, f: TruncatedSeries):
             values = {"oracle": dom.format(oracle_value)}
             applied = ["oracle"]
             bad = []
-            for method in methods:
-                if not _applicable(method, f, k, n):
+            for method, (applies, evaluate) in methods.items():
+                if not applies(f, k, n):
                     continue
-                got = _evaluate(method, f, k, n, table, memo)
+                got = evaluate(f, k, n, table, memo)
                 values[method] = dom.format(got)
                 applied.append(method)
                 if got != oracle_value:
@@ -478,26 +478,19 @@ def _sweep_one(spec: SweepSpec, domain: Domain, index: int, f: TruncatedSeries):
 def run_sweep(spec: SweepSpec) -> DiscrepancyReport:
     """Evaluate the sweep and collect every cell and mismatch.
 
-    Series are independent, so they may be evaluated concurrently; the
-    worker cap comes from FPS_ITERATE_THREADS. Results are assembled in
-    sorted cell order either way.
+    Every series is generated first, so a bad one fails before any cell
+    is evaluated. Series are then swept one after another, and the report
+    lists cells and mismatches in sorted cell order.
     """
     spec.validate()
     tasks = []
     for domain in spec.domains:
         for index, f in enumerate(_generate_series(spec, domain)):
             tasks.append((domain, index, f))
-    workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda t: _sweep_one(spec, *t), tasks)
-            )
-    else:
-        results = [_sweep_one(spec, *t) for t in tasks]
     cells: list[CellResult] = []
     mismatches: list[Mismatch] = []
-    for got_cells, got_bad in results:
+    for task in tasks:
+        got_cells, got_bad = _sweep_one(spec, *task)
         cells.extend(got_cells)
         mismatches.extend(got_bad)
     cells.sort(key=lambda c: (c.domain, c.series, c.k, c.n))

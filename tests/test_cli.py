@@ -1,5 +1,6 @@
 """Command-line interface: outputs are byte-exact, exit codes are stable."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fps_iterate.cli as cli
-from fps_iterate.verify import DiscrepancyReport, Mismatch
+from fps_iterate.verify import METHODS, DiscrepancyReport, Mismatch
 
 
 def write_series(tmp_path, name, coeffs, **extra):
@@ -133,6 +134,10 @@ def test_formula_guardrail(capsys):
             ("verify", "--preset", "symbolic", "--json"),
             "c6b812acf97201b1a1cb8aaaea5c5a1da47cf198ba856751f5a92cc992923c50",
         ),
+        (
+            ("verify", "--preset", "prime-field", "--json"),
+            "01fe6998b3e3e8a37c0aa98a121df4e75e99adcd0f12f6f65b770d6edf69da28",
+        ),
     ],
 )
 def test_symbolic_output_golden(capsys, argv, digest):
@@ -239,6 +244,9 @@ _SPEC = {"k_max": 2, "n_max": 2, "methods": ["oracle", "recursive"]}
                      id="prime-float"),
         pytest.param("iterate", {"order": True, "coeffs": ["2"]},
                      id="order-bool"),
+        pytest.param("iterate", {"domain": {"prime": 618970019642690137449562111},
+                                 "coeffs": ["1"]},
+                     id="prime-too-large"),
         pytest.param("verify", {**_SPEC, "domains": [{"symbolic": "2"}],
                                 "generator": {"kind": "symbolic-generic"}},
                      id="spec-symbolic-string"),
@@ -246,6 +254,13 @@ _SPEC = {"k_max": 2, "n_max": 2, "methods": ["oracle", "recursive"]}
         pytest.param("verify", {**_SPEC, "generator": {
                          "kind": "random-rational", "count": "3"}},
                      id="spec-count-string"),
+        pytest.param("verify", {**_SPEC, "generator": {
+                         "kind": "random-rational", "count": -1}},
+                     id="spec-count-negative"),
+        pytest.param("verify", {**_SPEC, "domains": [{"symbolic": 2}],
+                                "generator": {"kind": "symbolic-generic",
+                                              "a1": "bogus"}},
+                     id="spec-a1-bogus"),
         pytest.param("verify", {**_SPEC, "methods": 5}, id="spec-methods-int"),
         pytest.param("verify", {**_SPEC, "domains": 5}, id="spec-domains-int"),
         pytest.param("verify", {**_SPEC, "generator": {
@@ -275,6 +290,13 @@ def test_argparse_errors(tmp_path, capsys):
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "nosuchcommand")[0] == 2
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_coeff_method_choices_are_the_registry():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    method = sub.choices["coeff"]._option_string_actions["--method"]
+    assert tuple(method.choices) == METHODS
 
 
 def test_module_entry_point(tmp_path):

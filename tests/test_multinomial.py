@@ -94,7 +94,7 @@ def test_multinomial_square_is_convolution():
     for k in range(2, 11):
         direct = ring.zero
         for j in range(1, k):
-            direct = direct + ring.mul(f.coefficient(j), f.coefficient(k - j))
+            direct = direct + f.coefficient(j) * f.coefficient(k - j)
         assert multinomial_coeff(f, k, 2) == direct
 
 

@@ -1,22 +1,25 @@
 """Sweep engine: spec validation, determinism, reports, adjudication."""
 
 import json
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
+from fps_iterate.series import TruncatedSeries
 from fps_iterate.verify import (
     DiscrepancyReport,
     GeneratorSpec,
     METHODS,
     Mismatch,
     PRESET_NAMES,
+    REGISTRY,
     SweepSpec,
     adjudicate_typo_cases,
     preset_spec,
     run_preset,
     run_sweep,
-    worker_count,
 )
 
 
@@ -265,25 +268,26 @@ def test_failing_report_rendering():
     assert report.to_json()["mismatches"] == 1
 
 
-def test_worker_count(monkeypatch):
-    monkeypatch.delenv("FPS_ITERATE_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("FPS_ITERATE_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("FPS_ITERATE_THREADS", "-3")
-    assert worker_count() == 1
-    monkeypatch.setenv("FPS_ITERATE_THREADS", "abc")
-    assert worker_count() == 1
-    monkeypatch.setenv("FPS_ITERATE_THREADS", "0")
-    assert worker_count() >= 1
-
-
-def test_threaded_sweep_matches_serial(monkeypatch):
-    monkeypatch.delenv("FPS_ITERATE_THREADS", raising=False)
-    serial = run_sweep(small_spec())
-    monkeypatch.setenv("FPS_ITERATE_THREADS", "3")
-    threaded = run_sweep(small_spec())
-    assert serial.to_json() == threaded.to_json()
+def test_registry_preconditions_match_routes():
+    """applies(f, k, n) is False exactly where evaluate raises ValueError."""
+    assert METHODS == tuple(REGISTRY)
+    ring = PolynomialRing(6)
+    for dom in (RATIONALS, PrimeField(5), ring):
+        for a1 in (0, 1, 2):
+            if dom is ring:
+                rest = [ring.variable(j) for j in range(2, 7)]
+            else:
+                rest = [dom.from_fraction(Fraction(q)) for q in (3, -1, 2, 1, -2)]
+            f = TruncatedSeries(dom, 6, [dom.from_int(a1)] + rest)
+            for (name, (applies, evaluate)), k, n in product(
+                REGISTRY.items(), range(1, 7), range(1, 4)
+            ):
+                try:
+                    evaluate(f, k, n, None, None)
+                    raised = False
+                except ValueError:
+                    raised = True
+                assert applies(f, k, n) is not raised, (dom, a1, name, k, n)
 
 
 def test_adjudication():
