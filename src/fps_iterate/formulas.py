@@ -190,6 +190,14 @@ def nested_geometric_sum(f: TruncatedSeries, n: int, subset: DecreasingSubset):
     Writing j_0 = k, level m sums a_1^((j_m - 1) * i_m) for i_m from 0 to
     n - alpha minus the shallower indices. Empty (zero) when n < alpha.
     With a_1 = 1 the value collapses to the binomial coefficient C(n, alpha).
+
+    With bases b_m = a_1^(j_m - 1) the sum runs over all (i_0..i_(alpha-1))
+    with i_0 + ... + i_(alpha-1) <= n - alpha, so it equals
+    sum_(d <= n - alpha) h_d(b_0..b_(alpha-1)), the complete homogeneous
+    symmetric polynomials. They come from h_d(b_0..b_m) =
+    h_d(b_0..b_(m-1)) + b_m * h_(d-1)(b_0..b_m), one base at a time, with d
+    increasing in place (Macdonald, Symmetric Functions and Hall
+    Polynomials, ch. I sec. 2).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -198,27 +206,13 @@ def nested_geometric_sum(f: TruncatedSeries, n: int, subset: DecreasingSubset):
     if n < alpha:
         return dom.zero
     a1 = f.coefficient(1)
-    bases = [a1 ** (j - 1) for j in subset.chain]
-    memo: dict[tuple[int, int], object] = {}
-
-    def level(depth: int, budget: int):
-        if depth == alpha:
-            return dom.one
-        key = (depth, budget)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        base = bases[depth]
-        total = dom.zero
-        power = dom.one
-        for i in range(budget + 1):
-            total = total + power * level(depth + 1, budget - i)
-            if i < budget:
-                power = power * base
-        memo[key] = total
-        return total
-
-    return level(0, n - alpha)
+    budget = n - alpha
+    h = [dom.one] + [dom.zero] * budget
+    for j in subset.chain:
+        base = a1 ** (j - 1)
+        for d in range(1, budget + 1):
+            h[d] = h[d] + base * h[d - 1]
+    return sum(h, dom.zero)
 
 
 @dataclass(frozen=True)

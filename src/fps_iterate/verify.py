@@ -24,6 +24,7 @@ from .domains import (
     json_int,
 )
 from .formulas import (
+    _check_index,
     coeff_closed,
     coeff_explicit_small_k,
     coeff_recursive,
@@ -59,7 +60,13 @@ def _muckenhoupt_applies(f, k, n):
     return k == 2 and dom.is_field and a1 != dom.zero and a1 != dom.one
 
 
+def _oracle(f, k, n, table, memo):
+    _check_index(f, k)  # before the whole iterate is computed
+    return f.iterate(n).series.coefficient(k)
+
+
 def _muckenhoupt(f, k, n, table, memo):
+    _check_index(f, k)
     if k != 2:
         raise ValueError("muckenhoupt computes only k = 2")
     return muckenhoupt_f2(f, n)
@@ -71,10 +78,7 @@ def _muckenhoupt(f, k, n, table, memo):
 # in this module at call time (perfbench/tracing.py rebinds it to count and
 # time the route). The oracle ignores the table, keeping it independent.
 REGISTRY = {
-    "oracle": (
-        _always,
-        lambda f, k, n, table, memo: f.iterate(n).series.coefficient(k),
-    ),
+    "oracle": (_always, _oracle),
     "recursive": (
         _always,
         lambda f, k, n, table, memo: coeff_recursive(f, k, n, table, memo),

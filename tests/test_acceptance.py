@@ -5,6 +5,7 @@ lines. All arithmetic is exact, so "tolerance" means equality everywhere;
 the only budgets are the stated wall-clock limits.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -57,6 +58,10 @@ def test_criterion_01_rational_sweep():
         assert len(report.cells) == 100 * 8 * 6
         assert not any(c.status == "fail" for c in report.cells)
         assert elapsed < 60.0
+        digest = hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest()
+        assert digest == (
+            "3fc83da16f7f17874f02c856a7d1cc837de08f01805acac7b5a011007de6d429"
+        )
 
 
 def test_criterion_02_symbolic_identity():

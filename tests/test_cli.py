@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fps_iterate.cli as cli
+from fps_iterate.series import TruncatedSeries
 from fps_iterate.verify import METHODS, DiscrepancyReport, Mismatch
 
 
@@ -228,6 +229,25 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2 and "k = 2" in err
     code, _, err = run_cli(capsys, "coeff", path, "-k", "9", "-n", "2")
     assert code == 2 and "order" in err
+
+
+def test_coeff_beyond_order_same_error_for_every_method(tmp_path, capsys, monkeypatch):
+    path = write_series(tmp_path, "s.json", ["1", "1", "1"])
+    errors = set()
+    for method in METHODS:
+        if method == "oracle":
+            # the index is checked before the iterate is computed
+            def no_iterate(self, n):
+                raise AssertionError("iterate called")
+
+            monkeypatch.setattr(TruncatedSeries, "iterate", no_iterate)
+        code, out, err = run_cli(
+            capsys, "coeff", path, "-k", "4", "-n", "2", "--method", method
+        )
+        monkeypatch.undo()
+        assert code == 2 and out == "", method
+        errors.add(err)
+    assert errors == {"error: k=4 exceeds the truncation order 3\n"}
 
 
 _SPEC = {"k_max": 2, "n_max": 2, "methods": ["oracle", "recursive"]}

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -212,6 +213,43 @@ def test_nested_geometric_sum_collapses_to_binomial():
         for n in range(1, 9):
             expected = Fraction(math.comb(n, sub.alpha))
             assert nested_geometric_sum(f, n, sub) == expected
+
+
+def _brute_nested_sum(dom, a1, n, subset):
+    # sum of prod_m b_m^(i_m) over i_0 + ... + i_(alpha-1) <= n - alpha
+    budget = n - subset.alpha  # no index tuples when negative
+    total = dom.zero
+    powers = [
+        [a1 ** ((j - 1) * i) for i in range(budget + 1)] for j in subset.chain
+    ]
+    for index in product(range(budget + 1), repeat=subset.alpha):
+        if sum(index) <= budget:
+            term = dom.one
+            for row, i in zip(powers, index):
+                term = term * row[i]
+            total = total + term
+    return total
+
+
+def test_nested_geometric_sum_exhaustive_against_brute_force():
+    ring = PolynomialRing(7)
+    z7 = PrimeField(7)
+    cases = [(RATIONALS, Fraction(a)) for a in (0, 1, -1, 2, Fraction(1, 2))]
+    cases += [(z7, z7.from_int(a)) for a in range(7)]
+    cases.append((ring, ring.variable(1)))
+    subsets = [
+        subset
+        for k in range(3, 8)
+        for alpha in range(2, k)
+        for subset in enumerate_subsets(k, alpha)
+    ]
+    for dom, a1 in cases:
+        f = TruncatedSeries(dom, 7, [a1] + [dom.one] * 6)
+        for subset, n in product(subsets, range(1, 9)):
+            expected = _brute_nested_sum(dom, a1, n, subset)
+            assert nested_geometric_sum(f, n, subset) == expected, (
+                dom, a1, subset, n,
+            )
 
 
 def test_closed_form_terms_structure():
