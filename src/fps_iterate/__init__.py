@@ -17,13 +17,11 @@ from .domains import (
     is_prime,
 )
 from .formulas import (
-    ClosedFormTerm,
     DecreasingSubset,
     coeff_closed,
     coeff_explicit_small_k,
     coeff_recursive,
     coeff_schroder,
-    closed_form_terms,
     count_closed_form_summands,
     enumerate_subsets,
     geometric_factor,
@@ -75,9 +73,7 @@ __all__ = [
     "coeff_schroder",
     "muckenhoupt_f2",
     "DecreasingSubset",
-    "ClosedFormTerm",
     "enumerate_subsets",
-    "closed_form_terms",
     "nested_geometric_sum",
     "nested_sum_binomial",
     "rising_product_sum",

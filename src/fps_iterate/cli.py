@@ -45,13 +45,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load_series(path: str) -> TruncatedSeries:
-    if path == "-":
-        obj = json.load(sys.stdin)
-    else:
+def _read_json(path: str):
+    """The JSON value in the file at ``path``, or on stdin for ``-``."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    return TruncatedSeries.from_json(obj)
+            return json.load(handle)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _with_order(f: TruncatedSeries, order: int | None) -> TruncatedSeries:
@@ -63,14 +65,14 @@ def _with_order(f: TruncatedSeries, order: int | None) -> TruncatedSeries:
 
 
 def cmd_iterate(args) -> int:
-    f = _with_order(_load_series(args.series), args.order)
+    f = _with_order(TruncatedSeries.from_json(_read_json(args.series)), args.order)
     result = f.iterate(args.n)
     print(json.dumps(result.series.to_json()))
     return 0
 
 
 def cmd_coeff(args) -> int:
-    f = _with_order(_load_series(args.series), args.order)
+    f = _with_order(TruncatedSeries.from_json(_read_json(args.series)), args.order)
     _, evaluate = REGISTRY[args.method]
     value = evaluate(f, args.k, args.n, None, None)
     print(
@@ -118,12 +120,7 @@ def cmd_formula(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.sweep_spec is not None:
-        if args.sweep_spec == "-":
-            obj = json.load(sys.stdin)
-        else:
-            with open(args.sweep_spec, "r", encoding="utf-8") as handle:
-                obj = json.load(handle)
-        report = run_sweep(SweepSpec.from_json(obj))
+        report = run_sweep(SweepSpec.from_json(_read_json(args.sweep_spec)))
     else:
         report = run_preset(args.preset)
     if args.json:

@@ -63,9 +63,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
-_INTEGER_RE = re.compile(r"[+-]?\d+")
-_VARIABLE_RE = re.compile(r"a(\d+)(?:\^(\d+))?")
+# re.ASCII: \d would otherwise match every Unicode decimal digit
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
+_INTEGER_RE = re.compile(r"[+-]?\d+", re.ASCII)
+_VARIABLE_RE = re.compile(r"a(\d+)(?:\^(\d+))?", re.ASCII)
 
 
 class FpElement:
@@ -635,6 +636,11 @@ def json_int(value, name: str) -> int:
     return value
 
 
+# Largest {"symbolic": K} accepted from JSON; every parsed term allocates K
+# exponents, so an absurd K would exhaust memory before any check ran.
+_MAX_SYMBOLIC_VARS = 1024
+
+
 def domain_from_json(obj) -> Domain:
     """Inverse of Domain.to_json for the three supported domains."""
     if obj == "rational":
@@ -643,5 +649,11 @@ def domain_from_json(obj) -> Domain:
         if set(obj) == {"prime"}:
             return PrimeField(json_int(obj["prime"], "prime"))
         if set(obj) == {"symbolic"}:
-            return PolynomialRing(json_int(obj["symbolic"], "symbolic"))
+            num_vars = json_int(obj["symbolic"], "symbolic")
+            if num_vars > _MAX_SYMBOLIC_VARS:
+                raise ValueError(
+                    f"symbolic ring of {num_vars} variables is above the "
+                    f"limit {_MAX_SYMBOLIC_VARS}"
+                )
+            return PolynomialRing(num_vars)
     raise ValueError(f"bad domain descriptor {obj!r}")

@@ -24,8 +24,6 @@ __all__ = [
     "DecreasingSubset",
     "enumerate_subsets",
     "nested_geometric_sum",
-    "ClosedFormTerm",
-    "closed_form_terms",
     "closed_form_level",
     "coeff_closed",
     "coeff_explicit_small_k",
@@ -215,19 +213,6 @@ def nested_geometric_sum(f: TruncatedSeries, n: int, subset: DecreasingSubset):
     return sum(h, dom.zero)
 
 
-@dataclass(frozen=True)
-class ClosedFormTerm:
-    """One closed-form summand: a prefactor times its nested geometric sum."""
-
-    subset: DecreasingSubset
-    prefactor: object
-    nested_sum: object
-
-    @property
-    def value(self):
-        return self.prefactor * self.nested_sum
-
-
 def _chain_product(f: TruncatedSeries, subset: DecreasingSubset, table):
     # a_k^[j_1] * a_(j_1)^[j_2] * ... * a_(j_(alpha-2))^[j_(alpha-1)] * a_(j_(alpha-1))
     chain = subset.chain
@@ -237,39 +222,28 @@ def _chain_product(f: TruncatedSeries, subset: DecreasingSubset, table):
     return value
 
 
-def closed_form_terms(
-    f: TruncatedSeries, k: int, n: int, alpha: int, table=None
-) -> list[ClosedFormTerm]:
-    """The closed-form summands at one level alpha, in subset order.
+def closed_form_level(f: TruncatedSeries, k: int, n: int, alpha: int, table=None):
+    """A_(alpha,k): the total closed-form contribution at one level alpha.
 
-    Empty when n < alpha: then every nested sum is an empty sum.
+    a_1^(n-alpha) times the sum, over the decreasing chains of length alpha,
+    of each chain product times its nested geometric sum. Zero when
+    n < alpha: then every nested sum is an empty sum.
     """
     _check_index(f, k)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 2 <= alpha <= k - 1:
         raise ValueError(f"alpha must lie in [2, {k - 1}]")
+    dom = f.domain
     if n < alpha:
-        return []
+        return dom.zero
     if table is None:
         table = PowerCoefficientTable(f)
-    a1 = f.coefficient(1)
-    scale = a1 ** (n - alpha)
-    terms = []
+    total = dom.zero
     for subset in enumerate_subsets(k, alpha):
-        prefactor = scale * _chain_product(f, subset, table)
-        terms.append(
-            ClosedFormTerm(subset, prefactor, nested_geometric_sum(f, n, subset))
-        )
-    return terms
-
-
-def closed_form_level(f: TruncatedSeries, k: int, n: int, alpha: int, table=None):
-    """A_(alpha,k): the total closed-form contribution at one level alpha."""
-    total = f.domain.zero
-    for term in closed_form_terms(f, k, n, alpha, table):
-        total = total + term.value
-    return total
+        chain = _chain_product(f, subset, table)
+        total = total + chain * nested_geometric_sum(f, n, subset)
+    return f.coefficient(1) ** (n - alpha) * total
 
 
 def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None):
@@ -287,8 +261,6 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None):
     if k == 1:
         return a1 ** n
     total = f.coefficient(k) * geometric_factor(f, k, n)
-    if k == 2:
-        return total
     if table is None:
         table = PowerCoefficientTable(f)
     for alpha in range(2, k):
@@ -312,8 +284,6 @@ def coeff_schroder(f: TruncatedSeries, k: int, n: int, table=None):
         raise ValueError("schroder formula requires a_1 = 1")
     if k == 1:
         return dom.one
-    if k == 2:
-        return f.coefficient(2) * dom.from_int(math.comb(n, 1))
     if table is None:
         table = PowerCoefficientTable(f)
     total = f.coefficient(k) * dom.from_int(math.comb(n, 1))

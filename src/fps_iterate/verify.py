@@ -197,6 +197,8 @@ class SweepSpec:
             raise ValueError(f"generator 'a1' must be 'generic' or 'one': {gen.a1!r}")
         if gen.count < 0:
             raise ValueError(f"generator 'count' must be >= 0: {gen.count}")
+        if gen.order is not None and gen.order < 1:
+            raise ValueError(f"generator 'order' must be >= 1: {gen.order}")
         order = self.effective_order
         if order < self.k_range[1]:
             raise ValueError(
@@ -221,7 +223,9 @@ class SweepSpec:
 
     @property
     def effective_order(self) -> int:
-        return self.generator.order or self.k_range[1]
+        if self.generator.order is None:
+            return self.k_range[1]
+        return self.generator.order
 
     def to_json(self) -> dict:
         return {
@@ -424,12 +428,12 @@ def _generate_series(spec: SweepSpec, domain: Domain) -> list[TruncatedSeries]:
     return out
 
 
-def _sweep_one(spec: SweepSpec, domain: Domain, index: int, f: TruncatedSeries):
+def _sweep_one(label: str, index: int, f: TruncatedSeries, k_range, n_range, methods):
+    """Every (k, n) cell of one series: each applicable entry of ``methods``
+    (shaped like ``REGISTRY``, without the oracle) against the oracle."""
     dom = f.domain
-    label = _domain_label(domain)
-    k_lo, k_hi = spec.k_range
-    n_lo, n_hi = spec.n_range
-    methods = {m: REGISTRY[m] for m in spec.methods if m != "oracle"}
+    k_lo, k_hi = k_range
+    n_lo, n_hi = n_range
     table = PowerCoefficientTable(f)
     memo: dict = {}
     iterates = {}
@@ -491,10 +495,13 @@ def run_sweep(spec: SweepSpec) -> DiscrepancyReport:
     for domain in spec.domains:
         for index, f in enumerate(_generate_series(spec, domain)):
             tasks.append((domain, index, f))
+    methods = {m: REGISTRY[m] for m in spec.methods if m != "oracle"}
     cells: list[CellResult] = []
     mismatches: list[Mismatch] = []
-    for task in tasks:
-        got_cells, got_bad = _sweep_one(spec, *task)
+    for domain, index, f in tasks:
+        got_cells, got_bad = _sweep_one(
+            _domain_label(domain), index, f, spec.k_range, spec.n_range, methods
+        )
         cells.extend(got_cells)
         mismatches.extend(got_bad)
     cells.sort(key=lambda c: (c.domain, c.series, c.k, c.n))
@@ -542,11 +549,19 @@ def _f5_transcription(f: TruncatedSeries, n: int, with_a3: bool):
     )
 
 
+# Shaped like REGISTRY; each evaluate looks its transcription up at call time.
 _CANDIDATES = {
-    4: (("f4:6*a2^3-form", _f4_transcription),),
-    5: (
-        ("f5:5*a2^2*a3", lambda f, n: _f5_transcription(f, n, True)),
-        ("f5:5*a2^2", lambda f, n: _f5_transcription(f, n, False)),
+    "f4:6*a2^3-form": (
+        lambda f, k, n: k == 4,
+        lambda f, k, n, table, memo: _f4_transcription(f, n),
+    ),
+    "f5:5*a2^2*a3": (
+        lambda f, k, n: k == 5,
+        lambda f, k, n, table, memo: _f5_transcription(f, n, True),
+    ),
+    "f5:5*a2^2": (
+        lambda f, k, n: k == 5,
+        lambda f, k, n, table, memo: _f5_transcription(f, n, False),
     ),
 }
 
@@ -570,69 +585,36 @@ def adjudicate_typo_cases(n_max: int = 6) -> DiscrepancyReport:
     f = TruncatedSeries(
         ring, 5, [ring.one] + [ring.variable(j) for j in range(2, 6)]
     )
-    label = _domain_label(ring)
-    raw = []
-    matched_all = {name: True for pairs in _CANDIDATES.values() for name, _ in pairs}
-    current = f
-    for n in range(1, n_max + 1):
-        if n > 1:
-            current = current.compose(f)
-        for k, candidates in sorted(_CANDIDATES.items()):
-            oracle_value = current.coefficient(k)
-            values = {"oracle": ring.format(oracle_value)}
-            disagreements = {}
-            for name, fn in candidates:
-                got = fn(f, n)
-                values[name] = ring.format(got)
-                if got != oracle_value:
-                    matched_all[name] = False
-                    disagreements[name] = ring.format(got - oracle_value)
-            raw.append((k, n, values, disagreements))
-    f5_names = [name for name, _ in _CANDIDATES[5]]
-    winners = [name for name in f5_names if matched_all[name]]
+    cells, found = _sweep_one(
+        _domain_label(ring), 0, f, (4, 5), (1, n_max), _CANDIDATES
+    )
+    refuted = {m.methods[1] for m in found}
+    f5_names = [name for name in _CANDIDATES if name.startswith("f5:")]
+    winners = [name for name in f5_names if name not in refuted]
     decided = len(winners) == 1
     # Binding candidates must match the oracle everywhere; a decided
     # adjudication leaves the losing variant out of this set.
     binding = {"f4:6*a2^3-form"}
     binding.update(winners if decided else f5_names)
-    cells = []
-    mismatches = []
-    evidence = []
-    for k, n, values, disagreements in raw:
-        applied = ("oracle",) + tuple(name for name, _ in _CANDIDATES[k])
-        bad = []
-        for name, difference in disagreements.items():
-            record = Mismatch(
-                label,
-                0,
-                k,
-                n,
-                ("oracle", name),
-                {"oracle": values["oracle"], name: values[name]},
-                difference,
-            )
-            if name in binding:
-                bad.append(record)
-            else:
-                evidence.append(
-                    f"{name} fails at n={n}: difference {difference}"
-                )
-        cells.append(
-            CellResult(
-                label, 0, k, n, applied, "fail" if bad else "pass", values
-            )
-        )
-        mismatches.extend(bad)
+    cells.sort(key=lambda c: (c.n, c.k))
+    found.sort(key=lambda m: (m.n, m.k))
+    mismatches = [m for m in found if m.methods[1] in binding]
+    evidence = [
+        f"{m.methods[1]} fails at n={m.n}: difference {m.difference}"
+        for m in found
+        if m.methods[1] not in binding
+    ]
+    failing = {(m.k, m.n) for m in mismatches}
+    for cell in cells:
+        cell.status = "fail" if (cell.k, cell.n) in failing else "pass"
     notes = {
-        "f4_formula": "confirmed"
-        if matched_all["f4:6*a2^3-form"]
-        else "refuted",
+        "f4_formula": "refuted" if "f4:6*a2^3-form" in refuted else "confirmed",
         "f5_candidates": ", ".join(f5_names),
         "f5_second_binomial_term": winners[0].split(":", 1)[1]
         if decided
         else "undecided",
         "f5_rejected": ", ".join(
-            name.split(":", 1)[1] for name in f5_names if not matched_all[name]
+            name.split(":", 1)[1] for name in f5_names if name in refuted
         )
         or "none",
     }
@@ -643,19 +625,18 @@ def adjudicate_typo_cases(n_max: int = 6) -> DiscrepancyReport:
     )
     if evidence:
         notes["f5_evidence"] = evidence[0]
-    report = DiscrepancyReport(
+    return DiscrepancyReport(
         {
             "k_range": [4, 5],
             "n_range": [1, n_max],
             "domains": [ring.to_json()],
-            "methods": ["oracle"] + [n for n, _ in _CANDIDATES[4] + _CANDIDATES[5]],
+            "methods": ["oracle", *_CANDIDATES],
             "generator": {"kind": "symbolic-generic", "a1": "one", "order": 5},
         },
         cells,
         mismatches,
         notes,
     )
-    return report
 
 
 PRESET_NAMES = (

@@ -139,6 +139,10 @@ def test_formula_guardrail(capsys):
             ("verify", "--preset", "prime-field", "--json"),
             "01fe6998b3e3e8a37c0aa98a121df4e75e99adcd0f12f6f65b770d6edf69da28",
         ),
+        (
+            ("verify", "--preset", "typo-adjudication", "--json"),
+            "7d39805e4fbd9b2cf2f87676a26d36d0b557fcebd64d3db27bdadec5ce3a9193",
+        ),
     ],
 )
 def test_symbolic_output_golden(capsys, argv, digest):
@@ -267,6 +271,13 @@ _SPEC = {"k_max": 2, "n_max": 2, "methods": ["oracle", "recursive"]}
         pytest.param("iterate", {"domain": {"prime": 618970019642690137449562111},
                                  "coeffs": ["1"]},
                      id="prime-too-large"),
+        pytest.param("iterate", {"domain": {"symbolic": 10 ** 12}, "coeffs": ["1"]},
+                     id="symbolic-too-large"),
+        pytest.param("iterate", {"coeffs": ["\u0661"]}, id="unicode-digit"),
+        pytest.param("iterate", {"domain": {"prime": 97}, "coeffs": ["\u0661"]},
+                     id="unicode-digit-prime"),
+        pytest.param("iterate", {"domain": {"symbolic": 2}, "coeffs": ["a\u0661"]},
+                     id="unicode-variable"),
         pytest.param("verify", {**_SPEC, "domains": [{"symbolic": "2"}],
                                 "generator": {"kind": "symbolic-generic"}},
                      id="spec-symbolic-string"),
@@ -281,6 +292,12 @@ _SPEC = {"k_max": 2, "n_max": 2, "methods": ["oracle", "recursive"]}
                                 "generator": {"kind": "symbolic-generic",
                                               "a1": "bogus"}},
                      id="spec-a1-bogus"),
+        pytest.param("verify", {**_SPEC, "generator": {
+                         "kind": "random-rational", "order": 0}},
+                     id="spec-order-zero"),
+        pytest.param("verify", {**_SPEC, "domains": [{"symbolic": 10 ** 12}],
+                                "generator": {"kind": "symbolic-generic"}},
+                     id="spec-symbolic-too-large"),
         pytest.param("verify", {**_SPEC, "methods": 5}, id="spec-methods-int"),
         pytest.param("verify", {**_SPEC, "domains": 5}, id="spec-domains-int"),
         pytest.param("verify", {**_SPEC, "generator": {
@@ -300,6 +317,22 @@ def test_malformed_json_exits_2(tmp_path, capsys, command, obj):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["iterate", "verify"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, monkeypatch, command):
+    text = "[" * 100000 + "]" * 100000
+    if command == "iterate":
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        argv = ("iterate", str(path), "-n", "2")
+    else:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        argv = ("verify", "--sweep-spec", "-")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: JSON input is nested too deeply\n"
 
 
 def test_argparse_errors(tmp_path, capsys):
@@ -329,3 +362,12 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "a1^2*a2 + a1*a2\n"
+
+
+def test_every_exported_name_resolves():
+    import fps_iterate
+    from fps_iterate import domains, formulas, multinomial, verify
+
+    for module in (fps_iterate, domains, formulas, multinomial, verify, cli):
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)

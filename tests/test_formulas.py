@@ -9,14 +9,12 @@ import pytest
 
 from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
 from fps_iterate.formulas import (
-    ClosedFormTerm,
     DecreasingSubset,
     coeff_closed,
     coeff_explicit_small_k,
     coeff_recursive,
     coeff_schroder,
     closed_form_level,
-    closed_form_terms,
     count_closed_form_summands,
     enumerate_subsets,
     geometric_factor,
@@ -252,17 +250,29 @@ def test_nested_geometric_sum_exhaustive_against_brute_force():
             )
 
 
-def test_closed_form_terms_structure():
-    f = generic_series(5)
+def test_closed_form_level_against_chain_sum():
+    # a1^(n - alpha) * sum over chains of chain product * nested sum, with
+    # the chain product built here from the power-coefficient table
+    f = generic_series(6)
+    dom = f.domain
     table = PowerCoefficientTable(f)
-    for alpha in range(2, 5):
-        terms = closed_form_terms(f, 5, 5, alpha, table)
-        assert len(terms) == math.comb(3, alpha - 1)
-        assert all(isinstance(t, ClosedFormTerm) for t in terms)
-        assert all(t.value == t.prefactor * t.nested_sum for t in terms)
-        assert closed_form_terms(f, 5, alpha - 1, alpha, table) == []
-    with pytest.raises(ValueError):
-        closed_form_terms(f, 5, 3, 5)
+    for alpha in range(2, 6):
+        for n in range(alpha, 7):
+            total = dom.zero
+            for subset in enumerate_subsets(6, alpha):
+                chain = subset.chain
+                product_ = f.coefficient(chain[-1])
+                for m in range(1, len(chain)):
+                    product_ = product_ * table.get(chain[m - 1], chain[m])
+                total = total + product_ * nested_geometric_sum(f, n, subset)
+            want = f.coefficient(1) ** (n - alpha) * total
+            assert closed_form_level(f, 6, n, alpha, table) == want
+            assert closed_form_level(f, 6, n, alpha) == want
+        for n in range(1, alpha):
+            assert closed_form_level(f, 6, n, alpha, table) == dom.zero
+    for alpha in (1, 6):
+        with pytest.raises(ValueError):
+            closed_form_level(f, 6, 3, alpha)
 
 
 def test_closed_frozen_examples():
@@ -382,16 +392,6 @@ def test_prime_field_methods_agree():
             assert coeff_closed(f, k, n) == want
             assert coeff_explicit_small_k(f, k, n) == want
     assert muckenhoupt_f2(f, 3) == f.iterate(3).series.coefficient(2)
-
-
-def test_closed_form_level_sums_terms():
-    f = generic_series(5)
-    table = PowerCoefficientTable(f)
-    for alpha in range(2, 5):
-        total = f.domain.zero
-        for term in closed_form_terms(f, 5, 4, alpha, table):
-            total = total + term.value
-        assert closed_form_level(f, 5, 4, alpha, table) == total
 
 
 def test_nested_sum_binomial():

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from fps_iterate import verify
 from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
 from fps_iterate.series import TruncatedSeries
 from fps_iterate.verify import (
@@ -301,6 +302,35 @@ def test_adjudication():
     assert all(c.status == "pass" for c in report.cells)
     with pytest.raises(ValueError):
         adjudicate_typo_cases(1)
+
+
+def test_adjudication_refutes_a_broken_transcription(monkeypatch):
+    real_f4, real_f5 = verify._f4_transcription, verify._f5_transcription
+    monkeypatch.setattr(
+        verify, "_f4_transcription", lambda f, n: real_f4(f, n) + f.domain.one
+    )
+    report = adjudicate_typo_cases()
+    assert report.passed is False
+    assert report.notes["f4_formula"] == "refuted"
+    assert report.notes["f5_second_binomial_term"] == "5*a2^2*a3"
+    failed = [c.k for c in report.cells if c.status == "fail"]
+    assert failed == [4] * 6
+    assert {m.k for m in report.mismatches} == {4}
+    monkeypatch.setattr(verify, "_f4_transcription", real_f4)
+    monkeypatch.setattr(
+        verify,
+        "_f5_transcription",
+        lambda f, n, with_a3: real_f5(f, n, with_a3) + f.domain.one,
+    )
+    report = adjudicate_typo_cases()
+    assert report.passed is False
+    assert report.notes["f4_formula"] == "confirmed"
+    assert report.notes["f5_second_binomial_term"] == "undecided"
+    assert report.notes["f5_rejected"] == "5*a2^2*a3, 5*a2^2"
+    assert "f5_evidence" not in report.notes
+    failed = [c.k for c in report.cells if c.status == "fail"]
+    assert failed == [5] * 6
+    assert {m.k for m in report.mismatches} == {5}
 
 
 def test_presets():
