@@ -250,7 +250,27 @@ def test_nested_geometric_sum_exhaustive_against_brute_force():
             )
 
 
-def test_closed_form_level_against_chain_sum():
+def test_closed_form_terms_structure():
+    # level alpha of the closed form has one summand per decreasing chain
+    # k > j_1 > ... > j_(alpha-1) >= 2; it is zero for n < alpha, and alpha
+    # outside [2, k - 1] is refused
+    f = generic_series(5)
+    table = PowerCoefficientTable(f)
+    for alpha in range(2, 5):
+        subsets = enumerate_subsets(5, alpha)
+        assert len(subsets) == math.comb(3, alpha - 1)
+        for subset in subsets:
+            chain = subset.chain
+            assert len(chain) == alpha and chain[0] == 5 and chain[-1] >= 2
+            assert all(a > b for a, b in zip(chain, chain[1:]))
+        for n in range(1, alpha):
+            assert closed_form_level(f, 5, n, alpha, table) == f.domain.zero
+    for alpha in (1, 5):
+        with pytest.raises(ValueError):
+            closed_form_level(f, 5, 3, alpha)
+
+
+def test_closed_form_level_sums_terms():
     # a1^(n - alpha) * sum over chains of chain product * nested sum, with
     # the chain product built here from the power-coefficient table
     f = generic_series(6)
