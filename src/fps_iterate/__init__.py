@@ -17,7 +17,6 @@ from .domains import (
     is_prime,
 )
 from .formulas import (
-    DecreasingSubset,
     coeff_closed,
     coeff_explicit_small_k,
     coeff_recursive,
@@ -36,7 +35,7 @@ from .multinomial import (
     multinomial_coeff,
     variable_support_bound,
 )
-from .series import IterationResult, TruncatedSeries
+from .series import TruncatedSeries
 from .verify import (
     DiscrepancyReport,
     GeneratorSpec,
@@ -61,7 +60,6 @@ __all__ = [
     "domain_from_json",
     "is_prime",
     "TruncatedSeries",
-    "IterationResult",
     "enumerate_partitions",
     "multinomial_coeff",
     "variable_support_bound",
@@ -72,7 +70,6 @@ __all__ = [
     "coeff_explicit_small_k",
     "coeff_schroder",
     "muckenhoupt_f2",
-    "DecreasingSubset",
     "enumerate_subsets",
     "nested_geometric_sum",
     "nested_sum_binomial",

@@ -66,8 +66,7 @@ def _with_order(f: TruncatedSeries, order: int | None) -> TruncatedSeries:
 
 def cmd_iterate(args) -> int:
     f = _with_order(TruncatedSeries.from_json(_read_json(args.series)), args.order)
-    result = f.iterate(args.n)
-    print(json.dumps(result.series.to_json()))
+    print(json.dumps(f.iterate(args.n).to_json()))
     return 0
 
 

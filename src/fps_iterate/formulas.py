@@ -11,7 +11,6 @@ with it exactly, in every coefficient domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .multinomial import PowerCoefficientTable
@@ -21,7 +20,6 @@ __all__ = [
     "geometric_factor",
     "coeff_recursive",
     "muckenhoupt_f2",
-    "DecreasingSubset",
     "enumerate_subsets",
     "nested_geometric_sum",
     "closed_form_level",
@@ -126,66 +124,24 @@ def muckenhoupt_f2(f: TruncatedSeries, n: int):
     return numerator * dom.inv(a1 * a1 - a1)
 
 
-@dataclass(frozen=True)
-class DecreasingSubset:
-    """A strictly decreasing index chain k > j_1 > ... > j_(alpha-1) >= 2.
+def enumerate_subsets(k: int, alpha: int) -> list[tuple[int, ...]]:
+    """All chains (k, j_1, ..., j_(alpha-1)) with k > j_1 > ... >= 2.
 
-    Indexes one summand of the closed form. ``js`` excludes the leading k;
-    ``chain`` includes it.
-    """
-
-    k: int
-    js: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.k < 3:
-            raise ValueError("k must be >= 3")
-        if not self.js:
-            raise ValueError("subset needs at least one index below k")
-        previous = self.k
-        for j in self.js:
-            if not 2 <= j < previous:
-                raise ValueError(
-                    "indices must strictly decrease within [2, k-1]"
-                )
-            previous = j
-
-    @property
-    def alpha(self) -> int:
-        return len(self.js) + 1
-
-    @property
-    def chain(self) -> tuple[int, ...]:
-        return (self.k,) + self.js
-
-
-def enumerate_subsets(k: int, alpha: int) -> list[DecreasingSubset]:
-    """All (alpha-1)-element decreasing chains in {2..k-1}, lex-descending.
-
-    Every chain (with the leading k included) satisfies the gap bound
-    j_(m-1) - j_m <= k - alpha; that is asserted, never filtered.
+    Returned in lex-descending order. Every chain satisfies the gap bound
+    j_(m-1) - j_m <= k - alpha, so none is filtered out.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
     if not 2 <= alpha <= k - 1:
         raise ValueError(f"alpha must lie in [2, {k - 1}]")
-    subsets = [
-        DecreasingSubset(k, tuple(reversed(combo)))
-        for combo in combinations(range(2, k), alpha - 1)
-    ]
-    subsets.sort(key=lambda s: s.js, reverse=True)
-    for subset in subsets:
-        chain = subset.chain
-        assert all(
-            chain[m - 1] - chain[m] <= k - alpha for m in range(1, len(chain))
-        ), "gap bound violated"
-    return subsets
+    return [(k,) + js for js in combinations(range(k - 1, 1, -1), alpha - 1)]
 
 
-def nested_geometric_sum(f: TruncatedSeries, n: int, subset: DecreasingSubset):
+def nested_geometric_sum(f: TruncatedSeries, n: int, chain: tuple[int, ...]):
     """The depth-alpha nested sum of a_1 powers attached to one chain.
 
-    Writing j_0 = k, level m sums a_1^((j_m - 1) * i_m) for i_m from 0 to
+    The chain is (k, j_1, ..., j_(alpha-1)), so alpha = len(chain). Writing
+    j_0 = k, level m sums a_1^((j_m - 1) * i_m) for i_m from 0 to
     n - alpha minus the shallower indices. Empty (zero) when n < alpha.
     With a_1 = 1 the value collapses to the binomial coefficient C(n, alpha).
 
@@ -200,22 +156,21 @@ def nested_geometric_sum(f: TruncatedSeries, n: int, subset: DecreasingSubset):
     if n < 1:
         raise ValueError("n must be >= 1")
     dom = f.domain
-    alpha = subset.alpha
+    alpha = len(chain)
     if n < alpha:
         return dom.zero
     a1 = f.coefficient(1)
     budget = n - alpha
     h = [dom.one] + [dom.zero] * budget
-    for j in subset.chain:
+    for j in chain:
         base = a1 ** (j - 1)
         for d in range(1, budget + 1):
             h[d] = h[d] + base * h[d - 1]
     return sum(h, dom.zero)
 
 
-def _chain_product(f: TruncatedSeries, subset: DecreasingSubset, table):
+def _chain_product(f: TruncatedSeries, chain: tuple[int, ...], table):
     # a_k^[j_1] * a_(j_1)^[j_2] * ... * a_(j_(alpha-2))^[j_(alpha-1)] * a_(j_(alpha-1))
-    chain = subset.chain
     value = f.coefficient(chain[-1])
     for m in range(1, len(chain)):
         value = value * table.get(chain[m - 1], chain[m])
@@ -240,9 +195,9 @@ def closed_form_level(f: TruncatedSeries, k: int, n: int, alpha: int, table=None
     if table is None:
         table = PowerCoefficientTable(f)
     total = dom.zero
-    for subset in enumerate_subsets(k, alpha):
-        chain = _chain_product(f, subset, table)
-        total = total + chain * nested_geometric_sum(f, n, subset)
+    for chain in enumerate_subsets(k, alpha):
+        product = _chain_product(f, chain, table)
+        total = total + product * nested_geometric_sum(f, n, chain)
     return f.coefficient(1) ** (n - alpha) * total
 
 
@@ -292,8 +247,8 @@ def coeff_schroder(f: TruncatedSeries, k: int, n: int, table=None):
         if binom == 0:
             continue
         level = dom.zero
-        for subset in enumerate_subsets(k, alpha):
-            level = level + _chain_product(f, subset, table)
+        for chain in enumerate_subsets(k, alpha):
+            level = level + _chain_product(f, chain, table)
         total = total + dom.from_int(binom) * level
     return total
 

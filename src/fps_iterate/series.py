@@ -9,8 +9,6 @@ oracle for every shortcut formula.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .domains import Domain, domain_from_json, json_int
 
 
@@ -109,14 +107,14 @@ class TruncatedSeries:
             acc = acc.mul(other).add(other.scale(self.coeffs[m - 1]))
         return acc
 
-    def iterate(self, n: int) -> "IterationResult":
+    def iterate(self, n: int) -> "TruncatedSeries":
         """The n-fold self-composition, folding f^(n) = f^(n-1) o f."""
         if not isinstance(n, int) or n < 1:
             raise ValueError("iteration count n must be >= 1")
         result = self
         for _ in range(n - 1):
             result = result.compose(self)
-        return IterationResult(n, result)
+        return result
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if not 1 <= order <= self.order:
@@ -160,10 +158,3 @@ class TruncatedSeries:
     def __repr__(self):
         shown = ", ".join(self.domain.format(c) for c in self.coeffs)
         return f"TruncatedSeries({self.domain!r}, order={self.order}, [{shown}])"
-
-
-class IterationResult(NamedTuple):
-    """An n-fold composition together with the n that produced it."""
-
-    n: int
-    series: TruncatedSeries

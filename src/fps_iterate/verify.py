@@ -62,7 +62,7 @@ def _muckenhoupt_applies(f, k, n):
 
 def _oracle(f, k, n, table, memo):
     _check_index(f, k)  # before the whole iterate is computed
-    return f.iterate(n).series.coefficient(k)
+    return f.iterate(n).coefficient(k)
 
 
 def _muckenhoupt(f, k, n, table, memo):
@@ -151,6 +151,7 @@ class GeneratorSpec:
     def from_json(cls, obj) -> "GeneratorSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError("generator spec must be an object with 'kind'")
+        _refuse_unknown_keys(obj, _GENERATOR_KEYS, "generator")
         order = obj.get("order")
         if order is not None:
             order = json_int(order, "generator 'order'")
@@ -185,9 +186,11 @@ class SweepSpec:
             raise ValueError("at least one domain is required")
         if len(self.methods) < 2:
             raise ValueError("at least two methods are required")
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in REGISTRY:
                 raise ValueError(f"unknown method {m!r}")
+            if m in self.methods[:i]:
+                raise ValueError(f"method {m!r} is listed more than once")
         if "oracle" not in self.methods:
             raise ValueError("the oracle method must always be included")
         gen = self.generator
@@ -240,6 +243,7 @@ class SweepSpec:
     def from_json(cls, obj) -> "SweepSpec":
         if not isinstance(obj, dict):
             raise ValueError("sweep spec must be a JSON object")
+        _refuse_unknown_keys(obj, _SPEC_KEYS, "sweep spec")
         aliases = {"explicit_small_k": "small"}
         try:
             k_range = _range_from_json(obj, "k")
@@ -262,6 +266,19 @@ class SweepSpec:
         spec = cls(k_range, n_range, domains, methods, generator)
         spec.validate()
         return spec
+
+
+_SPEC_KEYS = frozenset(
+    ("k_range", "k_max", "n_range", "n_max", "domains", "methods", "generator")
+)
+_GENERATOR_KEYS = frozenset(("kind", "seed", "count", "order", "a1", "series"))
+
+
+def _refuse_unknown_keys(obj: dict, known: frozenset, what: str) -> None:
+    # a misspelt key would otherwise fall back to its default without notice
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}")
 
 
 def _range_from_json(obj, name: str) -> tuple[int, int]:

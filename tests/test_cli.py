@@ -303,6 +303,16 @@ _SPEC = {"k_max": 2, "n_max": 2, "methods": ["oracle", "recursive"]}
         pytest.param("verify", {**_SPEC, "generator": {
                          "kind": "user-supplied", "series": 5}},
                      id="spec-series-int"),
+        pytest.param("verify", {**_SPEC, "domain": [{"prime": 5}]},
+                     id="spec-unknown-key"),
+        pytest.param("verify", {**_SPEC, "generator": {
+                         "kind": "random-rational", "cuont": 5}},
+                     id="spec-generator-unknown-key"),
+        pytest.param("verify", {**_SPEC, "methods": ["oracle", "oracle"]},
+                     id="spec-methods-duplicate"),
+        pytest.param("verify", {**_SPEC, "methods": [
+                         "oracle", "small", "explicit_small_k"]},
+                     id="spec-methods-duplicate-alias"),
     ],
 )
 def test_malformed_json_exits_2(tmp_path, capsys, command, obj):

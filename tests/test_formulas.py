@@ -9,7 +9,6 @@ import pytest
 
 from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
 from fps_iterate.formulas import (
-    DecreasingSubset,
     coeff_closed,
     coeff_explicit_small_k,
     coeff_recursive,
@@ -145,28 +144,12 @@ def test_muckenhoupt_errors():
         muckenhoupt_f2(series(2, 1), 0)
 
 
-def test_subset_validation():
-    s = DecreasingSubset(5, (4, 2))
-    assert s.alpha == 3
-    assert s.chain == (5, 4, 2)
-    with pytest.raises(ValueError):
-        DecreasingSubset(2, (1,))
-    with pytest.raises(ValueError):
-        DecreasingSubset(5, ())
-    with pytest.raises(ValueError):
-        DecreasingSubset(5, (2, 4))
-    with pytest.raises(ValueError):
-        DecreasingSubset(5, (5,))
-    with pytest.raises(ValueError):
-        DecreasingSubset(5, (4, 1))
-
-
 def test_enumerate_subsets_examples():
-    assert [s.js for s in enumerate_subsets(5, 2)] == [(4,), (3,), (2,)]
-    assert [s.js for s in enumerate_subsets(5, 3)] == [(4, 3), (4, 2), (3, 2)]
-    assert [s.js for s in enumerate_subsets(5, 4)] == [(4, 3, 2)]
-    assert [s.js for s in enumerate_subsets(4, 2)] == [(3,), (2,)]
-    assert [s.js for s in enumerate_subsets(3, 2)] == [(2,)]
+    assert enumerate_subsets(5, 2) == [(5, 4), (5, 3), (5, 2)]
+    assert enumerate_subsets(5, 3) == [(5, 4, 3), (5, 4, 2), (5, 3, 2)]
+    assert enumerate_subsets(5, 4) == [(5, 4, 3, 2)]
+    assert enumerate_subsets(4, 2) == [(4, 3), (4, 2)]
+    assert enumerate_subsets(3, 2) == [(3, 2)]
     with pytest.raises(ValueError):
         enumerate_subsets(2, 2)
     with pytest.raises(ValueError):
@@ -189,38 +172,35 @@ def test_subset_counts():
 def test_nested_geometric_sum_small_cases():
     f = series(2, 1, 1, 1, 1)
     a1 = f.coefficient(1)
-    sub = DecreasingSubset(5, (3,))
+    chain = (5, 3)
     # depth 2, bases a1^4 and a1^2, budget n - 2
     for n in range(2, 7):
         direct = Fraction(0)
         for i1 in range(n - 1):
             for i2 in range(n - 1 - i1):
                 direct += a1 ** (4 * i1) * a1 ** (2 * i2)
-        assert nested_geometric_sum(f, n, sub) == direct
-    assert nested_geometric_sum(f, 1, sub) == 0
-    deep = DecreasingSubset(5, (4, 3, 2))
+        assert nested_geometric_sum(f, n, chain) == direct
+    assert nested_geometric_sum(f, 1, chain) == 0
+    deep = (5, 4, 3, 2)
     assert nested_geometric_sum(f, 3, deep) == 0
     assert nested_geometric_sum(f, 4, deep) == 1
-    assert nested_geometric_sum(series(2, 1, 1), 2, DecreasingSubset(3, (2,))) == 1
+    assert nested_geometric_sum(series(2, 1, 1), 2, (3, 2)) == 1
 
 
 def test_nested_geometric_sum_collapses_to_binomial():
     f = series(1, 1, 1, 1, 1, 1)
-    for k, js in ((5, (3,)), (5, (4, 2)), (6, (5, 3, 2))):
-        sub = DecreasingSubset(k, js)
+    for chain in ((5, 3), (5, 4, 2), (6, 5, 3, 2)):
         for n in range(1, 9):
-            expected = Fraction(math.comb(n, sub.alpha))
-            assert nested_geometric_sum(f, n, sub) == expected
+            expected = Fraction(math.comb(n, len(chain)))
+            assert nested_geometric_sum(f, n, chain) == expected
 
 
-def _brute_nested_sum(dom, a1, n, subset):
+def _brute_nested_sum(dom, a1, n, chain):
     # sum of prod_m b_m^(i_m) over i_0 + ... + i_(alpha-1) <= n - alpha
-    budget = n - subset.alpha  # no index tuples when negative
+    budget = n - len(chain)  # no index tuples when negative
     total = dom.zero
-    powers = [
-        [a1 ** ((j - 1) * i) for i in range(budget + 1)] for j in subset.chain
-    ]
-    for index in product(range(budget + 1), repeat=subset.alpha):
+    powers = [[a1 ** ((j - 1) * i) for i in range(budget + 1)] for j in chain]
+    for index in product(range(budget + 1), repeat=len(chain)):
         if sum(index) <= budget:
             term = dom.one
             for row, i in zip(powers, index):
@@ -235,18 +215,18 @@ def test_nested_geometric_sum_exhaustive_against_brute_force():
     cases = [(RATIONALS, Fraction(a)) for a in (0, 1, -1, 2, Fraction(1, 2))]
     cases += [(z7, z7.from_int(a)) for a in range(7)]
     cases.append((ring, ring.variable(1)))
-    subsets = [
-        subset
+    chains = [
+        chain
         for k in range(3, 8)
         for alpha in range(2, k)
-        for subset in enumerate_subsets(k, alpha)
+        for chain in enumerate_subsets(k, alpha)
     ]
     for dom, a1 in cases:
         f = TruncatedSeries(dom, 7, [a1] + [dom.one] * 6)
-        for subset, n in product(subsets, range(1, 9)):
-            expected = _brute_nested_sum(dom, a1, n, subset)
-            assert nested_geometric_sum(f, n, subset) == expected, (
-                dom, a1, subset, n,
+        for chain, n in product(chains, range(1, 9)):
+            expected = _brute_nested_sum(dom, a1, n, chain)
+            assert nested_geometric_sum(f, n, chain) == expected, (
+                dom, a1, chain, n,
             )
 
 
@@ -257,10 +237,9 @@ def test_closed_form_terms_structure():
     f = generic_series(5)
     table = PowerCoefficientTable(f)
     for alpha in range(2, 5):
-        subsets = enumerate_subsets(5, alpha)
-        assert len(subsets) == math.comb(3, alpha - 1)
-        for subset in subsets:
-            chain = subset.chain
+        chains = enumerate_subsets(5, alpha)
+        assert len(chains) == math.comb(3, alpha - 1)
+        for chain in chains:
             assert len(chain) == alpha and chain[0] == 5 and chain[-1] >= 2
             assert all(a > b for a, b in zip(chain, chain[1:]))
         for n in range(1, alpha):
@@ -279,12 +258,11 @@ def test_closed_form_level_sums_terms():
     for alpha in range(2, 6):
         for n in range(alpha, 7):
             total = dom.zero
-            for subset in enumerate_subsets(6, alpha):
-                chain = subset.chain
+            for chain in enumerate_subsets(6, alpha):
                 product_ = f.coefficient(chain[-1])
                 for m in range(1, len(chain)):
                     product_ = product_ * table.get(chain[m - 1], chain[m])
-                total = total + product_ * nested_geometric_sum(f, n, subset)
+                total = total + product_ * nested_geometric_sum(f, n, chain)
             want = f.coefficient(1) ** (n - alpha) * total
             assert closed_form_level(f, 6, n, alpha, table) == want
             assert closed_form_level(f, 6, n, alpha) == want
@@ -411,7 +389,7 @@ def test_prime_field_methods_agree():
             assert coeff_recursive(f, k, n) == want
             assert coeff_closed(f, k, n) == want
             assert coeff_explicit_small_k(f, k, n) == want
-    assert muckenhoupt_f2(f, 3) == f.iterate(3).series.coefficient(2)
+    assert muckenhoupt_f2(f, 3) == f.iterate(3).coefficient(2)
 
 
 def test_nested_sum_binomial():

@@ -105,11 +105,35 @@ def test_spec_json_round_trip():
         GeneratorSpec.from_json({"seed": 1})
 
 
-def test_oracle_vs_oracle_is_trivially_clean():
-    report = run_sweep(small_spec(methods=("oracle", "oracle"), count=2))
-    assert report.passed
-    assert all(c.status == "n/a" for c in report.cells)
-    assert all(c.methods == ("oracle",) for c in report.cells)
+def test_duplicate_methods_are_refused():
+    # a method listed twice would be compared with itself, so an
+    # oracle-only sweep would compare nothing and still pass
+    with pytest.raises(ValueError, match="'oracle' is listed more than once"):
+        run_sweep(small_spec(methods=("oracle", "oracle"), count=2))
+    spec = {"k_max": 4, "n_max": 3, "methods": ["oracle", "small", "explicit_small_k"]}
+    with pytest.raises(ValueError, match="'small' is listed more than once"):
+        SweepSpec.from_json(spec)
+
+
+def test_every_documented_spec_key_is_accepted():
+    # unknown keys are refused (test_cli.py::test_malformed_json_exits_2);
+    # the documented ones all pass, and count 0 stays valid
+    SweepSpec.from_json(
+        {
+            "k_range": [1, 2],
+            "n_range": [1, 2],
+            "domains": ["rational"],
+            "methods": ["oracle", "recursive"],
+            "generator": {
+                "kind": "random-rational",
+                "seed": 1,
+                "count": 0,
+                "order": 2,
+                "a1": "generic",
+                "series": [],
+            },
+        }
+    )
 
 
 def test_method_alias_accepted():
