@@ -636,6 +636,14 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def refuse_unknown_keys(obj: dict, known: frozenset, what: str) -> None:
+    """Raise on the first key of ``obj`` outside ``known``, in sorted order."""
+    # a misspelt key would otherwise fall back to its default without notice
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}")
+
+
 # Largest {"symbolic": K} accepted from JSON; every parsed term allocates K
 # exponents, so an absurd K would exhaust memory before any check ran.
 _MAX_SYMBOLIC_VARS = 1024

@@ -70,8 +70,15 @@ def coeff_recursive(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
     with C_{k,n} the geometric factor. The power coefficients a_k^[j] come
     from the multinomial table, keeping this route independent of series
     powering. Bottoms out at f_k^(1) = a_k; k = 1 gives a_1^n directly.
-    A shared ``memo`` dict keyed by (k, n) may be passed to reuse values
-    across calls for the same series.
+
+    The inner sum S(k, m) = sum_{j=2}^{k-1} f_j^(m) * a_k^[j] depends on
+    (k, m) only, so it is kept once per (k, m) and the value is evaluated
+    grouped as f_k^(n) = a_k * C_{k,n} + sum_{i=0}^{n-2} a_1^(k*i) *
+    S(k, n-i-1), stepping a_1^(k*i) by one product per i. Every f_j^(m)
+    and S(j, m) with j <= k, m <= n is formed at most once: O(K^2 N + K N^2)
+    domain operations in all. A shared ``memo`` dict may be passed to reuse
+    values across calls for the same series; it holds f_k^(n) under the key
+    (k, n) and S(k, m) under ("S", k, m).
     """
     _check_index(f, k)
     if n < 1:
@@ -83,6 +90,17 @@ def coeff_recursive(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
     dom = f.domain
     a1 = f.coefficient(1)
 
+    def inner(k_: int, m: int):
+        key = ("S", k_, m)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        total = dom.zero
+        for j in range(2, k_):
+            total = total + value(j, m) * table.get(k_, j)
+        memo[key] = total
+        return total
+
     def value(k_: int, n_: int):
         if k_ == 1:
             return a1 ** n_
@@ -92,11 +110,11 @@ def coeff_recursive(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
         if got is not None:
             return got
         total = f.coefficient(k_) * geometric_factor(f, k_, n_)
+        step = a1 ** k_
+        power = dom.one
         for i in range(n_ - 1):
-            inner = dom.zero
-            for j in range(2, k_):
-                inner = inner + value(j, n_ - i - 1) * table.get(k_, j)
-            total = total + a1 ** (k_ * i) * inner
+            total = total + power * inner(k_, n_ - i - 1)
+            power = power * step
         memo[(k_, n_)] = total
         return total
 

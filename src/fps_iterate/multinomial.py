@@ -3,6 +3,12 @@
 This route enumerates exponent patterns instead of multiplying series, so it
 cross-checks series powering and feeds the coefficient formulas without
 touching the brute-force oracle.
+
+One walk over the partitions of k fills a_k^[i] for every i at once: a
+partition with multiplicities r_1..r_k adds i!/(r_1!..r_k!) * a_1^r_1 ..
+a_k^r_k to a_k^[i], i = r_1 + .. + r_k, so a_k^[i] is the partial Bell
+polynomial B_(k,i) in the coefficients j! a_j, divided by k!/i! (Comtet,
+Advanced Combinatorics, 1974, sec. 3.3).
 """
 
 from __future__ import annotations
@@ -48,13 +54,7 @@ def enumerate_partitions(k: int, i: int) -> list[tuple[int, ...]]:
     return found
 
 
-def multinomial_coeff(f: TruncatedSeries, k: int, i: int):
-    """a_k^[i]: the x^k coefficient of f^i as a multinomial sum.
-
-    Each exponent pattern contributes i!/(r_1!..r_k!) times the matching
-    product of series coefficients; the factor is an exact integer mapped
-    into the domain.
-    """
+def _check_power_index(f: TruncatedSeries, k: int, i: int) -> None:
     if i < 1:
         raise ValueError("power i must be >= 1")
     if k < 1:
@@ -63,19 +63,52 @@ def multinomial_coeff(f: TruncatedSeries, k: int, i: int):
         raise ValueError(
             f"insufficient truncation: k={k} exceeds order {f.order}"
         )
+
+
+def _power_row(f: TruncatedSeries, k: int) -> list:
+    """[0, a_k^[1], ..., a_k^[k]] from one walk over the partitions of k.
+
+    The walk picks parts from the largest down, each with multiplicity
+    r >= 1, and carries the multinomial weight and the coefficient product
+    of the parts chosen so far; every node closes one partition by filling
+    the rest with ones. The weight grows by C(count + r, r) per part, an
+    exact integer mapped into the domain once per partition.
+    """
     dom = f.domain
-    total = dom.zero
-    for parts in enumerate_partitions(k, i):
-        weight = math.factorial(i)
-        for rj in parts:
-            if rj > 1:
-                weight //= math.factorial(rj)
-        term = dom.from_int(weight)
-        for j, rj in enumerate(parts, start=1):
-            if rj:
-                term = term * f.coefficient(j) ** rj
-        total = total + term
-    return total
+    coeffs = f.coeffs
+    a1_powers = [dom.one]
+    for _ in range(k):
+        a1_powers.append(a1_powers[-1] * coeffs[0])
+    row = [dom.zero] * (k + 1)
+
+    def walk(top: int, left: int, count: int, weight: int, product) -> None:
+        i = count + left
+        term = product * a1_powers[left] if left else product
+        row[i] = row[i] + dom.from_int(weight * math.comb(i, left)) * term
+        for j in range(min(top, left), 1, -1):
+            step = coeffs[j - 1]
+            part_product, part_count, part_weight = product, count, weight
+            for r in range(1, left // j + 1):
+                part_product = part_product * step
+                part_count += 1
+                part_weight = part_weight * part_count // r
+                walk(j - 1, left - r * j, part_count, part_weight, part_product)
+
+    walk(k, k, 0, 1, dom.one)
+    return row
+
+
+def multinomial_coeff(f: TruncatedSeries, k: int, i: int):
+    """a_k^[i]: the x^k coefficient of f^i as a multinomial sum.
+
+    Each exponent pattern contributes i!/(r_1!..r_k!) times the matching
+    product of series coefficients; the factor is an exact integer mapped
+    into the domain. Read from the one walk that fills every a_k^[i].
+    """
+    _check_power_index(f, k, i)
+    if i > k:
+        return f.domain.zero
+    return _power_row(f, k)[i]
 
 
 def variable_support_bound(k: int, i: int) -> int:
@@ -90,19 +123,19 @@ def variable_support_bound(k: int, i: int) -> int:
 class PowerCoefficientTable:
     """Memoized a_k^[i] values bound to one series.
 
-    k < i short-circuits to zero.
+    The first lookup at k fills the whole row a_k^[1..k] from one walk over
+    the partitions of k (Comtet, sec. 3.3); k < i short-circuits to zero.
     """
 
     def __init__(self, series: TruncatedSeries):
         self.series = series
-        self._memo: dict[tuple[int, int], object] = {}
+        self._rows: dict[int, list] = {}
 
     def get(self, k: int, i: int):
         if i >= 1 and 1 <= k < i:
             return self.series.domain.zero
-        key = (k, i)
-        value = self._memo.get(key)
-        if value is None:
-            value = multinomial_coeff(self.series, k, i)
-            self._memo[key] = value
-        return value
+        row = self._rows.get(k)
+        if row is None or i < 1:
+            _check_power_index(self.series, k, i)
+            row = self._rows[k] = _power_row(self.series, k)
+        return row[i]

@@ -9,7 +9,10 @@ oracle for every shortcut formula.
 
 from __future__ import annotations
 
-from .domains import Domain, domain_from_json, json_int
+from .domains import Domain, domain_from_json, json_int, refuse_unknown_keys
+
+
+_SERIES_KEYS = frozenset(("domain", "order", "coeffs"))
 
 
 class TruncatedSeries:
@@ -132,6 +135,7 @@ class TruncatedSeries:
     def from_json(cls, obj) -> "TruncatedSeries":
         if not isinstance(obj, dict):
             raise ValueError("series JSON must be an object")
+        refuse_unknown_keys(obj, _SERIES_KEYS, "series")
         raw = obj.get("coeffs")
         if not isinstance(raw, list) or not raw:
             raise ValueError("'coeffs' must be a nonempty array of strings")

@@ -22,6 +22,7 @@ from .domains import (
     Rationals,
     domain_from_json,
     json_int,
+    refuse_unknown_keys,
 )
 from .formulas import (
     _check_index,
@@ -151,7 +152,7 @@ class GeneratorSpec:
     def from_json(cls, obj) -> "GeneratorSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError("generator spec must be an object with 'kind'")
-        _refuse_unknown_keys(obj, _GENERATOR_KEYS, "generator")
+        refuse_unknown_keys(obj, _GENERATOR_KEYS, "generator")
         order = obj.get("order")
         if order is not None:
             order = json_int(order, "generator 'order'")
@@ -243,7 +244,7 @@ class SweepSpec:
     def from_json(cls, obj) -> "SweepSpec":
         if not isinstance(obj, dict):
             raise ValueError("sweep spec must be a JSON object")
-        _refuse_unknown_keys(obj, _SPEC_KEYS, "sweep spec")
+        refuse_unknown_keys(obj, _SPEC_KEYS, "sweep spec")
         aliases = {"explicit_small_k": "small"}
         try:
             k_range = _range_from_json(obj, "k")
@@ -272,13 +273,6 @@ _SPEC_KEYS = frozenset(
     ("k_range", "k_max", "n_range", "n_max", "domains", "methods", "generator")
 )
 _GENERATOR_KEYS = frozenset(("kind", "seed", "count", "order", "a1", "series"))
-
-
-def _refuse_unknown_keys(obj: dict, known: frozenset, what: str) -> None:
-    # a misspelt key would otherwise fall back to its default without notice
-    unknown = sorted(set(obj) - known)
-    if unknown:
-        raise ValueError(f"unknown {what} key {unknown[0]!r}")
 
 
 def _range_from_json(obj, name: str) -> tuple[int, int]:

@@ -278,6 +278,8 @@ _SPEC = {"k_max": 2, "n_max": 2, "methods": ["oracle", "recursive"]}
                      id="unicode-digit-prime"),
         pytest.param("iterate", {"domain": {"symbolic": 2}, "coeffs": ["a\u0661"]},
                      id="unicode-variable"),
+        pytest.param("iterate", {"domian": {"prime": 5}, "coeffs": ["2", "3"]},
+                     id="series-unknown-key"),
         pytest.param("verify", {**_SPEC, "domains": [{"symbolic": "2"}],
                                 "generator": {"kind": "symbolic-generic"}},
                      id="spec-symbolic-string"),
@@ -308,6 +310,10 @@ _SPEC = {"k_max": 2, "n_max": 2, "methods": ["oracle", "recursive"]}
         pytest.param("verify", {**_SPEC, "generator": {
                          "kind": "random-rational", "cuont": 5}},
                      id="spec-generator-unknown-key"),
+        pytest.param("verify", {**_SPEC, "generator": {
+                         "kind": "user-supplied",
+                         "series": [{"coeffs": ["2", "3"], "ordr": 2}]}},
+                     id="spec-series-unknown-key"),
         pytest.param("verify", {**_SPEC, "methods": ["oracle", "oracle"]},
                      id="spec-methods-duplicate"),
         pytest.param("verify", {**_SPEC, "methods": [

@@ -115,6 +115,27 @@ def test_recursive_matches_oracle_random():
                 assert coeff_recursive(f, k, n) == current.coefficient(k)
 
 
+def test_recursive_shared_memo_matches_oracle():
+    # one memo and one table across every cell, visited out of order, as a
+    # sweep shares them: the inner sums must not collide with the values
+    rng = random.Random(53)
+    field = PrimeField(1000003)
+    order, n_max = 12, 20
+    f = TruncatedSeries(
+        field, order, [field.from_int(rng.randint(2, 1000002)) for _ in range(order)]
+    )
+    iterates = [f]
+    for _ in range(n_max - 1):
+        iterates.append(iterates[-1].compose(f))
+    cells = list(product(range(1, order + 1), range(1, n_max + 1)))
+    rng.shuffle(cells)
+    table = PowerCoefficientTable(f)
+    memo = {}
+    for k, n in cells:
+        got = coeff_recursive(f, k, n, table, memo)
+        assert got == iterates[n - 1].coefficient(k), (k, n)
+
+
 def test_muckenhoupt():
     g = series(2, 1)
     assert muckenhoupt_f2(g, 2) == 6

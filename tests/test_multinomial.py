@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from fps_iterate.domains import RATIONALS, PolynomialRing
+from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
 from fps_iterate.multinomial import (
     PowerCoefficientTable,
     enumerate_partitions,
@@ -146,3 +146,33 @@ def test_power_coefficient_table():
                 assert table.get(k, i) == multinomial_coeff(f, k, i)
     # memo returns the identical object on a repeat lookup
     assert table.get(5, 2) is table.get(5, 2)
+    # the one-walk rows against the oracle's powering by convolution, over
+    # Q with zero middle coefficients, Z/7 and Q[a1..a8]
+    rng = random.Random(31)
+    rational = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(10)]
+    rational[2] = rational[5] = rational[6] = Fraction(0)
+    field = PrimeField(7)
+    ring = PolynomialRing(8)
+    symbolic = [ring.variable(j) for j in range(1, 9)]
+    symbolic += [ring.variable(1) - ring.variable(2), ring.from_int(3)]
+    for f in (
+        TruncatedSeries(RATIONALS, 10, rational),
+        TruncatedSeries(field, 10, [field.from_int(rng.randint(0, 6)) for _ in range(10)]),
+        TruncatedSeries(ring, 10, symbolic),
+    ):
+        table = PowerCoefficientTable(f)
+        for i in range(1, 12):
+            power = f.pow(i)
+            for k in range(max(i - 1, 1), 11):
+                assert table.get(k, i) == power.coefficient(k), (f.domain, k, i)
+        # bad indices raise as before, also once the row of k is filled
+        for bad in (
+            lambda: table.get(5, 0),
+            lambda: table.get(5, -1),
+            lambda: multinomial_coeff(f, 5, 0),
+        ):
+            with pytest.raises(ValueError, match="power i must be >= 1"):
+                bad()
+        for bad in (lambda: table.get(11, 3), lambda: multinomial_coeff(f, 11, 3)):
+            with pytest.raises(ValueError, match="insufficient truncation: k=11"):
+                bad()
