@@ -140,9 +140,9 @@ def cmd_identities(args) -> int:
                 ok = False
             checks += 1
         for n in range(1, args.n_max + 1):
-            try:
-                rising_product_sum(n, alpha)
-            except AssertionError:
+            if rising_product_sum(n, alpha) * (alpha + 1) != math.prod(
+                range(n, n + alpha + 1)
+            ):
                 ok = False
             checks += 1
         rows.append({"alpha": alpha, "checks": checks, "ok": ok})

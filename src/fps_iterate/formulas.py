@@ -62,23 +62,25 @@ def geometric_factor(f: TruncatedSeries, k: int, n: int):
 
 
 def coeff_recursive(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
-    """f_k^(n) by the recurrence over iteration count.
+    """f_k^(n) by the one-step recurrence over the iteration count.
 
-    f_k^(n) = a_k * C_{k,n} + sum_{i=0}^{n-2} a_1^(k*i) *
-              sum_{j=2}^{k-1} f_j^(n-i-1) * a_k^[j]
+    Writing f^(n) = f^(n-1) o f, the multinomial theorem under composition
+    gives
 
-    with C_{k,n} the geometric factor. The power coefficients a_k^[j] come
-    from the multinomial table, keeping this route independent of series
-    powering. Bottoms out at f_k^(1) = a_k; k = 1 gives a_1^n directly.
+        f_k^(n) = sum_{j=1}^{k} f_j^(n-1) * a_k^[j],   f_k^(1) = a_k,
 
-    The inner sum S(k, m) = sum_{j=2}^{k-1} f_j^(m) * a_k^[j] depends on
-    (k, m) only, so it is kept once per (k, m) and the value is evaluated
-    grouped as f_k^(n) = a_k * C_{k,n} + sum_{i=0}^{n-2} a_1^(k*i) *
-    S(k, n-i-1), stepping a_1^(k*i) by one product per i. Every f_j^(m)
-    and S(j, m) with j <= k, m <= n is formed at most once: O(K^2 N + K N^2)
-    domain operations in all. A shared ``memo`` dict may be passed to reuse
-    values across calls for the same series; it holds f_k^(n) under the key
-    (k, n) and S(k, m) under ("S", k, m).
+    with the power coefficients a_k^[j] read from the multinomial table, so
+    this route never multiplies or composes series (Comtet, Advanced
+    Combinatorics, 1974, ch. 3). Expanding the j = k term n-1 times, with
+    a_k^[k] = a_1^k, and summing the j = 1 terms into a_k * C_{k,n} gives
+    the grouped form f_k^(n) = a_k * C_{k,n} + sum_{i=0}^{n-2} a_1^(k*i) *
+    sum_{j=2}^{k-1} f_j^(n-i-1) * a_k^[j], C_{k,n} the geometric factor.
+
+    Rows are filled bottom-up: ``memo[m]`` holds [f_1^(m), ..., f_i^(m)]
+    for m >= 2, and a call extends rows 2..n in order to length k, so
+    every f_j^(m) is formed at most once, O(K^2 N) domain operations in
+    all. A shared ``memo`` dict may be passed to reuse the rows across
+    calls for the same series, with cells visited in any order.
     """
     _check_index(f, k)
     if n < 1:
@@ -87,38 +89,17 @@ def coeff_recursive(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
         table = PowerCoefficientTable(f)
     if memo is None:
         memo = {}
-    dom = f.domain
-    a1 = f.coefficient(1)
-
-    def inner(k_: int, m: int):
-        key = ("S", k_, m)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total = dom.zero
-        for j in range(2, k_):
-            total = total + value(j, m) * table.get(k_, j)
-        memo[key] = total
-        return total
-
-    def value(k_: int, n_: int):
-        if k_ == 1:
-            return a1 ** n_
-        if n_ == 1:
-            return f.coefficient(k_)
-        got = memo.get((k_, n_))
-        if got is not None:
-            return got
-        total = f.coefficient(k_) * geometric_factor(f, k_, n_)
-        step = a1 ** k_
-        power = dom.one
-        for i in range(n_ - 1):
-            total = total + power * inner(k_, n_ - i - 1)
-            power = power * step
-        memo[(k_, n_)] = total
-        return total
-
-    return value(k, n)
+    zero = f.domain.zero
+    prev = f.coeffs
+    for m in range(2, n + 1):
+        row = memo.setdefault(m, [])
+        for i in range(len(row) + 1, k + 1):
+            total = zero
+            for j in range(1, i + 1):
+                total = total + prev[j - 1] * table.get(i, j)
+            row.append(total)
+        prev = row
+    return prev[k - 1]
 
 
 def muckenhoupt_f2(f: TruncatedSeries, n: int):
@@ -390,10 +371,10 @@ def nested_sum_binomial(n: int, alpha: int) -> int:
 
 
 def rising_product_sum(n: int, alpha: int) -> int:
-    """Sum of p(p+1)..(p+alpha-1) for p = 1..n, checked against its closed form.
+    """Sum of p(p+1)..(p+alpha-1) for p = 1..n, by the loop.
 
-    Both sides are computed independently as exact integers and asserted
-    equal: the loop sum and n(n+1)..(n+alpha)/(alpha+1).
+    An exact integer; it equals n(n+1)..(n+alpha)/(alpha+1), which callers
+    compute independently and compare.
     """
     if n < 1 or alpha < 1:
         raise ValueError("n and alpha must be >= 1")
@@ -403,11 +384,6 @@ def rising_product_sum(n: int, alpha: int) -> int:
         for t in range(alpha):
             product *= p + t
         total += product
-    closed = 1
-    for p in range(n, n + alpha + 1):
-        closed *= p
-    assert closed % (alpha + 1) == 0, "closed form not divisible"
-    assert total == closed // (alpha + 1), "rising-product identity failed"
     return total
 
 

@@ -185,6 +185,11 @@ class SweepSpec:
                 raise ValueError(f"bad {name} range ({lo}, {hi})")
         if not self.domains:
             raise ValueError("at least one domain is required")
+        for i, dom in enumerate(self.domains):
+            if dom in self.domains[:i]:
+                raise ValueError(
+                    f"domain {_domain_label(dom)!r} is listed more than once"
+                )
         if len(self.methods) < 2:
             raise ValueError("at least two methods are required")
         for i, m in enumerate(self.methods):
@@ -403,13 +408,17 @@ def _generate_series(spec: SweepSpec, domain: Domain) -> list[TruncatedSeries]:
     order = spec.effective_order
     if gen.kind == "user-supplied":
         parsed = [TruncatedSeries.from_json(obj) for obj in gen.series]
-        out = [s for s in parsed if s.domain == domain]
-        for s in out:
+        for s in parsed:
+            if s.domain not in spec.domains:
+                raise ValueError(
+                    f"user-supplied series over {_domain_label(s.domain)!r} "
+                    "is not in the swept domains"
+                )
             if s.order < spec.k_range[1]:
                 raise ValueError(
                     "user-supplied series is shorter than the k range"
                 )
-        return out
+        return [s for s in parsed if s.domain == domain]
     if gen.kind == "symbolic-generic":
         ring = domain
         first = ring.one if gen.a1 == "one" else ring.variable(1)

@@ -125,8 +125,9 @@ def test_criterion_06_integer_identities():
                 assert nested_sum_binomial(n, alpha) == math.comb(n, alpha)
         for n in range(1, 51):
             for alpha in range(1, 9):
-                # asserts internally that both evaluations agree
-                rising_product_sum(n, alpha)
+                assert rising_product_sum(n, alpha) * (alpha + 1) == math.prod(
+                    range(n, n + alpha + 1)
+                )
 
 
 def test_criterion_07_chain_enumeration():

@@ -164,6 +164,15 @@ def test_identities_command(capsys):
     assert [row["alpha"] for row in blob["rows"]] == [1, 2]
 
 
+def test_identities_command_compares_rising_product_sum(capsys, monkeypatch):
+    # the verdict is a comparison in the command, not an assert in the helper
+    right = cli.rising_product_sum
+    monkeypatch.setattr(cli, "rising_product_sum", lambda n, alpha: right(n, alpha) + 1)
+    code, out, _ = run_cli(capsys, "identities", "--n-max", "4", "--alpha-max", "2")
+    assert code == 1
+    assert "identity check FAILED" in out
+
+
 def test_verify_preset(capsys):
     code, out, _ = run_cli(capsys, "verify", "--preset", "typo-adjudication")
     assert code == 0
@@ -319,6 +328,12 @@ _SPEC = {"k_max": 2, "n_max": 2, "methods": ["oracle", "recursive"]}
         pytest.param("verify", {**_SPEC, "methods": [
                          "oracle", "small", "explicit_small_k"]},
                      id="spec-methods-duplicate-alias"),
+        pytest.param("verify", {**_SPEC, "domains": ["rational", "rational"]},
+                     id="spec-domains-duplicate"),
+        pytest.param("verify", {**_SPEC, "generator": {
+                         "kind": "user-supplied",
+                         "series": [{"domain": {"prime": 5}, "coeffs": ["2", "3"]}]}},
+                     id="spec-series-domain-not-swept"),
     ],
 )
 def test_malformed_json_exits_2(tmp_path, capsys, command, obj):

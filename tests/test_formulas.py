@@ -116,24 +116,30 @@ def test_recursive_matches_oracle_random():
 
 
 def test_recursive_shared_memo_matches_oracle():
-    # one memo and one table across every cell, visited out of order, as a
-    # sweep shares them: the inner sums must not collide with the values
+    # one memo and one table per series across every cell, visited out of
+    # order as a sweep visits them: a call must extend each row m from row
+    # m - 1 up to its own k, whatever shorter rows earlier calls have left
     rng = random.Random(53)
     field = PrimeField(1000003)
-    order, n_max = 12, 20
-    f = TruncatedSeries(
-        field, order, [field.from_int(rng.randint(2, 1000002)) for _ in range(order)]
-    )
-    iterates = [f]
-    for _ in range(n_max - 1):
-        iterates.append(iterates[-1].compose(f))
-    cells = list(product(range(1, order + 1), range(1, n_max + 1)))
-    rng.shuffle(cells)
-    table = PowerCoefficientTable(f)
-    memo = {}
-    for k, n in cells:
-        got = coeff_recursive(f, k, n, table, memo)
-        assert got == iterates[n - 1].coefficient(k), (k, n)
+    units = (-3, -2, -1, 1, 2, 3)
+    cases = [
+        (TruncatedSeries(field, 12, [field.from_int(rng.randint(2, 1000002))
+                                     for _ in range(12)]), 20),
+        (series(*(Fraction(rng.choice(units), rng.randint(1, 3))
+                  for _ in range(8))), 8),
+        (generic_series(5), 5),
+    ]
+    for f, n_max in cases:
+        iterates = [f]
+        for _ in range(n_max - 1):
+            iterates.append(iterates[-1].compose(f))
+        cells = list(product(range(1, f.order + 1), range(1, n_max + 1)))
+        rng.shuffle(cells)
+        table = PowerCoefficientTable(f)
+        memo = {}
+        for k, n in cells:
+            got = coeff_recursive(f, k, n, table, memo)
+            assert got == iterates[n - 1].coefficient(k), (f.domain, k, n)
 
 
 def test_muckenhoupt():

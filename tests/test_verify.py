@@ -213,7 +213,7 @@ def test_user_supplied_series():
     report = run_sweep(spec)
     assert report.passed
     assert len(report.cells) == 16
-    # series from other domains are skipped, leaving nothing to check
+    # a series over a domain that is not swept is refused, not skipped
     other = SweepSpec(
         (1, 4),
         (1, 4),
@@ -221,7 +221,8 @@ def test_user_supplied_series():
         ("oracle", "recursive"),
         GeneratorSpec("user-supplied", series=(blob,)),
     )
-    assert run_sweep(other).cells == []
+    with pytest.raises(ValueError, match="'rational' is not in the swept domains"):
+        run_sweep(other)
     short = dict(blob, order=2, coeffs=["2", "1"])
     with pytest.raises(ValueError, match="k range"):
         run_sweep(
