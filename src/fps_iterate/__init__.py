@@ -29,12 +29,7 @@ from .formulas import (
     nested_sum_binomial,
     rising_product_sum,
 )
-from .multinomial import (
-    PowerCoefficientTable,
-    enumerate_partitions,
-    multinomial_coeff,
-    variable_support_bound,
-)
+from .multinomial import PowerCoefficientTable, multinomial_coeff
 from .series import TruncatedSeries
 from .verify import (
     DiscrepancyReport,
@@ -60,9 +55,7 @@ __all__ = [
     "domain_from_json",
     "is_prime",
     "TruncatedSeries",
-    "enumerate_partitions",
     "multinomial_coeff",
-    "variable_support_bound",
     "PowerCoefficientTable",
     "geometric_factor",
     "coeff_recursive",

@@ -11,7 +11,7 @@ with it exactly, in every coefficient domain.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .multinomial import PowerCoefficientTable
 from .series import TruncatedSeries
@@ -40,25 +40,17 @@ def _check_index(f: TruncatedSeries, k: int) -> None:
 
 
 def geometric_factor(f: TruncatedSeries, k: int, n: int):
-    """The factor multiplying a_k in f_k^(n).
+    """The factor C_{k,n} multiplying a_k in f_k^(n).
 
     Always evaluated as the literal sum a_1^(n-1) * (1 + a_1^(k-1) + ... +
     a_1^((k-1)(n-1))), never as a quotient, so it is defined over every
     ring, including all the degenerate a_1 values where a quotient form
-    would divide by zero. With a_1 = 1 it collapses to n.
+    would divide by zero. With a_1 = 1 it collapses to n. The bracket is
+    the nested geometric sum of the one-element chain (k).
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
-    dom = f.domain
-    a1 = f.coefficient(1)
-    step = a1 ** (k - 1)
-    total = dom.zero
-    power = dom.one
-    for i in range(n):
-        total = total + power
-        if i + 1 < n:
-            power = power * step
-    return a1 ** (n - 1) * total
+    return f.coefficient(1) ** (n - 1) * nested_geometric_sum(f, n, (k,))
 
 
 def coeff_recursive(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
@@ -126,13 +118,14 @@ def muckenhoupt_f2(f: TruncatedSeries, n: int):
 def enumerate_subsets(k: int, alpha: int) -> list[tuple[int, ...]]:
     """All chains (k, j_1, ..., j_(alpha-1)) with k > j_1 > ... >= 2.
 
-    Returned in lex-descending order. Every chain satisfies the gap bound
-    j_(m-1) - j_m <= k - alpha, so none is filtered out.
+    Returned in lex-descending order; alpha = 1 gives the one chain (k,).
+    Every chain satisfies the gap bound j_(m-1) - j_m <= k - alpha, so none
+    is filtered out.
     """
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    if not 2 <= alpha <= k - 1:
-        raise ValueError(f"alpha must lie in [2, {k - 1}]")
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if not 1 <= alpha <= k - 1:
+        raise ValueError(f"alpha must lie in [1, {k - 1}]")
     return [(k,) + js for js in combinations(range(k - 1, 1, -1), alpha - 1)]
 
 
@@ -165,7 +158,7 @@ def nested_geometric_sum(f: TruncatedSeries, n: int, chain: tuple[int, ...]):
         base = a1 ** (j - 1)
         for d in range(1, budget + 1):
             h[d] = h[d] + base * h[d - 1]
-    return sum(h, dom.zero)
+    return sum(h[1:], h[0])
 
 
 def _chain_product(f: TruncatedSeries, chain: tuple[int, ...], table):
@@ -180,14 +173,15 @@ def closed_form_level(f: TruncatedSeries, k: int, n: int, alpha: int, table=None
     """A_(alpha,k): the total closed-form contribution at one level alpha.
 
     a_1^(n-alpha) times the sum, over the decreasing chains of length alpha,
-    of each chain product times its nested geometric sum. Zero when
-    n < alpha: then every nested sum is an empty sum.
+    of each chain product times its nested geometric sum. Level 1 has the
+    one chain (k,) and equals a_k * C_{k,n}, C_{k,n} the geometric factor.
+    Zero when n < alpha: then every nested sum is an empty sum.
     """
     _check_index(f, k)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 2 <= alpha <= k - 1:
-        raise ValueError(f"alpha must lie in [2, {k - 1}]")
+    if not 1 <= alpha <= k - 1:
+        raise ValueError(f"alpha must lie in [1, {k - 1}]")
     dom = f.domain
     if n < alpha:
         return dom.zero
@@ -203,21 +197,20 @@ def closed_form_level(f: TruncatedSeries, k: int, n: int, alpha: int, table=None
 def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None):
     """f_k^(n) by the closed form.
 
-    k = 1 gives a_1^n and k = 2 the bare geometric term. For k >= 3 the
-    value is a_k times the geometric factor plus, for each level alpha in
-    [2, k-1], a sum over strictly decreasing index chains of chain products
-    of power coefficients times nested geometric sums.
+    k = 1 gives a_1^n. For k >= 2 the value is the sum of the levels
+    alpha = 1..k-1, each a sum over the strictly decreasing index chains
+    of length alpha led by k, of chain products of power coefficients
+    times nested geometric sums; level 1 is a_k * C_{k,n}.
     """
     _check_index(f, k)
     if n < 1:
         raise ValueError("n must be >= 1")
-    a1 = f.coefficient(1)
     if k == 1:
-        return a1 ** n
-    total = f.coefficient(k) * geometric_factor(f, k, n)
+        return f.coefficient(1) ** n
     if table is None:
         table = PowerCoefficientTable(f)
-    for alpha in range(2, k):
+    total = f.domain.zero
+    for alpha in range(1, k):
         total = total + closed_form_level(f, k, n, alpha, table)
     return total
 
@@ -225,10 +218,10 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None):
 def coeff_schroder(f: TruncatedSeries, k: int, n: int, table=None):
     """f_k^(n) for a_1 = 1: binomials times chain products.
 
-    Schroeder's classical form: f_k^(n) = a_k * C(n,1) plus, per level
-    alpha, C(n, alpha) times the sum over decreasing chains of
-    a_k^[j_1] * a_(j_1)^[j_2] * ... * a_(j_(alpha-1)). Binomials are exact
-    integers mapped into the domain; C(n, alpha) = 0 for alpha > n.
+    Schroeder's classical form: f_k^(n) is the sum over levels
+    alpha = 1..min(k-1, n) of C(n, alpha) times the sum over decreasing
+    chains of a_k^[j_1] * a_(j_1)^[j_2] * ... * a_(j_(alpha-1)); level 1
+    is a_k * n. Binomials are exact integers mapped into the domain.
     """
     _check_index(f, k)
     if n < 1:
@@ -240,15 +233,12 @@ def coeff_schroder(f: TruncatedSeries, k: int, n: int, table=None):
         return dom.one
     if table is None:
         table = PowerCoefficientTable(f)
-    total = f.coefficient(k) * dom.from_int(math.comb(n, 1))
-    for alpha in range(2, k):
-        binom = math.comb(n, alpha)
-        if binom == 0:
-            continue
+    total = dom.zero
+    for alpha in range(1, min(k - 1, n) + 1):
         level = dom.zero
         for chain in enumerate_subsets(k, alpha):
             level = level + _chain_product(f, chain, table)
-        total = total + dom.from_int(binom) * level
+        total = total + dom.from_int(math.comb(n, alpha)) * level
     return total
 
 
@@ -344,30 +334,18 @@ def nested_sum_binomial(n: int, alpha: int) -> int:
 
     Level m ranges over 0..(n - alpha - earlier indices); the returned count
     always equals C(n, alpha), which callers verify independently. Computed
-    level by level without any binomial shortcut.
+    without any binomial shortcut: starting from one point per budget
+    0..n-alpha, each of alpha - 1 prefix-sum passes adds one level, and the
+    outermost level sums over every budget.
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n < alpha:
-        return 0
-    memo: dict[tuple[int, int], int] = {}
-
-    def level(depth: int, budget: int) -> int:
-        if depth == alpha:
-            return 1
-        key = (depth, budget)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total = 0
-        for i in range(budget + 1):
-            total += level(depth + 1, budget - i)
-        memo[key] = total
-        return total
-
-    return level(0, n - alpha)
+    counts = [1] * (n - alpha + 1)
+    for _ in range(alpha - 1):
+        counts = list(accumulate(counts))
+    return sum(counts)
 
 
 def rising_product_sum(n: int, alpha: int) -> int:
@@ -388,9 +366,7 @@ def rising_product_sum(n: int, alpha: int) -> int:
 
 
 def count_closed_form_summands(k: int) -> int:
-    """Number of closed-form summands for one k, which is 2^(k-2) - 1."""
+    """Number of chains at the closed-form levels alpha >= 2: 2^(k-2) - 1."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    total = sum(math.comb(k - 2, alpha - 1) for alpha in range(2, k))
-    assert total == 2 ** (k - 2) - 1, "summand count identity failed"
-    return total
+    return sum(math.comb(k - 2, alpha - 1) for alpha in range(2, k))

@@ -17,41 +17,7 @@ import math
 
 from .series import TruncatedSeries
 
-__all__ = [
-    "enumerate_partitions",
-    "multinomial_coeff",
-    "variable_support_bound",
-    "PowerCoefficientTable",
-]
-
-
-def enumerate_partitions(k: int, i: int) -> list[tuple[int, ...]]:
-    """All nonnegative (r_1..r_k) with r_1+..+r_k = i and sum of j*r_j = k.
-
-    Recursive descent from r_k down to r_2 prunes on both constraints; r_1
-    is then forced. Results come back in lexicographic order of (r_1..r_k).
-    """
-    if k < 1 or i < 1:
-        raise ValueError("k and i must be >= 1")
-    found: list[tuple[int, ...]] = []
-    r = [0] * k
-
-    def descend(j: int, count_left: int, weight_left: int) -> None:
-        if j == 1:
-            if count_left == weight_left:
-                r[0] = count_left
-                found.append(tuple(r))
-                r[0] = 0
-            return
-        top = min(count_left, weight_left // j)
-        for rj in range(top + 1):
-            r[j - 1] = rj
-            descend(j - 1, count_left - rj, weight_left - j * rj)
-        r[j - 1] = 0
-
-    descend(k, i, k)
-    found.sort()
-    return found
+__all__ = ["multinomial_coeff", "PowerCoefficientTable"]
 
 
 def _check_power_index(f: TruncatedSeries, k: int, i: int) -> None:
@@ -109,15 +75,6 @@ def multinomial_coeff(f: TruncatedSeries, k: int, i: int):
     if i > k:
         return f.domain.zero
     return _power_row(f, k)[i]
-
-
-def variable_support_bound(k: int, i: int) -> int:
-    """Largest coefficient index that can appear in a_k^[i]: k - i + 1."""
-    if i < 1:
-        raise ValueError("power i must be >= 1")
-    if k < i:
-        raise ValueError("bound defined only for k >= i")
-    return k - i + 1
 
 
 class PowerCoefficientTable:

@@ -4,8 +4,11 @@ import argparse
 import hashlib
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -402,3 +405,25 @@ def test_every_exported_name_resolves():
     for module in (fps_iterate, domains, formulas, multinomial, verify, cli):
         for name in module.__all__:
             assert hasattr(module, name), (module.__name__, name)
+
+
+def test_readme_examples_run_as_shown(capsys, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    # each `$ [echo JSON |] fps ...` line prints exactly the line under it
+    shell = re.findall(r"^\$ (.*)\n(.*)$", readme, flags=re.M)
+    assert len(shell) >= 5
+    for command, expected in shell:
+        words = shlex.split(command)
+        stdin = ""
+        if words[0] == "echo":
+            stdin, words = words[1], words[3:]
+        assert words[0] == "fps", command
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert run_cli(capsys, *words[1:]) == (0, expected + "\n", ""), command
+    # each print in the library example prints its trailing comment
+    (code,) = re.findall(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    comments = re.findall(r"^print\(.*#\s*(.*)$", code, flags=re.M)
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        exec(code, {})
+    assert buffer.getvalue().splitlines() == comments

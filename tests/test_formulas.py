@@ -177,12 +177,11 @@ def test_enumerate_subsets_examples():
     assert enumerate_subsets(5, 4) == [(5, 4, 3, 2)]
     assert enumerate_subsets(4, 2) == [(4, 3), (4, 2)]
     assert enumerate_subsets(3, 2) == [(3, 2)]
-    with pytest.raises(ValueError):
-        enumerate_subsets(2, 2)
-    with pytest.raises(ValueError):
-        enumerate_subsets(5, 5)
-    with pytest.raises(ValueError):
-        enumerate_subsets(5, 1)
+    assert enumerate_subsets(5, 1) == [(5,)]
+    assert enumerate_subsets(2, 1) == [(2,)]
+    for k, alpha in ((1, 1), (2, 2), (5, 5), (5, 0)):
+        with pytest.raises(ValueError):
+            enumerate_subsets(k, alpha)
 
 
 def test_subset_counts():
@@ -259,8 +258,9 @@ def test_nested_geometric_sum_exhaustive_against_brute_force():
 
 def test_closed_form_terms_structure():
     # level alpha of the closed form has one summand per decreasing chain
-    # k > j_1 > ... > j_(alpha-1) >= 2; it is zero for n < alpha, and alpha
-    # outside [2, k - 1] is refused
+    # k > j_1 > ... > j_(alpha-1) >= 2; it is zero for n < alpha, level 1
+    # is a_k times the geometric factor, and alpha outside [1, k - 1] is
+    # refused
     f = generic_series(5)
     table = PowerCoefficientTable(f)
     for alpha in range(2, 5):
@@ -271,7 +271,10 @@ def test_closed_form_terms_structure():
             assert all(a > b for a, b in zip(chain, chain[1:]))
         for n in range(1, alpha):
             assert closed_form_level(f, 5, n, alpha, table) == f.domain.zero
-    for alpha in (1, 5):
+    for n in range(1, 6):
+        want = f.coefficient(5) * geometric_factor(f, 5, n)
+        assert closed_form_level(f, 5, n, 1, table) == want
+    for alpha in (0, 5):
         with pytest.raises(ValueError):
             closed_form_level(f, 5, 3, alpha)
 
@@ -282,7 +285,7 @@ def test_closed_form_level_sums_terms():
     f = generic_series(6)
     dom = f.domain
     table = PowerCoefficientTable(f)
-    for alpha in range(2, 6):
+    for alpha in range(1, 6):
         for n in range(alpha, 7):
             total = dom.zero
             for chain in enumerate_subsets(6, alpha):
@@ -295,7 +298,7 @@ def test_closed_form_level_sums_terms():
             assert closed_form_level(f, 6, n, alpha) == want
         for n in range(1, alpha):
             assert closed_form_level(f, 6, n, alpha, table) == dom.zero
-    for alpha in (1, 6):
+    for alpha in (0, 6):
         with pytest.raises(ValueError):
             closed_form_level(f, 6, 3, alpha)
 

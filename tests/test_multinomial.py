@@ -2,17 +2,11 @@
 
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
 from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
-from fps_iterate.multinomial import (
-    PowerCoefficientTable,
-    enumerate_partitions,
-    multinomial_coeff,
-    variable_support_bound,
-)
+from fps_iterate.multinomial import PowerCoefficientTable, multinomial_coeff
 from fps_iterate.series import TruncatedSeries
 
 
@@ -21,34 +15,6 @@ def generic_series(order):
     return TruncatedSeries(
         ring, order, [ring.variable(j) for j in range(1, order + 1)]
     )
-
-
-def test_partitions_examples():
-    assert enumerate_partitions(4, 2) == [(0, 2, 0, 0), (1, 0, 1, 0)]
-    assert enumerate_partitions(3, 3) == [(3, 0, 0)]
-    assert enumerate_partitions(5, 1) == [(0, 0, 0, 0, 1)]
-    assert enumerate_partitions(2, 3) == []
-    assert enumerate_partitions(2, 5) == []
-    assert enumerate_partitions(1, 1) == [(1,)]
-
-
-def test_partitions_match_exhaustive_filter():
-    # independent oracle: filter the full grid of candidate tuples
-    for k in range(1, 7):
-        for i in range(1, 7):
-            expected = sorted(
-                r
-                for r in product(range(i + 1), repeat=k)
-                if sum(r) == i and sum((j + 1) * rj for j, rj in enumerate(r)) == k
-            )
-            assert enumerate_partitions(k, i) == expected
-
-
-def test_partitions_sorted_and_distinct():
-    for k in range(1, 9):
-        for i in range(1, 9):
-            parts = enumerate_partitions(k, i)
-            assert parts == sorted(set(parts))
 
 
 def test_multinomial_against_series_pow_rational():
@@ -108,20 +74,12 @@ def test_vanishing_below_the_diagonal():
 
 
 def test_support_bound():
-    assert variable_support_bound(5, 2) == 4
-    assert variable_support_bound(4, 4) == 1
-    assert variable_support_bound(3, 2) == 2
-    with pytest.raises(ValueError):
-        variable_support_bound(3, 0)
-    with pytest.raises(ValueError):
-        variable_support_bound(2, 3)
     # a_k^[i] never involves a_j for j above k-i+1
     f = generic_series(6)
     for k in range(1, 7):
         for i in range(1, k + 1):
             value = multinomial_coeff(f, k, i)
-            bound = variable_support_bound(k, i)
-            for j in range(bound + 1, 7):
+            for j in range(k - i + 2, 7):
                 assert value.degree_in(j) == 0
 
 
