@@ -17,6 +17,7 @@ from .domains import (
     is_prime,
 )
 from .formulas import (
+    NotApplicable,
     coeff_closed,
     coeff_explicit_small_k,
     coeff_recursive,
@@ -57,6 +58,7 @@ __all__ = [
     "TruncatedSeries",
     "multinomial_coeff",
     "PowerCoefficientTable",
+    "NotApplicable",
     "geometric_factor",
     "coeff_recursive",
     "coeff_closed",

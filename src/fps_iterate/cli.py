@@ -9,6 +9,7 @@ failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -72,8 +73,7 @@ def cmd_iterate(args) -> int:
 
 def cmd_coeff(args) -> int:
     f = _with_order(TruncatedSeries.from_json(_read_json(args.series)), args.order)
-    _, evaluate = REGISTRY[args.method]
-    value = evaluate(f, args.k, args.n, None, None)
+    value = REGISTRY[args.method](f, args.k, args.n, None, None)
     print(
         json.dumps(
             {
@@ -159,6 +159,7 @@ def cmd_identities(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fps",

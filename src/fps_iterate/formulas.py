@@ -17,6 +17,7 @@ from .multinomial import PowerCoefficientTable
 from .series import TruncatedSeries
 
 __all__ = [
+    "NotApplicable",
     "geometric_factor",
     "coeff_recursive",
     "muckenhoupt_f2",
@@ -32,11 +33,20 @@ __all__ = [
 ]
 
 
-def _check_index(f: TruncatedSeries, k: int) -> None:
+class NotApplicable(ValueError):
+    """A route's precondition fails on this input; other routes still apply.
+
+    Any other ``ValueError`` is a bad input that no route can evaluate.
+    """
+
+
+def _check_index(f: TruncatedSeries, k: int, n: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > f.order:
         raise ValueError(f"k={k} exceeds the truncation order {f.order}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
 
 
 def geometric_factor(f: TruncatedSeries, k: int, n: int):
@@ -74,9 +84,7 @@ def coeff_recursive(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
     all. A shared ``memo`` dict may be passed to reuse the rows across
     calls for the same series, with cells visited in any order.
     """
-    _check_index(f, k)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_index(f, k, n)
     if table is None:
         table = PowerCoefficientTable(f)
     if memo is None:
@@ -98,17 +106,16 @@ def muckenhoupt_f2(f: TruncatedSeries, n: int):
     """f_2^(n) as the quotient a_2 * (a_1^(2n) - a_1^n) / (a_1^2 - a_1).
 
     Needs a field domain and a_1 outside {0, 1}; otherwise the denominator
-    vanishes and the recurrence applies instead.
+    vanishes, this raises ``NotApplicable`` and the recurrence applies
+    instead.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_index(f, 2)
+    _check_index(f, 2, n)
     dom = f.domain
     if not dom.is_field:
-        raise ValueError("muckenhoupt formula needs a field domain")
+        raise NotApplicable("muckenhoupt formula needs a field domain")
     a1 = f.coefficient(1)
     if a1 == dom.zero or a1 == dom.one:
-        raise ValueError(
+        raise NotApplicable(
             "formula undefined for a_1 in {0, 1}, use coeff_recursive"
         )
     numerator = f.coefficient(2) * (a1 ** (2 * n) - a1 ** n)
@@ -177,9 +184,7 @@ def closed_form_level(f: TruncatedSeries, k: int, n: int, alpha: int, table=None
     one chain (k,) and equals a_k * C_{k,n}, C_{k,n} the geometric factor.
     Zero when n < alpha: then every nested sum is an empty sum.
     """
-    _check_index(f, k)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_index(f, k, n)
     if not 1 <= alpha <= k - 1:
         raise ValueError(f"alpha must lie in [1, {k - 1}]")
     dom = f.domain
@@ -202,9 +207,7 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None):
     of length alpha led by k, of chain products of power coefficients
     times nested geometric sums; level 1 is a_k * C_{k,n}.
     """
-    _check_index(f, k)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_index(f, k, n)
     if k == 1:
         return f.coefficient(1) ** n
     if table is None:
@@ -223,12 +226,10 @@ def coeff_schroder(f: TruncatedSeries, k: int, n: int, table=None):
     chains of a_k^[j_1] * a_(j_1)^[j_2] * ... * a_(j_(alpha-1)); level 1
     is a_k * n. Binomials are exact integers mapped into the domain.
     """
-    _check_index(f, k)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_index(f, k, n)
     dom = f.domain
     if f.coefficient(1) != dom.one:
-        raise ValueError("schroder formula requires a_1 = 1")
+        raise NotApplicable("schroder formula requires a_1 = 1")
     if k == 1:
         return dom.one
     if table is None:
@@ -251,10 +252,8 @@ def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int):
     when their innermost sums stop being empty.
     """
     if k > 5:
-        raise ValueError("k > 5 not covered here, use coeff_closed")
-    _check_index(f, k)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+        raise NotApplicable("k > 5 not covered here, use coeff_closed")
+    _check_index(f, k, n)
     dom = f.domain
     a1 = f.coefficient(1)
 

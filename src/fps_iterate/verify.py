@@ -1,9 +1,10 @@
 """Cross-method equivalence sweeps with structured discrepancy reports.
 
 A sweep evaluates every requested method on every (series, k, n) cell and
-compares each one against the brute-force oracle. Methods whose
-preconditions fail on a cell are skipped and the cell marked n/a, never
-failed. Reports are deterministic for a fixed seed and sorted cell order.
+compares each one against the brute-force oracle. A method that raises
+``NotApplicable`` on a cell is skipped there, and a cell no method applies
+to is marked n/a, never failed; any other error stops the sweep. Reports
+are deterministic for a fixed seed and sorted cell order.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from random import Random
 
 from .domains import (
@@ -25,6 +26,7 @@ from .domains import (
     refuse_unknown_keys,
 )
 from .formulas import (
+    NotApplicable,
     _check_index,
     coeff_closed,
     coeff_explicit_small_k,
@@ -52,51 +54,31 @@ __all__ = [
 ]
 
 
-def _always(f, k, n):
-    return True
-
-
-def _muckenhoupt_applies(f, k, n):
-    dom, a1 = f.domain, f.coefficient(1)
-    return k == 2 and dom.is_field and a1 != dom.zero and a1 != dom.one
-
-
 def _oracle(f, k, n, table, memo):
-    _check_index(f, k)  # before the whole iterate is computed
+    _check_index(f, k, n)  # before the whole iterate is computed
     return f.iterate(n).coefficient(k)
 
 
 def _muckenhoupt(f, k, n, table, memo):
-    _check_index(f, k)
+    _check_index(f, k, n)
     if k != 2:
-        raise ValueError("muckenhoupt computes only k = 2")
+        raise NotApplicable("muckenhoupt computes only k = 2")
     return muckenhoupt_f2(f, n)
 
 
-# name -> (applies(f, k, n), evaluate(f, k, n, table, memo)), in report
-# order. evaluate raises ValueError exactly where applies is False. Each
-# evaluate calls one route, named in its body so that the name is looked up
-# in this module at call time (perfbench/tracing.py rebinds it to count and
-# time the route). The oracle ignores the table, keeping it independent.
+# name -> evaluate(f, k, n, table, memo), in report order. evaluate raises
+# NotApplicable where its route's precondition fails, and a plain ValueError
+# on input no route can take. Each evaluate calls one route, named in its
+# body so that the name is looked up in this module at call time
+# (perfbench/tracing.py rebinds it to count and time the route). The oracle
+# ignores the table, keeping it independent.
 REGISTRY = {
-    "oracle": (_always, _oracle),
-    "recursive": (
-        _always,
-        lambda f, k, n, table, memo: coeff_recursive(f, k, n, table, memo),
-    ),
-    "closed": (
-        _always,
-        lambda f, k, n, table, memo: coeff_closed(f, k, n, table),
-    ),
-    "small": (
-        lambda f, k, n: k <= 5,
-        lambda f, k, n, table, memo: coeff_explicit_small_k(f, k, n),
-    ),
-    "schroder": (
-        lambda f, k, n: f.coefficient(1) == f.domain.one,
-        lambda f, k, n, table, memo: coeff_schroder(f, k, n, table),
-    ),
-    "muckenhoupt": (_muckenhoupt_applies, _muckenhoupt),
+    "oracle": _oracle,
+    "recursive": lambda f, k, n, table, memo: coeff_recursive(f, k, n, table, memo),
+    "closed": lambda f, k, n, table, memo: coeff_closed(f, k, n, table),
+    "small": lambda f, k, n, table, memo: coeff_explicit_small_k(f, k, n),
+    "schroder": lambda f, k, n, table, memo: coeff_schroder(f, k, n, table),
+    "muckenhoupt": _muckenhoupt,
 }
 METHODS = tuple(REGISTRY)
 GENERATOR_KINDS = (
@@ -204,6 +186,10 @@ class SweepSpec:
             raise ValueError(f"unknown generator kind {gen.kind!r}")
         if gen.a1 not in ("generic", "one"):
             raise ValueError(f"generator 'a1' must be 'generic' or 'one': {gen.a1!r}")
+        if gen.a1 != "generic" and gen.kind != "symbolic-generic":
+            raise ValueError(f"generator 'a1' is not read by kind {gen.kind!r}")
+        if gen.series and gen.kind != "user-supplied":
+            raise ValueError(f"generator 'series' is not read by kind {gen.kind!r}")
         if gen.count < 0:
             raise ValueError(f"generator 'count' must be >= 0: {gen.count}")
         if gen.order is not None and gen.order < 1:
@@ -282,6 +268,8 @@ _GENERATOR_KEYS = frozenset(("kind", "seed", "count", "order", "a1", "series"))
 
 def _range_from_json(obj, name: str) -> tuple[int, int]:
     if f"{name}_range" in obj:
+        if f"{name}_max" in obj:
+            raise ValueError(f"sweep spec gives both {name}_range and {name}_max")
         bounds = obj[f"{name}_range"]
         if not isinstance(bounds, list) or len(bounds) != 2:
             raise ValueError(f"{name}_range must be a [lo, hi] pair")
@@ -424,33 +412,29 @@ def _generate_series(spec: SweepSpec, domain: Domain) -> list[TruncatedSeries]:
         first = ring.one if gen.a1 == "one" else ring.variable(1)
         coeffs = [first] + [ring.variable(j) for j in range(2, order + 1)]
         return [TruncatedSeries(ring, order, coeffs)]
-    rng = Random(f"{gen.seed}:{domain!r}")
     if gen.kind == "random-rational":
-        out = []
-        while len(out) < gen.count:
-            draws = [_draw_rational(rng, j == 0) for j in range(order)]
-            try:
-                coeffs = [domain.from_fraction(q) for q in draws]
-            except ValueError:
-                continue
-            out.append(TruncatedSeries(domain, order, coeffs))
-        return out
-    grids = [_SMALL_A1] + [_SMALL_HIGHER] * (order - 1)
+        rng = Random(f"{gen.seed}:{domain!r}")
+        draws = ([_draw_rational(rng, j == 0) for j in range(order)] for _ in count())
+        limit = gen.count
+    else:  # exhaustive-small: count 0 takes the whole grid
+        draws = product(_SMALL_A1, *[_SMALL_HIGHER] * (order - 1))
+        limit = gen.count or None
     out = []
-    for draws in product(*grids):
+    for draw in draws:
+        if len(out) == limit:
+            break
         try:
-            coeffs = [domain.from_fraction(q) for q in draws]
-        except ValueError:
+            coeffs = [domain.from_fraction(q) for q in draw]
+        except ValueError:  # a denominator that is not a unit mod p
             continue
         out.append(TruncatedSeries(domain, order, coeffs))
-        if gen.count and len(out) >= gen.count:
-            break
     return out
 
 
 def _sweep_one(label: str, index: int, f: TruncatedSeries, k_range, n_range, methods):
-    """Every (k, n) cell of one series: each applicable entry of ``methods``
-    (shaped like ``REGISTRY``, without the oracle) against the oracle."""
+    """Every (k, n) cell of one series: each entry of ``methods`` (shaped
+    like ``REGISTRY``, without the oracle) that does not raise
+    ``NotApplicable``, against the oracle."""
     dom = f.domain
     k_lo, k_hi = k_range
     n_lo, n_hi = n_range
@@ -471,10 +455,11 @@ def _sweep_one(label: str, index: int, f: TruncatedSeries, k_range, n_range, met
             values = {"oracle": dom.format(oracle_value)}
             applied = ["oracle"]
             bad = []
-            for method, (applies, evaluate) in methods.items():
-                if not applies(f, k, n):
+            for method, evaluate in methods.items():
+                try:
+                    got = evaluate(f, k, n, table, memo)
+                except NotApplicable:
                     continue
-                got = evaluate(f, k, n, table, memo)
                 values[method] = dom.format(got)
                 applied.append(method)
                 if got != oracle_value:
@@ -569,20 +554,12 @@ def _f5_transcription(f: TruncatedSeries, n: int, with_a3: bool):
     )
 
 
-# Shaped like REGISTRY; each evaluate looks its transcription up at call time.
+# Shaped like REGISTRY; each evaluate looks its transcription up at call
+# time. The prefix names the k that a candidate transcribes.
 _CANDIDATES = {
-    "f4:6*a2^3-form": (
-        lambda f, k, n: k == 4,
-        lambda f, k, n, table, memo: _f4_transcription(f, n),
-    ),
-    "f5:5*a2^2*a3": (
-        lambda f, k, n: k == 5,
-        lambda f, k, n, table, memo: _f5_transcription(f, n, True),
-    ),
-    "f5:5*a2^2": (
-        lambda f, k, n: k == 5,
-        lambda f, k, n, table, memo: _f5_transcription(f, n, False),
-    ),
+    "f4:6*a2^3-form": lambda f, k, n, table, memo: _f4_transcription(f, n),
+    "f5:5*a2^2*a3": lambda f, k, n, table, memo: _f5_transcription(f, n, True),
+    "f5:5*a2^2": lambda f, k, n, table, memo: _f5_transcription(f, n, False),
 }
 
 
@@ -605,9 +582,14 @@ def adjudicate_typo_cases(n_max: int = 6) -> DiscrepancyReport:
     f = TruncatedSeries(
         ring, 5, [ring.one] + [ring.variable(j) for j in range(2, 6)]
     )
-    cells, found = _sweep_one(
-        _domain_label(ring), 0, f, (4, 5), (1, n_max), _CANDIDATES
-    )
+    cells, found = [], []
+    for k in (4, 5):
+        named = {m: ev for m, ev in _CANDIDATES.items() if m.startswith(f"f{k}:")}
+        got_cells, got_bad = _sweep_one(
+            _domain_label(ring), 0, f, (k, k), (1, n_max), named
+        )
+        cells.extend(got_cells)
+        found.extend(got_bad)
     refuted = {m.methods[1] for m in found}
     f5_names = [name for name in _CANDIDATES if name.startswith("f5:")]
     winners = [name for name in f5_names if name not in refuted]

@@ -337,6 +337,17 @@ _SPEC = {"k_max": 2, "n_max": 2, "methods": ["oracle", "recursive"]}
                          "kind": "user-supplied",
                          "series": [{"domain": {"prime": 5}, "coeffs": ["2", "3"]}]}},
                      id="spec-series-domain-not-swept"),
+        pytest.param("verify", {**_SPEC, "k_range": [1, 2]},
+                     id="spec-k-range-and-k-max"),
+        pytest.param("verify", {**_SPEC, "n_range": [1, 2]},
+                     id="spec-n-range-and-n-max"),
+        pytest.param("verify", {**_SPEC, "generator": {
+                         "kind": "random-rational", "a1": "one"}},
+                     id="spec-a1-unread"),
+        pytest.param("verify", {**_SPEC, "generator": {
+                         "kind": "random-rational",
+                         "series": [{"coeffs": ["1", "1"]}]}},
+                     id="spec-series-unread"),
     ],
 )
 def test_malformed_json_exits_2(tmp_path, capsys, command, obj):
@@ -377,6 +388,23 @@ def test_argparse_errors(tmp_path, capsys):
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "nosuchcommand")[0] == 2
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_successive_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process and reused by every call
+    path = write_series(tmp_path, "s.json", ["1", "1"])
+    code, out, _ = run_cli(capsys, "coeff", path, "-k", "2", "-n", "2",
+                           "--method", "closed")
+    assert code == 0 and '"method": "closed"' in out
+    code, out, _ = run_cli(capsys, "coeff", path, "-k", "2", "-n", "2")
+    assert code == 0 and '"method": "recursive"' in out
+    code, out, _ = run_cli(capsys, "formula", "-k", "2", "-n", "2", "--json")
+    assert code == 0 and out.startswith("{")
+    assert run_cli(capsys, "formula", "-k", "2", "-n", "2") == (
+        0, "a1^2*a2 + a1*a2\n", ""
+    )
+    assert run_cli(capsys, "coeff", path, "-k", "x", "-n", "2")[0] == 2
+    assert run_cli(capsys, "coeff", path, "-k", "2", "-n", "2")[0] == 0
 
 
 def test_coeff_method_choices_are_the_registry():

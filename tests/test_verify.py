@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from fps_iterate import verify
+from fps_iterate import NotApplicable, verify
 from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
 from fps_iterate.series import TruncatedSeries
 from fps_iterate.verify import (
@@ -294,8 +294,21 @@ def test_failing_report_rendering():
     assert report.to_json()["mismatches"] == 1
 
 
+def _applies(name, f, k):
+    """The "applies when" column of the README's methods table."""
+    dom, a1 = f.domain, f.coefficient(1)
+    if name == "small":
+        return k <= 5
+    if name == "schroder":
+        return a1 == dom.one
+    if name == "muckenhoupt":
+        return k == 2 and dom.is_field and a1 != dom.zero and a1 != dom.one
+    return True
+
+
 def test_registry_preconditions_match_routes():
-    """applies(f, k, n) is False exactly where evaluate raises ValueError."""
+    """Each route raises NotApplicable exactly where the README says it does
+    not apply, and no other error on a valid index."""
     assert METHODS == tuple(REGISTRY)
     ring = PolynomialRing(6)
     for dom in (RATIONALS, PrimeField(5), ring):
@@ -305,15 +318,38 @@ def test_registry_preconditions_match_routes():
             else:
                 rest = [dom.from_fraction(Fraction(q)) for q in (3, -1, 2, 1, -2)]
             f = TruncatedSeries(dom, 6, [dom.from_int(a1)] + rest)
-            for (name, (applies, evaluate)), k, n in product(
+            for (name, evaluate), k, n in product(
                 REGISTRY.items(), range(1, 7), range(1, 4)
             ):
                 try:
                     evaluate(f, k, n, None, None)
                     raised = False
-                except ValueError:
+                except NotApplicable:
                     raised = True
-                assert applies(f, k, n) is not raised, (dom, a1, name, k, n)
+                assert _applies(name, f, k) is not raised, (dom, a1, name, k, n)
+    for name, evaluate in REGISTRY.items():  # a bad n is no route's to skip
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            evaluate(f, 2, 0, None, None)
+
+
+def test_sweep_stops_on_a_plain_value_error(monkeypatch):
+    """Only NotApplicable marks a method n/a; any other error ends the sweep."""
+    spec = small_spec(methods=("oracle", "closed"), count=2)
+
+    def refuse(error):
+        def route(*args):
+            raise error("refused")
+
+        return route
+
+    monkeypatch.setattr(verify, "coeff_closed", refuse(ValueError))
+    with pytest.raises(ValueError, match="refused"):
+        run_sweep(spec)
+    monkeypatch.setattr(verify, "coeff_closed", refuse(NotApplicable))
+    report = run_sweep(spec)
+    assert report.passed
+    assert len(report.cells) == 2 * 5 * 4
+    assert all(c.status == "n/a" and c.methods == ("oracle",) for c in report.cells)
 
 
 def test_adjudication():
