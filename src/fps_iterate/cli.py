@@ -27,6 +27,7 @@ from .verify import (
     PRESET_NAMES,
     REGISTRY,
     SweepSpec,
+    _generic_series,
     run_preset,
     run_sweep,
 )
@@ -58,11 +59,8 @@ def _read_json(path: str):
 
 
 def _with_order(f: TruncatedSeries, order: int | None) -> TruncatedSeries:
-    if order is None or order == f.order:
-        return f
-    if order < f.order:
-        return f.truncate(order)
-    return TruncatedSeries.from_coefficients(f.domain, list(f.coeffs), order)
+    # from_coefficients zero-pads; the slice truncates; None keeps the order
+    return TruncatedSeries.from_coefficients(f.domain, f.coeffs[:order], order)
 
 
 def cmd_iterate(args) -> int:
@@ -93,10 +91,7 @@ def cmd_formula(args) -> int:
             f"k and n above {_FORMULA_LIMIT} need --allow-large; "
             "symbolic output grows quickly"
         )
-    ring = PolynomialRing(args.k)
-    coeffs = [ring.one if args.a1 == "one" else ring.variable(1)]
-    coeffs += [ring.variable(j) for j in range(2, args.k + 1)]
-    f = TruncatedSeries(ring, args.k, coeffs)
+    f = _generic_series(PolynomialRing(args.k), args.k, args.a1)
     if args.a1 == "one":
         value = coeff_schroder(f, args.k, args.n)
     else:

@@ -95,8 +95,6 @@ class FpElement:
             return NotImplemented
         return FpElement(self.value + rhs.value, self.p)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         rhs = self._lift(other)
         if rhs is None:
@@ -108,8 +106,6 @@ class FpElement:
         if rhs is None:
             return NotImplemented
         return FpElement(self.value * rhs.value, self.p)
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         return FpElement(-self.value, self.p)
@@ -234,8 +230,6 @@ class Polynomial:
                 del out[key]
         return Polynomial._raw(self.num_vars, out)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         rhs = self._lift(other)
         if rhs is None:
@@ -268,8 +262,6 @@ class Polynomial:
                     coeff = _rational(coeff)
                 terms[key] = coeff
         return Polynomial._raw(self.num_vars, terms)
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -405,7 +397,6 @@ class Domain:
     descriptor (value equality, JSON round-trip).
     """
 
-    kind = "abstract"
     is_field = False
 
     def contains(self, x) -> bool:
@@ -438,7 +429,6 @@ class Domain:
 class Rationals(Domain):
     """Arbitrary-precision rational numbers (``fractions.Fraction``)."""
 
-    kind = "rational"
     is_field = True
     zero = Fraction(0)
     one = Fraction(1)
@@ -485,7 +475,6 @@ RATIONALS = Rationals()
 class PrimeField(Domain):
     """Integers modulo a prime p, residues kept in [0, p)."""
 
-    kind = "prime_field"
     is_field = True
 
     def __init__(self, p: int):
@@ -543,7 +532,6 @@ class PrimeField(Domain):
 class PolynomialRing(Domain):
     """Polynomials over the rationals in variables a1..a{num_vars}."""
 
-    kind = "polynomial_ring"
     is_field = False
 
     def __init__(self, num_vars: int):

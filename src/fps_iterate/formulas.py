@@ -251,9 +251,9 @@ def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int):
     whose prefactor carries a_1^(n-2) only contribute once n >= 2, exactly
     when their innermost sums stop being empty.
     """
+    _check_index(f, k, n)
     if k > 5:
         raise NotApplicable("k > 5 not covered here, use coeff_closed")
-    _check_index(f, k, n)
     dom = f.domain
     a1 = f.coefficient(1)
 

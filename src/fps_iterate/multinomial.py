@@ -69,19 +69,18 @@ def multinomial_coeff(f: TruncatedSeries, k: int, i: int):
 
     Each exponent pattern contributes i!/(r_1!..r_k!) times the matching
     product of series coefficients; the factor is an exact integer mapped
-    into the domain. Read from the one walk that fills every a_k^[i].
+    into the domain. Read from a fresh ``PowerCoefficientTable``, so the
+    one lookup path checks the indices and takes the zero shortcut.
     """
-    _check_power_index(f, k, i)
-    if i > k:
-        return f.domain.zero
-    return _power_row(f, k)[i]
+    return PowerCoefficientTable(f).get(k, i)
 
 
 class PowerCoefficientTable:
     """Memoized a_k^[i] values bound to one series.
 
     The first lookup at k fills the whole row a_k^[1..k] from one walk over
-    the partitions of k (Comtet, sec. 3.3); k < i short-circuits to zero.
+    the partitions of k (Comtet, sec. 3.3); k < i short-circuits to zero
+    when k is within the truncation order.
     """
 
     def __init__(self, series: TruncatedSeries):
@@ -89,7 +88,7 @@ class PowerCoefficientTable:
         self._rows: dict[int, list] = {}
 
     def get(self, k: int, i: int):
-        if i >= 1 and 1 <= k < i:
+        if k < i and 1 <= k <= self.series.order:
             return self.series.domain.zero
         row = self._rows.get(k)
         if row is None or i < 1:

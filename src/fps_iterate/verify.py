@@ -10,7 +10,7 @@ are deterministic for a fixed seed and sorted cell order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import count, product
 from random import Random
@@ -20,7 +20,6 @@ from .domains import (
     PolynomialRing,
     PrimeField,
     RATIONALS,
-    Rationals,
     domain_from_json,
     json_int,
     refuse_unknown_keys,
@@ -237,24 +236,21 @@ class SweepSpec:
             raise ValueError("sweep spec must be a JSON object")
         refuse_unknown_keys(obj, _SPEC_KEYS, "sweep spec")
         aliases = {"explicit_small_k": "small"}
-        try:
-            k_range = _range_from_json(obj, "k")
-            n_range = _range_from_json(obj, "n")
-            domains = obj.get("domains", ["rational"])
-            methods = obj.get("methods", [])
-            if not isinstance(domains, list):
-                raise ValueError("'domains' must be an array")
-            if not isinstance(methods, list) or not all(
-                isinstance(m, str) for m in methods
-            ):
-                raise ValueError("'methods' must be an array of strings")
-            domains = tuple(domain_from_json(d) for d in domains)
-            methods = tuple(aliases.get(m, m) for m in methods)
-            generator = GeneratorSpec.from_json(
-                obj.get("generator", {"kind": "random-rational"})
-            )
-        except KeyError as exc:
-            raise ValueError(f"sweep spec missing key {exc}") from None
+        k_range = _range_from_json(obj, "k")
+        n_range = _range_from_json(obj, "n")
+        domains = obj.get("domains", ["rational"])
+        methods = obj.get("methods", [])
+        if not isinstance(domains, list):
+            raise ValueError("'domains' must be an array")
+        if not isinstance(methods, list) or not all(
+            isinstance(m, str) for m in methods
+        ):
+            raise ValueError("'methods' must be an array of strings")
+        domains = tuple(domain_from_json(d) for d in domains)
+        methods = tuple(aliases.get(m, m) for m in methods)
+        generator = GeneratorSpec.from_json(
+            obj.get("generator", {"kind": "random-rational"})
+        )
         spec = cls(k_range, n_range, domains, methods, generator)
         spec.validate()
         return spec
@@ -281,50 +277,30 @@ def _range_from_json(obj, name: str) -> tuple[int, int]:
 
 @dataclass
 class CellResult:
-    """Outcome of one (domain, series, k, n) cell."""
+    """Outcome of one (domain, series, k, n) cell. The fields are declared
+    in the order of the report's JSON keys."""
 
-    domain: str
-    series: int
     k: int
     n: int
+    domain: str
+    series: int
     methods: tuple[str, ...]
     status: str
     values: dict[str, str]
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "domain": self.domain,
-            "series": self.series,
-            "methods": list(self.methods),
-            "status": self.status,
-            "values": dict(self.values),
-        }
-
 
 @dataclass
 class Mismatch:
-    """One disagreement between a method pair on one cell."""
+    """One disagreement between a method pair on one cell. The fields are
+    declared in the order of the report's JSON keys."""
 
-    domain: str
-    series: int
     k: int
     n: int
+    domain: str
+    series: int
     methods: tuple[str, str]
     values: dict[str, str]
     difference: str
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "domain": self.domain,
-            "series": self.series,
-            "methods": list(self.methods),
-            "values": dict(self.values),
-            "difference": self.difference,
-        }
 
 
 @dataclass
@@ -344,9 +320,9 @@ class DiscrepancyReport:
     def to_json(self) -> dict:
         out = {
             "spec": self.spec,
-            "cells": [c.to_json() for c in self.cells],
+            "cells": [asdict(c) for c in self.cells],
             "mismatches": len(self.mismatches),
-            "mismatch_details": [m.to_json() for m in self.mismatches],
+            "mismatch_details": [asdict(m) for m in self.mismatches],
         }
         if self.notes:
             out["notes"] = dict(self.notes)
@@ -378,11 +354,20 @@ class DiscrepancyReport:
 
 
 def _domain_label(domain: Domain) -> str:
-    if isinstance(domain, Rationals):
-        return "rational"
-    if isinstance(domain, PrimeField):
-        return f"prime:{domain.p}"
-    return f"symbolic:{domain.num_vars}"
+    """'rational', 'prime:p' or 'symbolic:K', read off the JSON descriptor."""
+    desc = domain.to_json()
+    if isinstance(desc, str):
+        return desc
+    ((name, size),) = desc.items()
+    return f"{name}:{size}"
+
+
+def _generic_series(ring: PolynomialRing, order: int, a1: str) -> TruncatedSeries:
+    """a_1 x + ... + a_order x^order over the ring's generators, with a_1
+    pinned to 1 when ``a1`` is 'one'."""
+    first = ring.one if a1 == "one" else ring.variable(1)
+    rest = [ring.variable(j) for j in range(2, order + 1)]
+    return TruncatedSeries(ring, order, [first, *rest])
 
 
 def _draw_rational(rng: Random, first: bool) -> Fraction:
@@ -408,10 +393,7 @@ def _generate_series(spec: SweepSpec, domain: Domain) -> list[TruncatedSeries]:
                 )
         return [s for s in parsed if s.domain == domain]
     if gen.kind == "symbolic-generic":
-        ring = domain
-        first = ring.one if gen.a1 == "one" else ring.variable(1)
-        coeffs = [first] + [ring.variable(j) for j in range(2, order + 1)]
-        return [TruncatedSeries(ring, order, coeffs)]
+        return [_generic_series(domain, order, gen.a1)]
     if gen.kind == "random-rational":
         rng = Random(f"{gen.seed}:{domain!r}")
         draws = ([_draw_rational(rng, j == 0) for j in range(order)] for _ in count())
@@ -465,10 +447,10 @@ def _sweep_one(label: str, index: int, f: TruncatedSeries, k_range, n_range, met
                 if got != oracle_value:
                     bad.append(
                         Mismatch(
-                            label,
-                            index,
                             k,
                             n,
+                            label,
+                            index,
                             ("oracle", method),
                             {
                                 "oracle": values["oracle"],
@@ -482,7 +464,7 @@ def _sweep_one(label: str, index: int, f: TruncatedSeries, k_range, n_range, met
             else:
                 status = "fail" if bad else "pass"
             cells.append(
-                CellResult(label, index, k, n, tuple(applied), status, values)
+                CellResult(k, n, label, index, tuple(applied), status, values)
             )
             mismatches.extend(bad)
     return cells, mismatches
@@ -521,7 +503,9 @@ def _binomial_chain(dom, n: int, coeffs: dict[int, object]):
     return total
 
 
-def _f4_transcription(f: TruncatedSeries, n: int):
+def _f4_transcription(f: TruncatedSeries, k: int, n: int):
+    if k != 4:
+        raise NotApplicable("the f4 transcription computes only k = 4")
     dom = f.domain
     a2, a3, a4 = (f.coefficient(j) for j in (2, 3, 4))
     return _binomial_chain(
@@ -535,7 +519,9 @@ def _f4_transcription(f: TruncatedSeries, n: int):
     )
 
 
-def _f5_transcription(f: TruncatedSeries, n: int, with_a3: bool):
+def _f5_transcription(f: TruncatedSeries, k: int, n: int, with_a3: bool):
+    if k != 5:
+        raise NotApplicable("the f5 transcriptions compute only k = 5")
     dom = f.domain
     a2, a3, a4, a5 = (f.coefficient(j) for j in (2, 3, 4, 5))
     second = dom.from_int(5) * a2 ** 2
@@ -554,12 +540,13 @@ def _f5_transcription(f: TruncatedSeries, n: int, with_a3: bool):
     )
 
 
-# Shaped like REGISTRY; each evaluate looks its transcription up at call
-# time. The prefix names the k that a candidate transcribes.
+# Shaped like REGISTRY. Each evaluate looks its transcription up at call
+# time, so that tests can patch it; the transcription raises NotApplicable
+# off its own k. The name prefix only labels the k a candidate transcribes.
 _CANDIDATES = {
-    "f4:6*a2^3-form": lambda f, k, n, table, memo: _f4_transcription(f, n),
-    "f5:5*a2^2*a3": lambda f, k, n, table, memo: _f5_transcription(f, n, True),
-    "f5:5*a2^2": lambda f, k, n, table, memo: _f5_transcription(f, n, False),
+    "f4:6*a2^3-form": lambda f, k, n, table, memo: _f4_transcription(f, k, n),
+    "f5:5*a2^2*a3": lambda f, k, n, table, memo: _f5_transcription(f, k, n, True),
+    "f5:5*a2^2": lambda f, k, n, table, memo: _f5_transcription(f, k, n, False),
 }
 
 
@@ -579,17 +566,10 @@ def adjudicate_typo_cases(n_max: int = 6) -> DiscrepancyReport:
     if n_max < 2:
         raise ValueError("n_max must be >= 2 to separate the candidates")
     ring = PolynomialRing(5)
-    f = TruncatedSeries(
-        ring, 5, [ring.one] + [ring.variable(j) for j in range(2, 6)]
+    f = _generic_series(ring, 5, "one")
+    cells, found = _sweep_one(
+        _domain_label(ring), 0, f, (4, 5), (1, n_max), _CANDIDATES
     )
-    cells, found = [], []
-    for k in (4, 5):
-        named = {m: ev for m, ev in _CANDIDATES.items() if m.startswith(f"f{k}:")}
-        got_cells, got_bad = _sweep_one(
-            _domain_label(ring), 0, f, (k, k), (1, n_max), named
-        )
-        cells.extend(got_cells)
-        found.extend(got_bad)
     refuted = {m.methods[1] for m in found}
     f5_names = [name for name in _CANDIDATES if name.startswith("f5:")]
     winners = [name for name in f5_names if name not in refuted]

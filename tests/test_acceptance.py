@@ -253,8 +253,9 @@ def test_criterion_10_cli_contract(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         failing = DiscrepancyReport(
             {}, [],
-            [Mismatch("rational", 0, 2, 2, ("oracle", "closed"),
-                      {"oracle": "1", "closed": "2"}, "1")],
+            [Mismatch(k=2, n=2, domain="rational", series=0,
+                      methods=("oracle", "closed"),
+                      values={"oracle": "1", "closed": "2"}, difference="1")],
         )
         monkeypatch.setattr(cli, "run_preset", lambda name: failing)
         assert cli.main(["verify"]) == 1

@@ -146,6 +146,22 @@ def test_formula_guardrail(capsys):
             ("verify", "--preset", "typo-adjudication", "--json"),
             "7d39805e4fbd9b2cf2f87676a26d36d0b557fcebd64d3db27bdadec5ce3a9193",
         ),
+        (
+            ("verify", "--preset", "schroder-equivalence", "--json"),
+            "3b35d14685f506a6badfb84dce0f77e6bc74c6fc6ed92c3181af6ac646486a46",
+        ),
+        (
+            ("formula", "-k", "10", "-n", "9", "--allow-large", "--json"),
+            "0f10406f4b21c7a41db858d884a72b52da59c1339aac1795660dc1594f715a49",
+        ),
+        (
+            ("formula", "-k", "10", "-n", "12", "--a1", "one", "--allow-large"),
+            "e91009b21069676cbbd103252a5705a5c77e974df7ff160fb9f55fc005e02919",
+        ),
+        (
+            ("identities", "--json"),
+            "c77ef54937ba8d54db1ef26181f2670bbd26d2f619f5126f0db4dc4165e179fe",
+        ),
     ],
 )
 def test_symbolic_output_golden(capsys, argv, digest):
@@ -205,8 +221,8 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         [],
         [
             Mismatch(
-                "rational", 0, 2, 2, ("oracle", "closed"),
-                {"oracle": "1", "closed": "2"}, "1",
+                k=2, n=2, domain="rational", series=0, methods=("oracle", "closed"),
+                values={"oracle": "1", "closed": "2"}, difference="1",
             )
         ],
     )
@@ -249,21 +265,23 @@ def test_usage_errors(tmp_path, capsys):
 
 def test_coeff_beyond_order_same_error_for_every_method(tmp_path, capsys, monkeypatch):
     path = write_series(tmp_path, "s.json", ["1", "1", "1"])
-    errors = set()
-    for method in METHODS:
-        if method == "oracle":
-            # the index is checked before the iterate is computed
-            def no_iterate(self, n):
-                raise AssertionError("iterate called")
+    # k = 9 is also past small's k <= 5: the index is checked first
+    for k in ("4", "9"):
+        errors = set()
+        for method in METHODS:
+            if method == "oracle":
+                # the index is checked before the iterate is computed
+                def no_iterate(self, n):
+                    raise AssertionError("iterate called")
 
-            monkeypatch.setattr(TruncatedSeries, "iterate", no_iterate)
-        code, out, err = run_cli(
-            capsys, "coeff", path, "-k", "4", "-n", "2", "--method", method
-        )
-        monkeypatch.undo()
-        assert code == 2 and out == "", method
-        errors.add(err)
-    assert errors == {"error: k=4 exceeds the truncation order 3\n"}
+                monkeypatch.setattr(TruncatedSeries, "iterate", no_iterate)
+            code, out, err = run_cli(
+                capsys, "coeff", path, "-k", k, "-n", "2", "--method", method
+            )
+            monkeypatch.undo()
+            assert code == 2 and out == "", (k, method)
+            errors.add(err)
+        assert errors == {f"error: k={k} exceeds the truncation order 3\n"}
 
 
 _SPEC = {"k_max": 2, "n_max": 2, "methods": ["oracle", "recursive"]}

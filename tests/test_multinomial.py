@@ -131,6 +131,12 @@ def test_power_coefficient_table():
         ):
             with pytest.raises(ValueError, match="power i must be >= 1"):
                 bad()
-        for bad in (lambda: table.get(11, 3), lambda: multinomial_coeff(f, 11, 3)):
+        # k beyond the order raises for k < i too, on both lookup paths
+        for bad in (
+            lambda: table.get(11, 3),
+            lambda: multinomial_coeff(f, 11, 3),
+            lambda: table.get(11, 12),
+            lambda: multinomial_coeff(f, 11, 12),
+        ):
             with pytest.raises(ValueError, match="insufficient truncation: k=11"):
                 bad()

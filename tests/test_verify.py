@@ -282,8 +282,8 @@ def test_failing_report_rendering():
         [],
         [
             Mismatch(
-                "rational", 0, 3, 2, ("oracle", "closed"),
-                {"oracle": "4", "closed": "5"}, "1",
+                k=3, n=2, domain="rational", series=0, methods=("oracle", "closed"),
+                values={"oracle": "4", "closed": "5"}, difference="1",
             )
         ],
     )
@@ -368,7 +368,7 @@ def test_adjudication():
 def test_adjudication_refutes_a_broken_transcription(monkeypatch):
     real_f4, real_f5 = verify._f4_transcription, verify._f5_transcription
     monkeypatch.setattr(
-        verify, "_f4_transcription", lambda f, n: real_f4(f, n) + f.domain.one
+        verify, "_f4_transcription", lambda f, k, n: real_f4(f, k, n) + f.domain.one
     )
     report = adjudicate_typo_cases()
     assert report.passed is False
@@ -381,7 +381,7 @@ def test_adjudication_refutes_a_broken_transcription(monkeypatch):
     monkeypatch.setattr(
         verify,
         "_f5_transcription",
-        lambda f, n, with_a3: real_f5(f, n, with_a3) + f.domain.one,
+        lambda f, k, n, with_a3: real_f5(f, k, n, with_a3) + f.domain.one,
     )
     report = adjudicate_typo_cases()
     assert report.passed is False
