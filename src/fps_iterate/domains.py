@@ -204,6 +204,26 @@ class Polynomial:
         poly.terms = terms
         return poly
 
+    @classmethod
+    def _from_sums(cls, num_vars: int, sums: dict) -> "Polynomial":
+        """The polynomial of summed term products ``sums`` (packed key to
+        coefficient), with zeros dropped and integral Fractions demoted.
+
+        Every key is checked for a guard bit, even one whose sum cancelled
+        to zero: a product of nonzero polynomials also holds its
+        lexicographically largest key, which never cancels, so this raises
+        exactly where one of the summed products alone would."""
+        guard = _guard_mask(num_vars)
+        terms = {}
+        for key, coeff in sums.items():
+            if key & guard:
+                raise ValueError("exponent too large")
+            if coeff:
+                if coeff.__class__ is not int:
+                    coeff = _rational(coeff)
+                terms[key] = coeff
+        return cls._raw(num_vars, terms)
+
     def _lift(self, other):
         if isinstance(other, Polynomial):
             if other.num_vars != self.num_vars:
@@ -252,16 +272,7 @@ class Polynomial:
             for e2, c2 in rhs_terms:
                 key = e1 + e2
                 out[key] = get(key, 0) + c1 * c2
-        guard = _guard_mask(self.num_vars)
-        terms = {}
-        for key, coeff in out.items():
-            if coeff:
-                if key & guard:
-                    raise ValueError("exponent too large")
-                if coeff.__class__ is not int:
-                    coeff = _rational(coeff)
-                terms[key] = coeff
-        return Polynomial._raw(self.num_vars, terms)
+        return Polynomial._from_sums(self.num_vars, out)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -392,9 +403,11 @@ def _parse_polynomial(text: str, num_vars: int) -> Polynomial:
 class Domain:
     """A coefficient domain: element checks, constants and conversions.
 
-    Arithmetic is the elements' own exact operators. Subclasses fix the
-    element type and canonical form. The instance doubles as the domain
-    descriptor (value equality, JSON round-trip).
+    Arithmetic is the elements' own exact operators, plus ``dot``, the sum
+    of products that the composition oracle runs its Cauchy products on.
+    Subclasses fix the element type and canonical form, and may give
+    ``dot`` a faster exact implementation. The instance doubles as the
+    domain descriptor (value equality, JSON round-trip).
     """
 
     is_field = False
@@ -408,6 +421,14 @@ class Domain:
 
     def inv(self, a):
         raise ValueError("not a field")
+
+    def dot(self, xs, ys):
+        """x_1*y_1 + ... + x_m*y_m over two equally long element sequences;
+        ``zero`` when they are empty."""
+        acc = self.zero
+        for x, y in zip(xs, ys):
+            acc = acc + x * y
+        return acc
 
     def from_int(self, m: int):
         raise NotImplementedError
@@ -498,6 +519,13 @@ class PrimeField(Domain):
             raise ZeroDivisionError("inverse of zero")
         return FpElement(pow(a.value, -1, self.p), self.p)
 
+    def dot(self, xs, ys):
+        """Domain.dot as one integer sum, reduced once. The inputs must be
+        elements of this field; nothing checks them (``TruncatedSeries``
+        checks its coefficients on construction and refuses to combine
+        series over different domains)."""
+        return FpElement(sum([x.value * y.value for x, y in zip(xs, ys)]), self.p)
+
     def from_int(self, m: int):
         return FpElement(m, self.p)
 
@@ -553,6 +581,20 @@ class PolynomialRing(Domain):
         return Polynomial._raw(
             self.num_vars, {1 << (_FIELD_BITS * (index - 1)): 1}
         )
+
+    def dot(self, xs, ys):
+        """Domain.dot with every term product of the whole sum gathered in
+        one mapping, made canonical once. The inputs must be elements of
+        this ring; nothing checks them (as for ``PrimeField.dot``)."""
+        out: dict[int, int | Fraction] = {}
+        get = out.get
+        for x, y in zip(xs, ys):
+            y_terms = y.terms.items()
+            for e1, c1 in x.terms.items():
+                for e2, c2 in y_terms:
+                    key = e1 + e2
+                    out[key] = get(key, 0) + c1 * c2
+        return Polynomial._from_sums(self.num_vars, out)
 
     def from_int(self, m: int):
         return Polynomial(self.num_vars, {(): m})

@@ -79,19 +79,19 @@ class TruncatedSeries:
         """Cauchy product truncated at the common order.
 
         Both factors have zero constant term, so the product coefficient at
-        x^m is the convolution over 1 <= j <= m-1 and the x^1 coefficient
-        vanishes.
+        x^m is the convolution a_1*b_(m-1) + ... + a_(m-1)*b_1, one
+        ``Domain.dot`` each, and the x^1 coefficient is the empty sum.
         """
         self._like(other)
         dom = self.domain
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for m in range(1, self.order + 1):
-            acc = dom.zero
-            for j in range(1, m):
-                acc = acc + a[j - 1] * b[m - j - 1]
-            out.append(acc)
-        return TruncatedSeries(dom, self.order, out)
+        order = self.order
+        a = self.coeffs
+        b_rev = other.coeffs[::-1]  # b_rev[order - m + 1:] is b_(m-1), ..., b_1
+        out = [
+            dom.dot(a[: m - 1], b_rev[order - m + 1 :])
+            for m in range(1, order + 1)
+        ]
+        return TruncatedSeries(dom, order, out)
 
     def pow(self, i: int) -> "TruncatedSeries":
         """The i-th power as an i-fold product, i >= 1."""

@@ -10,7 +10,7 @@ are deterministic for a fixed seed and sorted cell order.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import count, product
 from random import Random
@@ -96,6 +96,12 @@ A1_POOL = (
     Fraction(-2),
 )
 _NONZERO_DIGITS = tuple(d for d in range(-9, 10) if d)
+# Every equally likely draw of a random-rational coefficient above a_1
+_HIGHER_DRAWS = tuple(Fraction(n, d) for n in range(-9, 10) for d in _NONZERO_DIGITS)
+# A random-rational spec whose series need more draws than this, in
+# expectation, is refused: over Z/2, the 13,600 draws of one series of
+# order 28 took 6 s.
+_MAX_EXPECTED_DRAWS = 20_000
 _SMALL_A1 = (Fraction(1), Fraction(-1), Fraction(2))
 _SMALL_HIGHER = (Fraction(-1), Fraction(0), Fraction(1))
 
@@ -214,6 +220,9 @@ class SweepSpec:
                     raise ValueError(
                         f"{self.generator.kind} sweeps need numeric domains"
                     )
+        if gen.kind == "random-rational" and gen.count:
+            for dom in self.domains:
+                _refuse_long_redraws(dom, gen.count, order)
 
     @property
     def effective_order(self) -> int:
@@ -303,6 +312,12 @@ class Mismatch:
     difference: str
 
 
+def _record(x) -> dict:
+    """The fields of dataclass instance ``x`` by name, in declaration order,
+    without copying their values."""
+    return {f.name: getattr(x, f.name) for f in fields(x)}
+
+
 @dataclass
 class DiscrepancyReport:
     """All cells of a sweep plus every mismatch found. Empty mismatch list
@@ -318,11 +333,17 @@ class DiscrepancyReport:
         return not self.mismatches
 
     def to_json(self) -> dict:
+        """The report as JSON-ready dicts, one per cell and per mismatch.
+
+        The records are shallow: each shares its cell's or mismatch's
+        ``values`` mapping (and ``spec`` is this report's own dict), so
+        serialise the result rather than mutate it.
+        """
         out = {
             "spec": self.spec,
-            "cells": [asdict(c) for c in self.cells],
+            "cells": [_record(c) for c in self.cells],
             "mismatches": len(self.mismatches),
-            "mismatch_details": [asdict(m) for m in self.mismatches],
+            "mismatch_details": [_record(m) for m in self.mismatches],
         }
         if self.notes:
             out["notes"] = dict(self.notes)
@@ -374,6 +395,43 @@ def _draw_rational(rng: Random, first: bool) -> Fraction:
     if first:
         return rng.choice(A1_POOL)
     return Fraction(rng.randint(-9, 9), rng.choice(_NONZERO_DIGITS))
+
+
+def _unit_share(domain: Domain, draws) -> Fraction:
+    """The share of the fractions ``draws`` that ``domain`` holds, that is,
+    whose denominator is a unit there."""
+    held = 0
+    for q in draws:
+        try:
+            domain.from_fraction(q)
+        except ValueError:
+            continue
+        held += 1
+    return Fraction(held, len(draws))
+
+
+def _refuse_long_redraws(domain: Domain, count: int, order: int) -> None:
+    """Raise if ``count`` random-rational series of ``order`` over ``domain``
+    need more than _MAX_EXPECTED_DRAWS draws in expectation.
+
+    A draw is kept only when ``domain`` holds all of its coefficients, so a
+    series takes 1 / (s_1 * s^(order-1)) draws on average, with s_1 and s
+    the exact shares of a_1 and of higher draws that it holds. Over Z/2,
+    s = 0.7076, which makes 217,000 draws at order 36. The test runs on
+    logarithms, so that no order or count is too large for it.
+    """
+    log_draws = (
+        math.log(count)
+        - math.log(_unit_share(domain, A1_POOL))
+        - (order - 1) * math.log(_unit_share(domain, _HIGHER_DRAWS))
+    )
+    if log_draws > math.log(_MAX_EXPECTED_DRAWS):
+        estimate = math.exp(log_draws) if log_draws < 700 else math.inf
+        raise ValueError(
+            f"random-rational series over {_domain_label(domain)!r} need about "
+            f"{estimate:,.0f} draws ({count} series of order {order}), above the "
+            f"limit of {_MAX_EXPECTED_DRAWS:,}"
+        )
 
 
 def _generate_series(spec: SweepSpec, domain: Domain) -> list[TruncatedSeries]:

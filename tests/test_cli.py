@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -170,6 +171,44 @@ def test_symbolic_output_golden(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# `fps iterate` runs the composition oracle, the path that every other
+# route is checked against; these digests were taken before its Cauchy
+# product moved onto Domain.dot.
+@pytest.mark.parametrize(
+    "series, n, digest",
+    [
+        pytest.param(
+            {
+                "domain": {"prime": 1000003},
+                "coeffs": [
+                    str((37 * j * j + 11 * j + 5) % 1000003) for j in range(1, 25)
+                ],
+            },
+            48,
+            "f3a1c346b0115f09fe66734ccb668ac6b5ed1ee0b38d7233280020dd2a48de17",
+            id="prime-order-24",
+        ),
+        pytest.param(
+            {
+                "coeffs": [
+                    "2", "-1/3", "5/7", "0", "-9/4", "1/8",
+                    "3", "-2/9", "7/5", "-1", "4/3", "-5/6",
+                ]
+            },
+            10,
+            "39a0e2e7e933e95f4f76a6cf0c92d48067d8c5cd0648093098d61427df312961",
+            id="rational-order-12",
+        ),
+    ],
+)
+def test_iterate_output_golden(tmp_path, capsys, series, n, digest):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(series))
+    code, out, _ = run_cli(capsys, "iterate", str(path), "-n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_identities_command(capsys):
     code, out, _ = run_cli(capsys, "identities", "--n-max", "10", "--alpha-max", "3")
     assert code == 0
@@ -230,6 +269,31 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert "result: FAIL" in out
+
+
+def test_random_rational_spec_that_would_redraw_for_minutes_is_refused(
+    tmp_path, capsys
+):
+    path = tmp_path / "spec.json"
+    path.write_text(
+        json.dumps(
+            {
+                "k_max": 1,
+                "n_max": 1,
+                "domains": [{"prime": 2}],
+                "methods": ["oracle", "recursive"],
+                "generator": {"kind": "random-rational", "count": 1, "order": 36},
+            }
+        )
+    )
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--sweep-spec", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (
+        "error: random-rational series over 'prime:2' need about 217,049 "
+        "draws (1 series of order 36), above the limit of 20,000\n"
+    )
 
 
 def test_round_trip_fixed_point(tmp_path, capsys):

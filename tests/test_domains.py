@@ -234,6 +234,73 @@ def test_polynomial_exponent_guard():
         ring.parse("a1^2147483648")
 
 
+def _products_raise(xs, ys):
+    """Whether the products x*y, one pair at a time, raise on an exponent."""
+    try:
+        for x, y in zip(xs, ys):
+            x * y
+    except ValueError as exc:
+        assert str(exc) == "exponent too large"
+        return True
+    return False
+
+
+def _dot_raises(ring, xs, ys):
+    try:
+        ring.dot(xs, ys)
+    except ValueError as exc:
+        assert str(exc) == "exponent too large"
+        return True
+    return False
+
+
+_RING2 = PolynomialRing(2)
+_BIG_A1 = _RING2.variable(1) ** 2**30
+_BIG_A2 = _RING2.variable(2) ** 2**30
+
+
+@pytest.mark.parametrize(
+    "xs, ys, raises",
+    [
+        pytest.param([_BIG_A1], [_BIG_A1], True, id="overflow"),
+        pytest.param(
+            [_BIG_A1], [_RING2.variable(1) ** (2**30 - 1)], False, id="just-below"
+        ),
+        # the sum cancels, but the first product alone overflows
+        pytest.param([_BIG_A1, _BIG_A1], [_BIG_A1, -_BIG_A1], True, id="cancelled"),
+        pytest.param(
+            [_BIG_A1, _RING2.zero], [_RING2.one, _BIG_A1], False, id="zero-factor"
+        ),
+        pytest.param(
+            [_BIG_A1 * _RING2.variable(2), _BIG_A2],
+            [_RING2.variable(2) ** (2**30 - 1), _BIG_A2],
+            True,
+            id="second-variable",
+        ),
+        # (a1^H + a2^H)(a1^H - a2^H): the cross terms cancel inside one product
+        pytest.param(
+            [_BIG_A1 + _BIG_A2], [_BIG_A1 - _BIG_A2], True, id="difference-of-squares"
+        ),
+        pytest.param([], [], False, id="empty"),
+    ],
+)
+def test_polynomial_dot_guards_exponents_like_mul(xs, ys, raises):
+    assert _products_raise(xs, ys) is raises
+    assert _dot_raises(_RING2, xs, ys) is raises
+
+
+@pytest.mark.parametrize(
+    "domain", [RATIONALS, PrimeField(7), PolynomialRing(2)], ids=repr
+)
+def test_dot_of_no_terms_and_one_term(domain):
+    x, y = domain.from_fraction(Fraction(2, 3)), domain.from_int(6)
+    if isinstance(domain, PolynomialRing):
+        x = x + domain.variable(2)
+    assert domain.dot([], []) == domain.zero
+    assert domain.dot((x,), (y,)) == x * y
+    assert domain.format(domain.dot([x], [y])) == domain.format(x * y)
+
+
 def test_polynomial_coefficients_canonical():
     ring = PolynomialRing(2)
     p = Polynomial(2, {(1,): Fraction(1, 2)}) * Polynomial(2, {(1,): 2})

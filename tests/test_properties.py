@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fps_iterate import cli
@@ -101,6 +101,39 @@ def series_triples(draw):
 def test_composition_is_associative(triple):
     f, g, h = triple
     assert f.compose(g.compose(h)).coeffs == f.compose(g).compose(h).coeffs
+
+
+@st.composite
+def dot_inputs(draw):
+    """Two equally long lists of at most 5 elements of Q, Z/5, Z/97 or
+    Q[a1..a3]."""
+    dom = draw(st.sampled_from((RATIONALS, PrimeField(5), PrimeField(97), _RING3)))
+    size = draw(st.integers(0, 5))
+    xs = draw(st.lists(_values(dom), min_size=size, max_size=size))
+    ys = draw(st.lists(_values(dom), min_size=size, max_size=size))
+    return dom, xs, ys
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(dot_inputs())
+@example((RATIONALS, [], []))
+@example((PrimeField(5), [], []))
+@example((_RING3, [], []))
+@example((RATIONALS, [Fraction(2, 3)], [Fraction(-3, 4)]))
+@example((PrimeField(97), [PrimeField(97).from_int(50)], [PrimeField(97).from_int(60)]))
+@example((_RING3, [_RING3.variable(1) + _RING3.one], [_RING3.variable(3)]))
+def test_dot_equals_operator_fold(case):
+    dom, xs, ys = case
+    expected = dom.zero
+    for x, y in zip(xs, ys):
+        expected = expected + x * y
+    got = dom.dot(xs, ys)
+    assert got == expected
+    assert dom.format(got) == dom.format(expected)
+    if isinstance(dom, PolynomialRing):  # ints stay ints, Fractions are reduced
+        assert {e: type(c) for e, c in got.terms.items()} == {
+            e: type(c) for e, c in expected.terms.items()
+        }
 
 
 @st.composite

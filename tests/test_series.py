@@ -1,11 +1,14 @@
 """Truncated series: arithmetic, composition, iteration, JSON round trips."""
 
+import ast
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fps_iterate
 from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
 from fps_iterate.series import TruncatedSeries
 
@@ -70,6 +73,49 @@ def test_domain_and_order_mismatch():
         f.add(series(1, 2, 3))
     with pytest.raises(ValueError):
         f.add([Fraction(1), Fraction(2)])
+
+
+@pytest.mark.parametrize(
+    "dom", [RATIONALS, PrimeField(97), PolynomialRing(3)], ids=repr
+)
+def test_mul_is_the_truncated_convolution(dom):
+    def element(j):
+        c = dom.from_fraction(Fraction(j + 1, 2 if j % 2 else 1))
+        return c + dom.variable(j % 3 + 1) if isinstance(dom, PolynomialRing) else c
+
+    one_term = TruncatedSeries(dom, 1, [element(0)])
+    assert one_term.mul(one_term).coeffs == (dom.zero,)
+    a = [element(j) for j in range(5)]
+    b = [element(j + 5) for j in range(5)]
+    product = TruncatedSeries(dom, 5, a).mul(TruncatedSeries(dom, 5, b))
+    # the x^1 coefficient is the empty sum: the m = 1 slice takes no terms
+    assert product.coeffs[0] == dom.zero
+    for m in range(2, 6):
+        expected = dom.zero
+        for j in range(1, m):
+            expected = expected + a[j - 1] * b[m - j - 1]
+        assert product.coeffs[m - 1] == expected
+
+
+def test_only_the_oracle_calls_dot():
+    """``Domain.dot`` is the oracle's arithmetic alone. The routes keep the
+    elements' operators, so the cross-check covers both implementations."""
+    package = Path(fps_iterate.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if ".dot(" in text:
+            assert path.name in ("domains.py", "series.py"), path.name
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef):
+                for call in ast.walk(node):
+                    if (
+                        isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "dot"
+                    ):
+                        callers.add((path.name, node.name))
+    assert callers == {("series.py", "mul")}
 
 
 def test_pow():

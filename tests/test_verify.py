@@ -81,6 +81,39 @@ def test_spec_validation_errors():
         ).validate()
 
 
+def _prime_two_spec(count, order):
+    return SweepSpec(
+        (1, 1),
+        (1, 1),
+        (RATIONALS, PrimeField(2)),
+        ("oracle", "recursive"),
+        GeneratorSpec("random-rational", count=count, order=order),
+    )
+
+
+def test_random_rational_redraw_budget():
+    # over Z/2 a series of order 29 takes about 19,300 draws and one of
+    # order 30 about 27,200; the limit is 20,000
+    _prime_two_spec(1, 29).validate()
+    _prime_two_spec(0, 10**6).validate()
+    with pytest.raises(ValueError, match="'prime:2' need about 27,245 draws"):
+        _prime_two_spec(1, 30).validate()
+    with pytest.raises(ValueError, match="about 27,2"):
+        _prime_two_spec(2, 28).validate()
+    with pytest.raises(ValueError, match="about inf draws"):
+        _prime_two_spec(1, 10**6).validate()
+    # Q and primes above 9 hold every draw: the count alone is the estimate
+    SweepSpec(
+        (1, 1),
+        (1, 1),
+        (RATIONALS, PrimeField(11)),
+        ("oracle", "recursive"),
+        GeneratorSpec("random-rational", count=20_000, order=10**6),
+    ).validate()
+    for name in ("acceptance", "prime-field"):
+        preset_spec(name).validate()
+
+
 def test_spec_json_round_trip():
     spec = small_spec()
     again = SweepSpec.from_json(spec.to_json())
