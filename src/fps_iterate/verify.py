@@ -95,9 +95,10 @@ A1_POOL = (
     Fraction(3),
     Fraction(-2),
 )
-_NONZERO_DIGITS = tuple(d for d in range(-9, 10) if d)
+_NUMERATORS = range(-9, 10)
+_NONZERO_DIGITS = tuple(d for d in _NUMERATORS if d)
 # Every equally likely draw of a random-rational coefficient above a_1
-_HIGHER_DRAWS = tuple(Fraction(n, d) for n in range(-9, 10) for d in _NONZERO_DIGITS)
+_HIGHER_DRAWS = tuple(Fraction(n, d) for n in _NUMERATORS for d in _NONZERO_DIGITS)
 # A random-rational spec whose series need more draws than this, in
 # expectation, is refused: over Z/2, the 13,600 draws of one series of
 # order 28 took 6 s.
@@ -139,21 +140,18 @@ class GeneratorSpec:
     def from_json(cls, obj) -> "GeneratorSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError("generator spec must be an object with 'kind'")
-        refuse_unknown_keys(obj, _GENERATOR_KEYS, "generator")
-        order = obj.get("order")
-        if order is not None:
-            order = json_int(order, "generator 'order'")
-        series = obj.get("series", [])
-        if not isinstance(series, list):
-            raise ValueError("generator 'series' must be an array")
-        return cls(
-            kind=obj["kind"],
-            seed=json_int(obj.get("seed", 0), "generator 'seed'"),
-            count=json_int(obj.get("count", 20), "generator 'count'"),
-            order=order,
-            a1=obj.get("a1", "generic"),
-            series=tuple(series),
-        )
+        refuse_unknown_keys(obj, frozenset(f.name for f in fields(cls)), "generator")
+        given = dict(obj)
+        if given.get("order") is not None:
+            json_int(given["order"], "generator 'order'")
+        if "series" in given:
+            if not isinstance(given["series"], list):
+                raise ValueError("generator 'series' must be an array")
+            given["series"] = tuple(given["series"])
+        for key in ("seed", "count"):
+            if key in given:
+                json_int(given[key], f"generator {key!r}")
+        return cls(**given)
 
 
 @dataclass(frozen=True)
@@ -268,7 +266,6 @@ class SweepSpec:
 _SPEC_KEYS = frozenset(
     ("k_range", "k_max", "n_range", "n_max", "domains", "methods", "generator")
 )
-_GENERATOR_KEYS = frozenset(("kind", "seed", "count", "order", "a1", "series"))
 
 
 def _range_from_json(obj, name: str) -> tuple[int, int]:
@@ -394,7 +391,7 @@ def _generic_series(ring: PolynomialRing, order: int, a1: str) -> TruncatedSerie
 def _draw_rational(rng: Random, first: bool) -> Fraction:
     if first:
         return rng.choice(A1_POOL)
-    return Fraction(rng.randint(-9, 9), rng.choice(_NONZERO_DIGITS))
+    return Fraction(rng.choice(_NUMERATORS), rng.choice(_NONZERO_DIGITS))
 
 
 def _unit_share(domain: Domain, draws) -> Fraction:
@@ -554,58 +551,45 @@ def run_sweep(spec: SweepSpec) -> DiscrepancyReport:
     return DiscrepancyReport(spec.to_json(), cells, mismatches)
 
 
-def _binomial_chain(dom, n: int, coeffs: dict[int, object]):
-    total = dom.zero
-    for alpha, value in coeffs.items():
-        total = total + dom.from_int(math.comb(n, alpha)) * value
-    return total
-
-
-def _f4_transcription(f: TruncatedSeries, k: int, n: int):
-    if k != 4:
-        raise NotApplicable("the f4 transcription computes only k = 4")
-    dom = f.domain
-    a2, a3, a4 = (f.coefficient(j) for j in (2, 3, 4))
-    return _binomial_chain(
-        dom,
-        n,
-        {
-            1: a4,
-            2: dom.from_int(5) * a2 * a3 + a2 ** 3,
-            3: dom.from_int(6) * a2 ** 3,
-        },
-    )
-
-
-def _f5_transcription(f: TruncatedSeries, k: int, n: int, with_a3: bool):
-    if k != 5:
-        raise NotApplicable("the f5 transcriptions compute only k = 5")
-    dom = f.domain
-    a2, a3, a4, a5 = (f.coefficient(j) for j in (2, 3, 4, 5))
-    second = dom.from_int(5) * a2 ** 2
-    if with_a3:
-        second = second * a3
-    second = second + dom.from_int(6) * a2 * a4 + dom.from_int(3) * a3 ** 2
-    return _binomial_chain(
-        dom,
-        n,
-        {
-            1: a5,
-            2: second,
-            3: dom.from_int(10) * a2 ** 4 + dom.from_int(26) * a2 ** 2 * a3,
-            4: dom.from_int(24) * a2 ** 4,
-        },
-    )
-
-
-# Shaped like REGISTRY. Each evaluate looks its transcription up at call
-# time, so that tests can patch it; the transcription raises NotApplicable
-# off its own k. The name prefix only labels the k a candidate transcribes.
-_CANDIDATES = {
-    "f4:6*a2^3-form": lambda f, k, n, table, memo: _f4_transcription(f, k, n),
-    "f5:5*a2^2*a3": lambda f, k, n, table, memo: _f5_transcription(f, k, n, True),
-    "f5:5*a2^2": lambda f, k, n, table, memo: _f5_transcription(f, k, n, False),
+# name -> the printed a_1 = 1 formula for f_k^(n), k = the number of terms
+# + 1, as polynomial text in a2..a5: term alpha is the coefficient of
+# C(n, alpha). The f5 entries are the two printings of the C(n, 2) term;
+# the name prefix only labels the k a candidate was printed for.
+_PRINTED = {
+    "f4:6*a2^3-form": ("a4", "5*a2*a3 + a2^3", "6*a2^3"),
+    "f5:5*a2^2*a3": (
+        "a5",
+        "5*a2^2*a3 + 6*a2*a4 + 3*a3^2",
+        "10*a2^4 + 26*a2^2*a3",
+        "24*a2^4",
+    ),
+    "f5:5*a2^2": (
+        "a5",
+        "5*a2^2 + 6*a2*a4 + 3*a3^2",
+        "10*a2^4 + 26*a2^2*a3",
+        "24*a2^4",
+    ),
 }
+
+
+def _printed(name: str):
+    """An evaluate shaped like REGISTRY's for the printed formula ``name``,
+    read from _PRINTED at call time (so that tests can patch it) and
+    evaluated at the series' a1..a5 in its own domain."""
+
+    def evaluate(f, k, n, table, memo):
+        terms = _PRINTED[name]
+        if k != len(terms) + 1:
+            raise NotApplicable(f"{name} computes only k = {len(terms) + 1}")
+        ring = PolynomialRing(5)
+        dom = f.domain
+        total = dom.zero
+        for alpha, text in enumerate(terms, 1):
+            value = ring.substitute(ring.parse(text), f.coeffs[:5], dom)
+            total = total + dom.from_int(math.comb(n, alpha)) * value
+        return total
+
+    return evaluate
 
 
 def adjudicate_typo_cases(n_max: int = 6) -> DiscrepancyReport:
@@ -625,24 +609,24 @@ def adjudicate_typo_cases(n_max: int = 6) -> DiscrepancyReport:
         raise ValueError("n_max must be >= 2 to separate the candidates")
     ring = PolynomialRing(5)
     f = _generic_series(ring, 5, "one")
+    candidates = {name: _printed(name) for name in _PRINTED}
     cells, found = _sweep_one(
-        _domain_label(ring), 0, f, (4, 5), (1, n_max), _CANDIDATES
+        _domain_label(ring), 0, f, (4, 5), (1, n_max), candidates
     )
     refuted = {m.methods[1] for m in found}
-    f5_names = [name for name in _CANDIDATES if name.startswith("f5:")]
+    f5_names = [name for name in _PRINTED if name.startswith("f5:")]
     winners = [name for name in f5_names if name not in refuted]
     decided = len(winners) == 1
-    # Binding candidates must match the oracle everywhere; a decided
-    # adjudication leaves the losing variant out of this set.
-    binding = {"f4:6*a2^3-form"}
-    binding.update(winners if decided else f5_names)
+    # A decided adjudication's losing variants are its evidence; every other
+    # disagreement is a sweep failure.
+    losers = set(f5_names) - set(winners) if decided else set()
     cells.sort(key=lambda c: (c.n, c.k))
     found.sort(key=lambda m: (m.n, m.k))
-    mismatches = [m for m in found if m.methods[1] in binding]
+    mismatches = [m for m in found if m.methods[1] not in losers]
     evidence = [
         f"{m.methods[1]} fails at n={m.n}: difference {m.difference}"
         for m in found
-        if m.methods[1] not in binding
+        if m.methods[1] in losers
     ]
     failing = {(m.k, m.n) for m in mismatches}
     for cell in cells:
@@ -658,11 +642,10 @@ def adjudicate_typo_cases(n_max: int = 6) -> DiscrepancyReport:
         )
         or "none",
     }
-    # the C(n,3) coefficient 10*a2^4 + 26*a2^2*a3 is shared by both
-    # candidates, so a full-match winner confirms it as well
-    notes["f5_cn3_term"] = "10*a2^4 + 26*a2^2*a3 " + (
-        "confirmed" if decided else "unresolved"
-    )
+    # the C(n,3) coefficient is shared by both candidates, so a full-match
+    # winner confirms it as well
+    verdict = "confirmed" if decided else "unresolved"
+    notes["f5_cn3_term"] = f"{_PRINTED[f5_names[0]][2]} {verdict}"
     if evidence:
         notes["f5_evidence"] = evidence[0]
     return DiscrepancyReport(
@@ -670,7 +653,7 @@ def adjudicate_typo_cases(n_max: int = 6) -> DiscrepancyReport:
             "k_range": [4, 5],
             "n_range": [1, n_max],
             "domains": [ring.to_json()],
-            "methods": ["oracle", *_CANDIDATES],
+            "methods": ["oracle", *_PRINTED],
             "generator": {"kind": "symbolic-generic", "a1": "one", "order": 5},
         },
         cells,
@@ -679,50 +662,45 @@ def adjudicate_typo_cases(n_max: int = 6) -> DiscrepancyReport:
     )
 
 
-PRESET_NAMES = (
-    "acceptance",
-    "symbolic",
-    "schroder-equivalence",
-    "prime-field",
-    "typo-adjudication",
-)
+# The built-in sweeps by name; 'typo-adjudication' has no SweepSpec.
+_PRESETS = {
+    "acceptance": SweepSpec(
+        (1, 8),
+        (1, 6),
+        (RATIONALS,),
+        METHODS,
+        GeneratorSpec("random-rational", seed=42, count=100, order=8),
+    ),
+    "symbolic": SweepSpec(
+        (1, 6),
+        (1, 5),
+        (PolynomialRing(6),),
+        ("oracle", "recursive", "closed", "small"),
+        GeneratorSpec("symbolic-generic", order=6),
+    ),
+    "schroder-equivalence": SweepSpec(
+        (1, 7),
+        (1, 7),
+        (PolynomialRing(7),),
+        ("oracle", "closed", "schroder"),
+        GeneratorSpec("symbolic-generic", order=7, a1="one"),
+    ),
+    "prime-field": SweepSpec(
+        (1, 6),
+        (1, 5),
+        (PrimeField(5), PrimeField(97)),
+        METHODS,
+        GeneratorSpec("random-rational", seed=7, count=40, order=6),
+    ),
+}
+PRESET_NAMES = (*_PRESETS, "typo-adjudication")
 
 
 def preset_spec(name: str) -> SweepSpec:
-    """Built-in sweep configurations; 'typo-adjudication' has no SweepSpec."""
-    if name == "acceptance":
-        return SweepSpec(
-            (1, 8),
-            (1, 6),
-            (RATIONALS,),
-            METHODS,
-            GeneratorSpec("random-rational", seed=42, count=100, order=8),
-        )
-    if name == "symbolic":
-        return SweepSpec(
-            (1, 6),
-            (1, 5),
-            (PolynomialRing(6),),
-            ("oracle", "recursive", "closed", "small"),
-            GeneratorSpec("symbolic-generic", order=6),
-        )
-    if name == "schroder-equivalence":
-        return SweepSpec(
-            (1, 7),
-            (1, 7),
-            (PolynomialRing(7),),
-            ("oracle", "closed", "schroder"),
-            GeneratorSpec("symbolic-generic", order=7, a1="one"),
-        )
-    if name == "prime-field":
-        return SweepSpec(
-            (1, 6),
-            (1, 5),
-            (PrimeField(5), PrimeField(97)),
-            METHODS,
-            GeneratorSpec("random-rational", seed=7, count=40, order=6),
-        )
-    raise ValueError(f"unknown preset {name!r}")
+    """The built-in sweep ``name``; 'typo-adjudication' has no SweepSpec."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    return _PRESETS[name]
 
 
 def run_preset(name: str) -> DiscrepancyReport:

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import product
+from random import Random
 
 import pytest
 
@@ -399,10 +400,11 @@ def test_adjudication():
 
 
 def test_adjudication_refutes_a_broken_transcription(monkeypatch):
-    real_f4, real_f5 = verify._f4_transcription, verify._f5_transcription
-    monkeypatch.setattr(
-        verify, "_f4_transcription", lambda f, k, n: real_f4(f, k, n) + f.domain.one
-    )
+    def broken(name):
+        first, *rest = verify._PRINTED[name]
+        return (first + " + 1", *rest)
+
+    monkeypatch.setitem(verify._PRINTED, "f4:6*a2^3-form", broken("f4:6*a2^3-form"))
     report = adjudicate_typo_cases()
     assert report.passed is False
     assert report.notes["f4_formula"] == "refuted"
@@ -410,12 +412,9 @@ def test_adjudication_refutes_a_broken_transcription(monkeypatch):
     failed = [c.k for c in report.cells if c.status == "fail"]
     assert failed == [4] * 6
     assert {m.k for m in report.mismatches} == {4}
-    monkeypatch.setattr(verify, "_f4_transcription", real_f4)
-    monkeypatch.setattr(
-        verify,
-        "_f5_transcription",
-        lambda f, k, n, with_a3: real_f5(f, k, n, with_a3) + f.domain.one,
-    )
+    monkeypatch.undo()
+    for name in ("f5:5*a2^2*a3", "f5:5*a2^2"):
+        monkeypatch.setitem(verify._PRINTED, name, broken(name))
     report = adjudicate_typo_cases()
     assert report.passed is False
     assert report.notes["f4_formula"] == "confirmed"
@@ -427,20 +426,50 @@ def test_adjudication_refutes_a_broken_transcription(monkeypatch):
     assert {m.k for m in report.mismatches} == {5}
 
 
+@pytest.mark.parametrize("domain", [RATIONALS, PrimeField(97)], ids=["Q", "Z/97"])
+def test_printed_candidates_on_numeric_series(domain):
+    # the candidates are functions of the series in its own domain, not only
+    # of the generic one the adjudication runs them on
+    rng = Random(f"printed:{domain!r}")
+    for _ in range(4):
+        coeffs = [domain.one, domain.zero, domain.one]
+        # a2 != 0 and a3 != 1 keep the two f5 printings apart from n = 2 on
+        while coeffs[1] == domain.zero or coeffs[2] == domain.one:
+            coeffs[1:] = (
+                domain.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                for _ in range(4)
+            )
+        f = TruncatedSeries(domain, 5, coeffs)
+        for name in verify._PRINTED:
+            evaluate = verify._printed(name)
+            k = len(verify._PRINTED[name]) + 1
+            with pytest.raises(NotApplicable):
+                evaluate(f, 9 - k, 2, None, {})  # the other k of 4 and 5
+            for n in range(1, 7):
+                got = evaluate(f, k, n, None, {})
+                want = f.iterate(n).coefficient(k)
+                if name == "f5:5*a2^2" and n >= 2:
+                    assert got != want, (n, coeffs)
+                else:
+                    assert got == want, (name, n, coeffs)
+
+
 def test_presets():
-    assert set(PRESET_NAMES) == {
+    # argparse prints the choices in this order, in --help and in its errors
+    assert PRESET_NAMES == (
         "acceptance",
         "symbolic",
         "schroder-equivalence",
         "prime-field",
         "typo-adjudication",
-    }
+    )
     for name in PRESET_NAMES:
         if name == "typo-adjudication":
             continue
         preset_spec(name).validate()
-    with pytest.raises(ValueError):
-        preset_spec("nope")
+    for name in ("nope", "typo-adjudication"):
+        with pytest.raises(ValueError, match="unknown preset"):
+            preset_spec(name)
     report = run_preset("typo-adjudication")
     assert report.passed
 
