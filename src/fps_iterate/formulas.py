@@ -2,10 +2,10 @@
 
 Several independent routes to the same value live here: a recurrence over
 the iteration count, a closed form summing over strictly decreasing index
-chains, literal transcriptions of the fixed k <= 5 formulas, Schroeder's
-classical binomial form for a_1 = 1, and Muckenhoupt's quotient formula for
-f_2. The brute-force oracle lives in ``series``; every route must agree
-with it exactly, in every coefficient domain.
+chains, the fixed k <= 5 formulas with one hand-expanded chain product per
+chain, Schroeder's classical binomial form for a_1 = 1, and Muckenhoupt's
+quotient formula for f_2. The brute-force oracle lives in ``series``; every
+route must agree with it exactly, in every coefficient domain.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate, combinations
 
+from .domains import PolynomialRing
 from .multinomial import PowerCoefficientTable
 from .series import TruncatedSeries
 
@@ -243,88 +244,74 @@ def coeff_schroder(f: TruncatedSeries, k: int, n: int, table=None):
     return total
 
 
+# k -> {chain (k, j_1, ..., j_last): its chain product a_k^[j_1] *
+# a_(j_1)^[j_2] * ... * a_(j_last), expanded by hand as polynomial text in
+# a1..ak} (Comtet, Advanced Combinatorics, 1974, sec. 3.3).
+_SMALL_K_CHAIN_PRODUCTS = {
+    2: {(2,): "a2"},
+    3: {(3,): "a3", (3, 2): "2*a1*a2^2"},
+    4: {
+        (4,): "a4",
+        (4, 3): "3*a1^2*a2*a3",
+        (4, 2): "2*a1*a2*a3 + a2^3",
+        (4, 3, 2): "6*a1^3*a2^3",
+    },
+    5: {
+        (5,): "a5",
+        (5, 4): "4*a1^3*a2*a4",
+        (5, 3): "3*a1^2*a3^2 + 3*a1*a2^2*a3",
+        (5, 2): "2*a1*a2*a4 + 2*a2^2*a3",
+        (5, 4, 3): "12*a1^5*a2^2*a3",
+        (5, 4, 2): "8*a1^4*a2^2*a3 + 4*a1^3*a2^4",
+        (5, 3, 2): "6*a1^3*a2^2*a3 + 6*a1^2*a2^4",
+        (5, 4, 3, 2): "24*a1^6*a2^4",
+    },
+}
+_SMALL_K_TERMS = {
+    k: [(chain, PolynomialRing(k).parse(text)) for chain, text in products.items()]
+    for k, products in _SMALL_K_CHAIN_PRODUCTS.items()
+}
+
+
 def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int):
     """f_k^(n) for k <= 5 from the fixed explicit formulas.
 
-    A literal transcription of the expanded formulas, sharing no code with
-    ``coeff_closed``; the two routes are tested against each other. Groups
-    whose prefactor carries a_1^(n-2) only contribute once n >= 2, exactly
-    when their innermost sums stop being empty.
+    One term per decreasing chain (k, j_1, ..., j_last) of length alpha <=
+    n: a_1^(n-alpha) times the chain product, expanded by hand in
+    _SMALL_K_CHAIN_PRODUCTS, times the nested sum of a_1^((j - 1) * i)
+    over the chain, computed here by its own lattice recursion. It shares
+    no code with ``coeff_closed``; the two routes are tested against each
+    other.
     """
     _check_index(f, k, n)
     if k > 5:
         raise NotApplicable("k > 5 not covered here, use coeff_closed")
     dom = f.domain
     a1 = f.coefficient(1)
-
-    def cint(m: int):
-        return dom.from_int(m)
-
-    def nest(offset: int, exps: tuple[int, ...]):
-        # sum over i_0, i_1, ... >= 0 with i_0 + ... + i_last <= n - offset
-        # of the product of a_1^(exps[level] * i_level); empty sums give 0
-        if n < offset:
-            return dom.zero
-
-        def go(level: int, used: int):
-            if level == len(exps):
-                return dom.one
-            base = a1 ** exps[level]
-            total = dom.zero
-            power = dom.one
-            for i in range(n - used - offset + 1):
-                total = total + power * go(level + 1, used + i)
-                power = power * base
-            return total
-
-        return go(0, 0)
-
     if k == 1:
         return a1 ** n
-    if k == 2:
-        return a1 ** (n - 1) * f.coefficient(2) * nest(1, (1,))
-    if k == 3:
-        a2, a3 = f.coefficient(2), f.coefficient(3)
-        return a1 ** (n - 1) * a3 * nest(1, (2,)) + cint(2) * a1 ** (
-            n - 1
-        ) * a2 * a2 * nest(2, (2, 1))
-    if k == 4:
-        a2, a3, a4 = f.coefficient(2), f.coefficient(3), f.coefficient(4)
-        total = a1 ** (n - 1) * a4 * nest(1, (3,))
-        total = total + a1 ** (n - 1) * a2 * a3 * (
-            cint(3) * a1 * nest(2, (3, 2)) + cint(2) * nest(2, (3, 1))
-        )
-        if n >= 2:
-            total = total + a2 ** 3 * a1 ** (n - 2) * (
-                nest(2, (3, 1)) + cint(6) * a1 ** 2 * nest(3, (3, 2, 1))
-            )
+
+    def go(bases: list, budget: int):
+        # sum over i_0, i_1, ... >= 0 with i_0 + ... + i_last <= budget
+        # of the product of bases[level] ** i_level
+        if not bases:
+            return dom.one
+        total = dom.zero
+        power = dom.one
+        for i in range(budget + 1):
+            total = total + power * go(bases[1:], budget - i)
+            power = power * bases[0]
         return total
-    a2, a3, a4, a5 = (f.coefficient(j) for j in (2, 3, 4, 5))
-    total = a1 ** (n - 1) * a5 * nest(1, (4,))
-    total = total + a1 ** (n - 1) * a2 * a4 * (
-        cint(2) * nest(2, (4, 1)) + cint(4) * a1 ** 2 * nest(2, (4, 3))
-    )
-    if n >= 2:
-        total = total + a1 ** (n - 2) * a3 * (
-            cint(3) * a1 ** 2 * a3 * nest(2, (4, 2))
-            + a2 ** 2
-            * (
-                cint(2) * nest(2, (4, 1))
-                + cint(4)
-                * a1 ** 3
-                * (
-                    cint(3) * a1 * nest(3, (4, 3, 2))
-                    + cint(2) * nest(3, (4, 3, 1))
-                )
-                + cint(6) * a1 ** 2 * nest(3, (4, 2, 1))
-                + cint(3) * a1 * nest(2, (4, 2))
-            )
-        )
-        total = total + a1 ** (n - 2) * a2 ** 4 * (
-            cint(4) * a1 ** 2 * nest(3, (4, 3, 1))
-            + cint(6) * a1 * nest(3, (4, 2, 1))
-            + cint(24) * a1 ** 4 * nest(4, (4, 3, 2, 1))
-        )
+
+    ring = PolynomialRing(k)
+    total = dom.zero
+    for chain, product in _SMALL_K_TERMS[k]:
+        alpha = len(chain)
+        if n < alpha:
+            continue
+        value = ring.substitute(product, f.coeffs[:k], dom)
+        bases = [a1 ** (j - 1) for j in chain]
+        total = total + a1 ** (n - alpha) * value * go(bases, n - alpha)
     return total
 
 

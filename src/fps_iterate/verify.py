@@ -99,9 +99,9 @@ _NUMERATORS = range(-9, 10)
 _NONZERO_DIGITS = tuple(d for d in _NUMERATORS if d)
 # Every equally likely draw of a random-rational coefficient above a_1
 _HIGHER_DRAWS = tuple(Fraction(n, d) for n in _NUMERATORS for d in _NONZERO_DIGITS)
-# A random-rational spec whose series need more draws than this, in
-# expectation, is refused: over Z/2, the 13,600 draws of one series of
-# order 28 took 6 s.
+# A random-rational or exhaustive-small spec whose series need more draws
+# than this, in expectation, is refused: over Z/2, the 13,600 draws of one
+# random-rational series of order 28 took 6 s.
 _MAX_EXPECTED_DRAWS = 20_000
 _SMALL_A1 = (Fraction(1), Fraction(-1), Fraction(2))
 _SMALL_HIGHER = (Fraction(-1), Fraction(0), Fraction(1))
@@ -218,9 +218,11 @@ class SweepSpec:
                     raise ValueError(
                         f"{self.generator.kind} sweeps need numeric domains"
                     )
-        if gen.kind == "random-rational" and gen.count:
+        if gen.kind == "exhaustive-small" or (
+            gen.kind == "random-rational" and gen.count
+        ):
             for dom in self.domains:
-                _refuse_long_redraws(dom, gen.count, order)
+                _refuse_long_draws(gen, dom, order)
 
     @property
     def effective_order(self) -> int:
@@ -407,27 +409,37 @@ def _unit_share(domain: Domain, draws) -> Fraction:
     return Fraction(held, len(draws))
 
 
-def _refuse_long_redraws(domain: Domain, count: int, order: int) -> None:
-    """Raise if ``count`` random-rational series of ``order`` over ``domain``
+def _refuse_long_draws(gen: GeneratorSpec, domain: Domain, order: int) -> None:
+    """Raise if the series that ``gen`` makes of ``order`` over ``domain``
     need more than _MAX_EXPECTED_DRAWS draws in expectation.
 
-    A draw is kept only when ``domain`` holds all of its coefficients, so a
-    series takes 1 / (s_1 * s^(order-1)) draws on average, with s_1 and s
-    the exact shares of a_1 and of higher draws that it holds. Over Z/2,
-    s = 0.7076, which makes 217,000 draws at order 36. The test runs on
-    logarithms, so that no order or count is too large for it.
+    random-rational keeps a draw only when ``domain`` holds all of its
+    coefficients, so a series takes 1 / (s_1 * s^(order-1)) draws on
+    average, with s_1 and s the exact shares of a_1 and of higher draws that
+    it holds. Over Z/2, s = 0.7076, which makes 217,000 draws at order 36.
+    exhaustive-small draws min(count, 3^order) points of its grid, or all
+    3^order when count is 0, and every numeric domain holds each of them.
+    The test runs on logarithms, so that no order or count is too large for
+    it.
     """
-    log_draws = (
-        math.log(count)
-        - math.log(_unit_share(domain, A1_POOL))
-        - (order - 1) * math.log(_unit_share(domain, _HIGHER_DRAWS))
-    )
+    if gen.kind == "random-rational":
+        log_draws = (
+            math.log(gen.count)
+            - math.log(_unit_share(domain, A1_POOL))
+            - (order - 1) * math.log(_unit_share(domain, _HIGHER_DRAWS))
+        )
+    else:
+        log_draws = math.log(len(_SMALL_A1)) + (order - 1) * math.log(
+            len(_SMALL_HIGHER)
+        )
+        if gen.count:
+            log_draws = min(log_draws, math.log(gen.count))
     if log_draws > math.log(_MAX_EXPECTED_DRAWS):
         estimate = math.exp(log_draws) if log_draws < 700 else math.inf
         raise ValueError(
-            f"random-rational series over {_domain_label(domain)!r} need about "
-            f"{estimate:,.0f} draws ({count} series of order {order}), above the "
-            f"limit of {_MAX_EXPECTED_DRAWS:,}"
+            f"{gen.kind} series over {_domain_label(domain)!r} need about "
+            f"{estimate:,.0f} draws ({gen.count or 'all'} series of order "
+            f"{order}), above the limit of {_MAX_EXPECTED_DRAWS:,}"
         )
 
 

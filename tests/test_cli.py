@@ -296,6 +296,33 @@ def test_random_rational_spec_that_would_redraw_for_minutes_is_refused(
     )
 
 
+def test_exhaustive_small_full_grid_that_would_run_for_hours_is_refused(
+    tmp_path, capsys
+):
+    path = tmp_path / "spec.json"
+    path.write_text(
+        json.dumps(
+            {
+                "k_max": 2,
+                "n_max": 1,
+                "methods": ["oracle", "recursive"],
+                "generator": {"kind": "exhaustive-small", "order": 30, "count": 0},
+            }
+        )
+    )
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--sweep-spec", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    # 3^30 = 205,891,132,094,649, estimated on logarithms
+    assert re.fullmatch(
+        r"error: exhaustive-small series over 'rational' need about "
+        r"205,891,132,09\d,\d{3} draws \(all series of order 30\), above the "
+        r"limit of 20,000\n",
+        err,
+    )
+
+
 def test_round_trip_fixed_point(tmp_path, capsys):
     path = write_series(tmp_path, "s.json", ["1", "1"])
     code, out, _ = run_cli(capsys, "iterate", path, "-n", "2", "--order", "5")

@@ -9,6 +9,8 @@ import pytest
 
 from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
 from fps_iterate.formulas import (
+    _SMALL_K_CHAIN_PRODUCTS,
+    _chain_product,
     coeff_closed,
     coeff_explicit_small_k,
     coeff_recursive,
@@ -339,6 +341,19 @@ def test_small_k_equals_closed_symbolically():
     for k in range(1, 6):
         for n in range(1, 6):
             assert coeff_explicit_small_k(f, k, n) == coeff_closed(f, k, n, table)
+
+
+def test_small_k_chain_products_are_the_multinomial_chain_products():
+    # the hand-expanded table covers every chain of every level once, and
+    # each entry is that chain's product of power coefficients
+    for k in range(2, 6):
+        products = _SMALL_K_CHAIN_PRODUCTS[k]
+        chains = [c for alpha in range(1, k) for c in enumerate_subsets(k, alpha)]
+        assert sorted(products) == sorted(chains)
+        f = generic_series(k)
+        table = PowerCoefficientTable(f)
+        for chain, text in products.items():
+            assert f.domain.parse(text) == _chain_product(f, chain, table), chain
 
 
 def test_small_k_frozen_examples():

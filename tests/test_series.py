@@ -118,6 +118,33 @@ def test_only_the_oracle_calls_dot():
     assert callers == {("series.py", "mul")}
 
 
+def test_small_route_shares_no_code_with_the_closed_form():
+    """``coeff_explicit_small_k`` is cross-checked against the closed form,
+    so its body names none of the closed form's pieces."""
+    path = Path(fps_iterate.__file__).parent / "formulas.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (route,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "coeff_explicit_small_k"
+    ]
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(route)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert "_SMALL_K_TERMS" in names
+    assert not names & {
+        "PowerCoefficientTable",
+        "nested_geometric_sum",
+        "_chain_product",
+        "enumerate_subsets",
+        "closed_form_level",
+        "coeff_closed",
+    }
+
+
 def test_pow():
     f = series(1, 1, 0, 0)
     assert f.pow(1).coeffs == f.coeffs

@@ -115,6 +115,34 @@ def test_random_rational_redraw_budget():
         preset_spec(name).validate()
 
 
+def _exhaustive_spec(count, order):
+    return SweepSpec(
+        (1, 1),
+        (1, 1),
+        (RATIONALS, PrimeField(2)),
+        ("oracle", "recursive"),
+        GeneratorSpec("exhaustive-small", count=count, order=order),
+    )
+
+
+def test_exhaustive_small_draw_budget():
+    # count 0 takes the whole 3^order grid: 19,683 points at order 9,
+    # 59,049 at order 10; the limit is 20,000
+    _exhaustive_spec(0, 9).validate()
+    _exhaustive_spec(20_000, 10).validate()
+    _exhaustive_spec(5, 10**6).validate()
+    with pytest.raises(ValueError) as info:
+        _exhaustive_spec(0, 10).validate()
+    assert str(info.value) == (
+        "exhaustive-small series over 'rational' need about 59,049 draws "
+        "(all series of order 10), above the limit of 20,000"
+    )
+    with pytest.raises(ValueError, match=r"about 1,000,000,000 draws \(1000000000 "):
+        _exhaustive_spec(10**9, 30).validate()
+    with pytest.raises(ValueError, match="about inf draws"):
+        _exhaustive_spec(0, 10**6).validate()
+
+
 def test_spec_json_round_trip():
     spec = small_spec()
     again = SweepSpec.from_json(spec.to_json())
