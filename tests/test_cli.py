@@ -379,87 +379,112 @@ _SPEC = {"k_max": 2, "n_max": 2, "methods": ["oracle", "recursive"]}
 
 
 @pytest.mark.parametrize(
-    "command, obj",
+    "command, obj, message",
     [
         pytest.param("iterate", {"domain": {"prime": "97"}, "coeffs": ["1"]},
-                     id="prime-string"),
+                     "prime must be an integer, got '97'", id="prime-string"),
         pytest.param("iterate", {"domain": {"symbolic": "2"}, "coeffs": ["a1"]},
-                     id="symbolic-string"),
+                     "symbolic must be an integer, got '2'", id="symbolic-string"),
         pytest.param("iterate", {"domain": {"prime": 2.5}, "coeffs": ["1"]},
-                     id="prime-float"),
+                     "prime must be an integer, got 2.5", id="prime-float"),
         pytest.param("iterate", {"order": True, "coeffs": ["2"]},
-                     id="order-bool"),
+                     "'order' must be an integer, got True", id="order-bool"),
         pytest.param("iterate", {"domain": {"prime": 618970019642690137449562111},
                                  "coeffs": ["1"]},
+                     "modulus 618970019642690137449562111 is too large: primality"
+                     " is exact only below 3317044064679887385961981",
                      id="prime-too-large"),
         pytest.param("iterate", {"domain": {"symbolic": 10 ** 12}, "coeffs": ["1"]},
-                     id="symbolic-too-large"),
-        pytest.param("iterate", {"coeffs": ["\u0661"]}, id="unicode-digit"),
+                     "symbolic ring of 1000000000000 variables is above the limit"
+                     " 1024", id="symbolic-too-large"),
+        pytest.param("iterate", {"coeffs": ["\u0661"]},
+                     "bad rational literal '\u0661'", id="unicode-digit"),
         pytest.param("iterate", {"domain": {"prime": 97}, "coeffs": ["\u0661"]},
-                     id="unicode-digit-prime"),
+                     "bad integer literal '\u0661'", id="unicode-digit-prime"),
         pytest.param("iterate", {"domain": {"symbolic": 2}, "coeffs": ["a\u0661"]},
-                     id="unicode-variable"),
+                     "bad polynomial factor 'a\u0661'", id="unicode-variable"),
         pytest.param("iterate", {"domian": {"prime": 5}, "coeffs": ["2", "3"]},
-                     id="series-unknown-key"),
+                     "unknown series key 'domian'", id="series-unknown-key"),
         pytest.param("verify", {**_SPEC, "domains": [{"symbolic": "2"}],
                                 "generator": {"kind": "symbolic-generic"}},
+                     "symbolic must be an integer, got '2'",
                      id="spec-symbolic-string"),
-        pytest.param("verify", {**_SPEC, "k_range": 5}, id="spec-k-range-int"),
+        # without k_max and n_max, so the bad range is the spec's only fault
+        pytest.param("verify", {"k_range": 5, "n_max": 2, "methods": ["oracle"]},
+                     "k_range must be a [lo, hi] pair", id="spec-k-range-int"),
+        pytest.param("verify", {"k_max": 2, "n_range": [1, 2, 3], "methods": ["oracle"]},
+                     "n_range must be a [lo, hi] pair", id="spec-n-range-triple"),
         pytest.param("verify", {**_SPEC, "generator": {
                          "kind": "random-rational", "count": "3"}},
+                     "generator 'count' must be an integer, got '3'",
                      id="spec-count-string"),
         pytest.param("verify", {**_SPEC, "generator": {
                          "kind": "random-rational", "count": -1}},
-                     id="spec-count-negative"),
+                     "generator 'count' must be >= 0: -1", id="spec-count-negative"),
         pytest.param("verify", {**_SPEC, "domains": [{"symbolic": 2}],
                                 "generator": {"kind": "symbolic-generic",
                                               "a1": "bogus"}},
+                     "generator 'a1' must be 'generic' or 'one': 'bogus'",
                      id="spec-a1-bogus"),
         pytest.param("verify", {**_SPEC, "generator": {
                          "kind": "random-rational", "order": 0}},
-                     id="spec-order-zero"),
+                     "generator 'order' must be >= 1: 0", id="spec-order-zero"),
         pytest.param("verify", {**_SPEC, "domains": [{"symbolic": 10 ** 12}],
                                 "generator": {"kind": "symbolic-generic"}},
-                     id="spec-symbolic-too-large"),
-        pytest.param("verify", {**_SPEC, "methods": 5}, id="spec-methods-int"),
-        pytest.param("verify", {**_SPEC, "domains": 5}, id="spec-domains-int"),
+                     "symbolic ring of 1000000000000 variables is above the limit"
+                     " 1024", id="spec-symbolic-too-large"),
+        pytest.param("verify", {**_SPEC, "methods": 5},
+                     "'methods' must be an array of strings", id="spec-methods-int"),
+        pytest.param("verify", {**_SPEC, "domains": 5},
+                     "'domains' must be an array", id="spec-domains-int"),
         pytest.param("verify", {**_SPEC, "generator": {
                          "kind": "user-supplied", "series": 5}},
-                     id="spec-series-int"),
+                     "generator 'series' must be an array", id="spec-series-int"),
         pytest.param("verify", {**_SPEC, "domain": [{"prime": 5}]},
-                     id="spec-unknown-key"),
+                     "unknown sweep spec key 'domain'", id="spec-unknown-key"),
         pytest.param("verify", {**_SPEC, "generator": {
                          "kind": "random-rational", "cuont": 5}},
+                     "unknown generator key 'cuont'",
                      id="spec-generator-unknown-key"),
         pytest.param("verify", {**_SPEC, "generator": {
                          "kind": "user-supplied",
                          "series": [{"coeffs": ["2", "3"], "ordr": 2}]}},
-                     id="spec-series-unknown-key"),
+                     "unknown series key 'ordr'", id="spec-series-unknown-key"),
         pytest.param("verify", {**_SPEC, "methods": ["oracle", "oracle"]},
+                     "method 'oracle' is listed more than once",
                      id="spec-methods-duplicate"),
         pytest.param("verify", {**_SPEC, "methods": [
                          "oracle", "small", "explicit_small_k"]},
+                     "method 'small' is listed more than once",
                      id="spec-methods-duplicate-alias"),
         pytest.param("verify", {**_SPEC, "domains": ["rational", "rational"]},
+                     "domain 'rational' is listed more than once",
                      id="spec-domains-duplicate"),
         pytest.param("verify", {**_SPEC, "generator": {
                          "kind": "user-supplied",
                          "series": [{"domain": {"prime": 5}, "coeffs": ["2", "3"]}]}},
-                     id="spec-series-domain-not-swept"),
+                     "user-supplied series over 'prime:5' is not in the swept"
+                     " domains", id="spec-series-domain-not-swept"),
         pytest.param("verify", {**_SPEC, "k_range": [1, 2]},
+                     "sweep spec gives both k_range and k_max",
                      id="spec-k-range-and-k-max"),
         pytest.param("verify", {**_SPEC, "n_range": [1, 2]},
+                     "sweep spec gives both n_range and n_max",
                      id="spec-n-range-and-n-max"),
         pytest.param("verify", {**_SPEC, "generator": {
                          "kind": "random-rational", "a1": "one"}},
+                     "generator 'a1' is not read by kind 'random-rational'",
                      id="spec-a1-unread"),
         pytest.param("verify", {**_SPEC, "generator": {
                          "kind": "random-rational",
                          "series": [{"coeffs": ["1", "1"]}]}},
+                     "generator 'series' is not read by kind 'random-rational'",
                      id="spec-series-unread"),
     ],
 )
-def test_malformed_json_exits_2(tmp_path, capsys, command, obj):
+def test_malformed_json_exits_2(tmp_path, capsys, command, obj, message):
+    """Each case fails on its own check: the exact message keeps a check
+    added later from shadowing an earlier one."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     if command == "iterate":
@@ -469,8 +494,7 @@ def test_malformed_json_exits_2(tmp_path, capsys, command, obj):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["iterate", "verify"])

@@ -144,6 +144,33 @@ def test_recursive_shared_memo_matches_oracle():
             assert got == iterates[n - 1].coefficient(k), (f.domain, k, n)
 
 
+def test_recursive_matches_oracle_at_scale():
+    # every k at orders 32 and 60 over Z/1000003, where a wrong index bound,
+    # truncation or row length would show that k <= 9 can hide
+    p = 1000003
+    field = PrimeField(p)
+    rng = random.Random(59)
+
+    def draw(order, a1):
+        rest = [field.from_int(rng.randrange(p)) for _ in range(order - 1)]
+        return TruncatedSeries(field, order, [field.from_int(a1)] + rest)
+
+    for a1 in (0, 1, p - 1):
+        f = draw(32, a1)
+        iterates = {1: f, 2: f.compose(f), 31: f.iterate(31)}
+        iterates[32] = iterates[31].compose(f)
+        table, memo = PowerCoefficientTable(f), {}
+        for n, g in iterates.items():
+            for k in range(1, 33):
+                got = coeff_recursive(f, k, n, table, memo)
+                assert got == g.coefficient(k), (a1, k, n)
+    f = draw(60, rng.randrange(p))
+    table = PowerCoefficientTable(f)
+    for n, g in ((1, f), (2, f.compose(f))):
+        for k in range(1, 61):
+            assert coeff_recursive(f, k, n, table) == g.coefficient(k), (k, n)
+
+
 def test_muckenhoupt():
     g = series(2, 1)
     assert muckenhoupt_f2(g, 2) == 6

@@ -1,10 +1,14 @@
-"""Coefficients of series powers via multinomial sums over partitions."""
+"""Coefficients of series powers: the power table, the multinomial walk and
+the oracle's series powers check each other."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fps_iterate.multinomial as multinomial
 from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
 from fps_iterate.multinomial import PowerCoefficientTable, multinomial_coeff
 from fps_iterate.series import TruncatedSeries
@@ -104,25 +108,44 @@ def test_power_coefficient_table():
                 assert table.get(k, i) == multinomial_coeff(f, k, i)
     # memo returns the identical object on a repeat lookup
     assert table.get(5, 2) is table.get(5, 2)
-    # the one-walk rows against the oracle's powering by convolution, over
-    # Q with zero middle coefficients, Z/7 and Q[a1..a8]
+    # the rows are a list, so once rows up to 5 are filled a bad index must
+    # still raise rather than wrap around
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="index k must be >= 1"):
+            table.get(k, 1)
+    with pytest.raises(ValueError, match="power i must be >= 1"):
+        table.get(3, 0)
+    with pytest.raises(ValueError, match="insufficient truncation: k=6"):
+        table.get(6, 7)
+    # every entry three ways: the table's product recurrence, the literal
+    # multinomial sum and the oracle's powering by convolution, over Q and
+    # Z/1000003 with a_1 in {0, 1, random} and zero middle coefficients, over
+    # Z/7 and over Q[a1..a8]
     rng = random.Random(31)
-    rational = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(10)]
-    rational[2] = rational[5] = rational[6] = Fraction(0)
+    cases = []
+    for dom in (RATIONALS, PrimeField(1000003)):
+        def draw():
+            return dom.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+        for a1 in (dom.zero, dom.one, draw()):
+            coeffs = [a1] + [draw() for _ in range(11)]
+            coeffs[3] = coeffs[6] = coeffs[7] = dom.zero
+            cases.append(TruncatedSeries(dom, 12, coeffs))
     field = PrimeField(7)
     ring = PolynomialRing(8)
     symbolic = [ring.variable(j) for j in range(1, 9)]
     symbolic += [ring.variable(1) - ring.variable(2), ring.from_int(3)]
-    for f in (
-        TruncatedSeries(RATIONALS, 10, rational),
+    cases += [
         TruncatedSeries(field, 10, [field.from_int(rng.randint(0, 6)) for _ in range(10)]),
         TruncatedSeries(ring, 10, symbolic),
-    ):
+    ]
+    for f in cases:
         table = PowerCoefficientTable(f)
-        for i in range(1, 12):
+        for i in range(1, f.order + 2):
             power = f.pow(i)
-            for k in range(max(i - 1, 1), 11):
-                assert table.get(k, i) == power.coefficient(k), (f.domain, k, i)
+            for k in range(1, f.order + 1):
+                expected = power.coefficient(k)
+                assert table.get(k, i) == expected, (f.domain, k, i)
+                assert multinomial_coeff(f, k, i) == expected, (f.domain, k, i)
         # bad indices raise as before, also once the row of k is filled
         for bad in (
             lambda: table.get(5, 0),
@@ -132,11 +155,30 @@ def test_power_coefficient_table():
             with pytest.raises(ValueError, match="power i must be >= 1"):
                 bad()
         # k beyond the order raises for k < i too, on both lookup paths
+        k = f.order + 1
         for bad in (
-            lambda: table.get(11, 3),
-            lambda: multinomial_coeff(f, 11, 3),
-            lambda: table.get(11, 12),
-            lambda: multinomial_coeff(f, 11, 12),
+            lambda: table.get(k, 3),
+            lambda: multinomial_coeff(f, k, 3),
+            lambda: table.get(k, k + 1),
+            lambda: multinomial_coeff(f, k, k + 1),
         ):
-            with pytest.raises(ValueError, match="insufficient truncation: k=11"):
+            with pytest.raises(ValueError, match=f"insufficient truncation: k={k}"):
                 bad()
+
+
+def test_table_and_multinomial_walk_share_no_code():
+    """The table and ``multinomial_coeff`` check each other, so neither
+    reads the other, and the table keeps the element operators rather than
+    the oracle's ``mul`` or ``dot``."""
+    tree = ast.parse(Path(multinomial.__file__).read_text(encoding="utf-8"))
+
+    def names(name):
+        (node,) = [n for n in tree.body if getattr(n, "name", None) == name]
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    assert not names("multinomial_coeff") & {"PowerCoefficientTable", "get"}
+    assert not names("PowerCoefficientTable") & {"multinomial_coeff", "dot", "mul"}

@@ -389,9 +389,11 @@ def test_registry_preconditions_match_routes():
                 except NotApplicable:
                     raised = True
                 assert _applies(name, f, k) is not raised, (dom, a1, name, k, n)
-    for name, evaluate in REGISTRY.items():  # a bad n is no route's to skip
+    for name, evaluate in REGISTRY.items():  # a bad k or n is no route's to skip
         with pytest.raises(ValueError, match="n must be >= 1"):
             evaluate(f, 2, 0, None, None)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluate(f, 0, 2, None, None)
 
 
 def test_sweep_stops_on_a_plain_value_error(monkeypatch):
