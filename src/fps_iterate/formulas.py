@@ -6,6 +6,11 @@ chains, the fixed k <= 5 formulas with one hand-expanded chain product per
 chain, Schroeder's classical binomial form for a_1 = 1, and Muckenhoupt's
 quotient formula for f_2. The brute-force oracle lives in ``series``; every
 route must agree with it exactly, in every coefficient domain.
+
+``coeff_closed`` sums the chains by a dynamic program over the index that
+leads them, O(K^3 * n) domain operations per n, shared across k.
+``closed_form_level`` and ``coeff_schroder`` still walk the chains one by
+one, so they check the dynamic program against the literal chain sum.
 """
 
 from __future__ import annotations
@@ -200,22 +205,62 @@ def closed_form_level(f: TruncatedSeries, k: int, n: int, alpha: int, table=None
     return f.coefficient(1) ** (n - alpha) * total
 
 
-def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None):
-    """f_k^(n) by the closed form.
+def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
+    """f_k^(n) by the closed form, its chains summed by a dynamic program.
 
     k = 1 gives a_1^n. For k >= 2 the value is the sum of the levels
     alpha = 1..k-1, each a sum over the strictly decreasing index chains
     of length alpha led by k, of chain products of power coefficients
     times nested geometric sums; level 1 is a_k * C_{k,n}.
+
+    Both factors of a chain's term grow one index at a time: the product by
+    a power coefficient, the nested sum's h-vector by the step
+    v[d] += b_j * v[d-1], b_j = a_1^(j-1) (see ``nested_geometric_sum``).
+    The step is linear, so the chains led by j are summed before they are
+    extended (the transfer-matrix method; Stanley, Enumerative
+    Combinatorics I, sec. 4.7). Row j holds, for each level
+    alpha <= min(j-1, n), the summed h-vector U_alpha[j] of length
+    n-alpha+1:
+
+        U_1[j]     = step_(b_j)([a_j, 0, ..., 0]),
+        U_alpha[j] = step_(b_j)(sum_{alpha <= j' < j} a_j^[j'] * U_(alpha-1)[j']),
+
+    the second cut to length n-alpha+1, and level alpha of f_k^(n) is
+    a_1^(n-alpha) times the sum of the entries of U_alpha[k]. Row j reads
+    only rows below it and not k, so ``memo[("closed", n)]`` keeps the rows
+    for n and a call extends them up to k: O(K^3 * n) domain operations
+    per n, shared across k, instead of 2^(k-2) chains per cell. A shared
+    ``memo`` (the one ``coeff_recursive`` keeps its int-keyed rows in) may
+    be passed, with cells visited in any order.
     """
     _check_index(f, k, n)
+    a1 = f.coefficient(1)
     if k == 1:
-        return f.coefficient(1) ** n
+        return a1 ** n
     if table is None:
         table = PowerCoefficientTable(f)
-    total = f.domain.zero
-    for alpha in range(1, k):
-        total = total + closed_form_level(f, k, n, alpha, table)
+    if memo is None:
+        memo = {}
+    zero = f.domain.zero
+    rows = memo.setdefault(("closed", n), [None, None])
+    for j in range(len(rows), k + 1):
+        row = [[f.coefficient(j)] + [zero] * (n - 1)]
+        for alpha in range(2, min(j - 1, n) + 1):
+            size = n - alpha + 1
+            v = [zero] * size
+            for lower in range(alpha, j):
+                weight = table.get(j, lower)
+                for d, x in enumerate(rows[lower][alpha - 2][:size]):
+                    v[d] = v[d] + weight * x
+            row.append(v)
+        base = a1 ** (j - 1)
+        for v in row:
+            for d in range(1, len(v)):
+                v[d] = v[d] + base * v[d - 1]
+        rows.append(row)
+    total = zero
+    for alpha, v in enumerate(rows[k], 1):
+        total = total + a1 ** (n - alpha) * sum(v[1:], v[0])
     return total
 
 

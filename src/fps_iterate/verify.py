@@ -74,7 +74,7 @@ def _muckenhoupt(f, k, n, table, memo):
 REGISTRY = {
     "oracle": _oracle,
     "recursive": lambda f, k, n, table, memo: coeff_recursive(f, k, n, table, memo),
-    "closed": lambda f, k, n, table, memo: coeff_closed(f, k, n, table),
+    "closed": lambda f, k, n, table, memo: coeff_closed(f, k, n, table, memo),
     "small": lambda f, k, n, table, memo: coeff_explicit_small_k(f, k, n),
     "schroder": lambda f, k, n, table, memo: coeff_schroder(f, k, n, table),
     "muckenhoupt": _muckenhoupt,

@@ -146,7 +146,8 @@ def test_recursive_shared_memo_matches_oracle():
 
 def test_recursive_matches_oracle_at_scale():
     # every k at orders 32 and 60 over Z/1000003, where a wrong index bound,
-    # truncation or row length would show that k <= 9 can hide
+    # truncation or row length would show that k <= 9 can hide; at order 32
+    # the closed route shares the table and the memo with the recursive one
     p = 1000003
     field = PrimeField(p)
     rng = random.Random(59)
@@ -162,8 +163,9 @@ def test_recursive_matches_oracle_at_scale():
         table, memo = PowerCoefficientTable(f), {}
         for n, g in iterates.items():
             for k in range(1, 33):
-                got = coeff_recursive(f, k, n, table, memo)
-                assert got == g.coefficient(k), (a1, k, n)
+                want = g.coefficient(k)
+                assert coeff_recursive(f, k, n, table, memo) == want, (a1, k, n)
+                assert coeff_closed(f, k, n, table, memo) == want, (a1, k, n)
     f = draw(60, rng.randrange(p))
     table = PowerCoefficientTable(f)
     for n, g in ((1, f), (2, f.compose(f))):
@@ -353,6 +355,39 @@ def test_closed_matches_oracle_random():
                 assert coeff_closed(f, k, n) == current.coefficient(k)
 
 
+def test_closed_equals_the_literal_chain_sum():
+    # the dynamic program against closed_form_level, which walks the chains
+    # one by one; cells shuffled over one table and memo per series, so a
+    # program that assumed k or n visited in increasing order would fail
+    rng = random.Random(61)
+    cases = []
+    for a1 in (0, 1, -1, 2, Fraction(1, 2)):
+        rest = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(8)]
+        cases.append((series(a1, *rest), 9, 7))
+    for p in (5, 97):
+        field = PrimeField(p)
+        for a1 in (0, 1, p - 1, rng.randrange(2, p - 1)):
+            rest = [field.from_int(rng.randrange(p)) for _ in range(8)]
+            cases.append((TruncatedSeries(field, 9, [field.from_int(a1)] + rest), 9, 7))
+    cases.append((generic_series(8), 8, 5))
+    for f, k_max, n_max in cases:
+        table, memo = PowerCoefficientTable(f), {}
+        cells = list(product(range(2, k_max + 1), range(1, n_max + 1)))
+        rng.shuffle(cells)
+        for k, n in cells:
+            levels = [closed_form_level(f, k, n, alpha, table) for alpha in range(1, k)]
+            want = sum(levels[1:], levels[0])
+            assert coeff_closed(f, k, n, table, memo) == want, (f.domain, k, n)
+
+
+def test_closed_cold_rational_cell_at_k_and_n_20():
+    # 2^18 chains if summed one by one; the dynamic program takes a fraction
+    # of a second with a fresh table and memo
+    rng = random.Random(67)
+    f = series(*(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(20)))
+    assert coeff_closed(f, 20, 20) == coeff_recursive(f, 20, 20)
+
+
 def test_closed_equals_recursive_symbolically():
     f = generic_series(5)
     table = PowerCoefficientTable(f)
@@ -432,6 +467,28 @@ def test_schroder_matches_oracle_symbolically():
             current = current.compose(f)
         for k in range(1, 7):
             assert coeff_schroder(f, k, n) == current.coefficient(k)
+
+
+def test_schroder_forward_differences_in_n():
+    # with a_1 = 1, f_k^(n) = sum_alpha C(n, alpha) * (chain sum at level
+    # alpha) is a polynomial in n of degree k - 1 whose top level has the one
+    # chain (k, k-1, ..., 2), of product (k-1)! * a_2^(k-1); so the (k-1)-th
+    # forward difference is that constant and the k-th vanishes, with no
+    # oracle needed
+    p = 1000003
+    field = PrimeField(p)
+    rng = random.Random(71)
+    f = TruncatedSeries(
+        field, 12, [field.one] + [field.from_int(rng.randrange(p)) for _ in range(11)]
+    )
+    table, memo = PowerCoefficientTable(f), {}
+    for route in (coeff_closed, coeff_recursive):
+        for k in range(1, 13):
+            values = [route(f, k, n, table, memo) for n in range(1, 2 * k + 1)]
+            for _ in range(k - 1):
+                values = [b - a for a, b in zip(values, values[1:])]
+            top = field.from_int(math.factorial(k - 1)) * f.coefficient(2) ** (k - 1)
+            assert values == [top] * (k + 1), (route.__name__, k)
 
 
 def test_residual_vanishes_without_middle_coefficients():

@@ -118,22 +118,26 @@ def test_only_the_oracle_calls_dot():
     assert callers == {("series.py", "mul")}
 
 
-def test_small_route_shares_no_code_with_the_closed_form():
-    """``coeff_explicit_small_k`` is cross-checked against the closed form,
-    so its body names none of the closed form's pieces."""
+def _names_in_route(name):
+    # every name and attribute the body of formulas.<name> reads
     path = Path(fps_iterate.__file__).parent / "formulas.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     (route,) = [
         node
         for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and node.name == "coeff_explicit_small_k"
+        if isinstance(node, ast.FunctionDef) and node.name == name
     ]
-    names = {
+    return {
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(route)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
+
+
+def test_small_route_shares_no_code_with_the_closed_form():
+    """``coeff_explicit_small_k`` is cross-checked against the closed form,
+    so its body names none of the closed form's pieces."""
+    names = _names_in_route("coeff_explicit_small_k")
     assert "_SMALL_K_TERMS" in names
     assert not names & {
         "PowerCoefficientTable",
@@ -143,6 +147,27 @@ def test_small_route_shares_no_code_with_the_closed_form():
         "closed_form_level",
         "coeff_closed",
     }
+
+
+def test_closed_dynamic_program_shares_no_code_with_the_chain_walks():
+    """``coeff_closed`` sums the chains by a dynamic program, and is checked
+    against ``closed_form_level`` and ``coeff_schroder``, which walk them
+    one by one, and against ``coeff_recursive``. So the program names none
+    of them, the walks still name theirs, and the recurrence names nothing
+    of the closed form."""
+    assert not _names_in_route("coeff_closed") & {
+        "closed_form_level",
+        "nested_geometric_sum",
+        "enumerate_subsets",
+        "_chain_product",
+        "coeff_recursive",
+        "coeff_schroder",
+    }
+    assert {"enumerate_subsets", "_chain_product"} <= _names_in_route("coeff_schroder")
+    assert {"enumerate_subsets", "_chain_product", "nested_geometric_sum"} <= (
+        _names_in_route("closed_form_level")
+    )
+    assert not [n for n in _names_in_route("coeff_recursive") if "closed" in n]
 
 
 def test_pow():
