@@ -1,8 +1,14 @@
 """Exact coefficient domains: rationals, prime fields, sparse polynomial rings.
 
-Values are immutable and canonical, so equal values have identical
-representations, ``==`` is exact structural equality, and printing is
+Values are immutable, ``==`` is exact equality, and printing is
 deterministic. Nothing here ever rounds.
+
+A rational is an ``int`` or a ``Fraction``. Python keeps int with int as
+int, so integral inputs and their sums and products never become
+Fractions, but mixed arithmetic can still give an integral ``Fraction``
+(``Fraction(1, 2) * 2``). Equal rationals of either type compare equal,
+hash alike and print alike; they need not have identical representations.
+Prime-field residues and polynomials are canonical, so for them they do.
 
 A polynomial stores each coefficient as an ``int`` when it is integral and
 as a ``Fraction`` only otherwise, and keys each monomial by one int that
@@ -13,6 +19,7 @@ rather than carrying into the next variable's field.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from fractions import Fraction
@@ -405,7 +412,7 @@ class Domain:
 
     Arithmetic is the elements' own exact operators, plus ``dot``, the sum
     of products that the composition oracle runs its Cauchy products on.
-    Subclasses fix the element type and canonical form, and may give
+    Subclasses fix the element types and their form, and may give
     ``dot`` a faster exact implementation. The instance doubles as the
     domain descriptor (value equality, JSON round-trip).
     """
@@ -448,32 +455,52 @@ class Domain:
 
 
 class Rationals(Domain):
-    """Arbitrary-precision rational numbers (``fractions.Fraction``)."""
+    """Arbitrary-precision rational numbers, each an ``int`` or a
+    ``fractions.Fraction``; ``bool`` and ``float`` are refused.
+
+    Operations on ints stay ints, so integral values skip the gcd and the
+    object that each Fraction operation pays for. Constructors return an
+    ``int`` for an integral value, but arithmetic may not (see the module
+    docstring).
+    """
 
     is_field = True
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def contains(self, x) -> bool:
-        return isinstance(x, Fraction)
+        return type(x) is int or isinstance(x, Fraction)
 
     def inv(self, a):
         self.check(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        # the only true division in the package: 1 / a on an int is a float
+        return _rational(1 / Fraction(a))
+
+    def dot(self, xs, ys):
+        """Domain.dot over one common denominator: the pairwise products as
+        numerator and denominator, one lcm of the denominators and one
+        Fraction, instead of a reduced Fraction per term. An int has a
+        numerator and a denominator too. The inputs must be rationals;
+        nothing checks them (as for ``PrimeField.dot``)."""
+        nums = [x.numerator * y.numerator for x, y in zip(xs, ys)]
+        dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+        common = math.lcm(*dens)  # 1 when there are no terms
+        total = sum([num * (common // den) for num, den in zip(nums, dens)])
+        return total if common == 1 else _rational(Fraction(total, common))
 
     def from_int(self, m: int):
-        return Fraction(m)
+        return m
 
     def from_fraction(self, q: Fraction):
-        return Fraction(q)
+        return _rational(Fraction(q))
 
     def parse(self, text: str):
         if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text.strip()):
             raise ValueError(f"bad rational literal {text!r}")
         try:
-            return Fraction(text.strip())
+            return _rational(Fraction(text.strip()))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -610,11 +637,11 @@ class PolynomialRing(Domain):
     def substitute(self, p: Polynomial, values, target: Domain | None = None):
         """Evaluate p at ``values`` (one per variable) in the target domain.
 
-        The target is inferred from the assignment when not given; plain
-        ints are promoted to rationals first.
+        The target is inferred from the assignment when not given: ints and
+        Fractions give the rationals. Every value must be an element of the
+        target, so a ``bool`` or a ``float`` raises ``ValueError``.
         """
         self.check(p)
-        values = [Fraction(v) if isinstance(v, int) else v for v in values]
         if len(values) != self.num_vars:
             raise ValueError(
                 f"assignment length {len(values)} != num_vars {self.num_vars}"
@@ -650,7 +677,7 @@ class PolynomialRing(Domain):
 
 def _infer_domain(values) -> Domain:
     first = values[0]
-    if isinstance(first, Fraction):
+    if RATIONALS.contains(first):
         return RATIONALS
     if isinstance(first, FpElement):
         return PrimeField(first.p)

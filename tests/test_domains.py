@@ -1,10 +1,13 @@
 """Domain layer: rationals, prime fields, polynomial rings."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fps_iterate
 from fps_iterate.domains import (
     FpElement,
     Polynomial,
@@ -58,10 +61,37 @@ def test_rationals_parse_errors():
 
 
 def test_rationals_membership():
-    with pytest.raises(ValueError):
-        RATIONALS.check(0.5)
-    with pytest.raises(ValueError):
-        RATIONALS.check(1)
+    # a rational is an int or a Fraction; bool and float are refused
+    for bad in (0.5, True, 1.0):
+        with pytest.raises(ValueError):
+            RATIONALS.check(bad)
+    for good in (1, Fraction(1, 2), Fraction(2)):
+        RATIONALS.check(good)
+
+
+def _float_leaks(node, where, found):
+    # each true division and each power to a negated exponent under node
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        where = f"{where}.{node.name}"
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        exponent = node.right if isinstance(node, ast.BinOp) else node.value
+        if isinstance(node.op, ast.Div):
+            found.append((where, "/"))
+        elif isinstance(node.op, ast.Pow) and isinstance(exponent, ast.UnaryOp):
+            found.append((where, "**"))
+    for child in ast.iter_child_nodes(node):
+        _float_leaks(child, where, found)
+
+
+def test_the_only_true_division_is_rationals_inv():
+    """A rational may be an int, and an int / int or int ** -m is a float
+    that compares equal to the exact value, so only the output bytes would
+    show it. The one true division turns its int into a Fraction first."""
+    found = []
+    for path in sorted(Path(fps_iterate.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _float_leaks(tree, path.stem, found)
+    assert found == [("domains.Rationals.inv", "/")]
 
 
 def test_prime_field_basic():
@@ -325,6 +355,17 @@ def test_polynomial_degrees_and_substitution_multi_field():
     got = ring.substitute(p, [gf.from_int(v) for v in (2, 3, 4, 5)], target=gf)
     want = 3 * 2**5 * 4**2 - 3 * 5**7 * pow(2, -1, 11) + 5 + 2
     assert got == gf.from_int(want)
+
+
+def test_substitute_takes_ints_as_rationals_and_refuses_bool():
+    ring = PolynomialRing(2)
+    p = ring.parse("1/2*a1^3*a2 - a2^2 + 3")
+    ints = ring.substitute(p, [2, -3])
+    assert ints == ring.substitute(p, [Fraction(2), Fraction(-3)]) == -18
+    assert ring.substitute(p, [Fraction(2), 3], target=RATIONALS) == 6
+    for values in ([True, 2], [2, True]):
+        with pytest.raises(ValueError):
+            ring.substitute(p, values)
 
 
 def _random_elements(domain, rng, count):

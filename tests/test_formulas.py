@@ -173,6 +173,28 @@ def test_recursive_matches_oracle_at_scale():
             assert coeff_recursive(f, k, n, table) == g.coefficient(k), (k, n)
 
 
+def test_recursive_and_closed_match_oracle_at_scale_over_q():
+    # every k at order 16 over Q, where coefficients grow to over a hundred
+    # digits and int and Fraction elements mix; one table and memo per series
+    rng = random.Random(61)
+    for a1 in (1, -1, Fraction(1, 2)):
+        rest = [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            for _ in range(15)
+        ]
+        f = TruncatedSeries.from_coefficients(
+            RATIONALS, [a1] + [RATIONALS.from_fraction(q) for q in rest]
+        )
+        iterates = {1: f, 2: f.compose(f), 15: f.iterate(15)}
+        iterates[16] = iterates[15].compose(f)
+        table, memo = PowerCoefficientTable(f), {}
+        for n, g in iterates.items():
+            for k in range(1, 17):
+                want = g.coefficient(k)
+                assert coeff_recursive(f, k, n, table, memo) == want, (a1, k, n)
+                assert coeff_closed(f, k, n, table, memo) == want, (a1, k, n)
+
+
 def test_muckenhoupt():
     g = series(2, 1)
     assert muckenhoupt_f2(g, 2) == 6

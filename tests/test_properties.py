@@ -28,10 +28,13 @@ _RING3 = PolynomialRing(3)
 
 
 def _values(dom):
-    """Small elements of ``dom``: p/q over Q, any residue over Z/p, and
-    q + m*a_i over a polynomial ring."""
+    """Small elements of ``dom``: ints and p/q Fractions over Q, any residue
+    over Z/p, and q + m*a_i over a polynomial ring."""
     if dom is RATIONALS:
-        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+        return st.one_of(
+            st.integers(-3, 3),
+            st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+        )
     if isinstance(dom, PrimeField):
         return st.builds(dom.from_int, st.integers(0, dom.p - 1))
     return st.builds(
@@ -120,6 +123,8 @@ def dot_inputs(draw):
 @example((PrimeField(5), [], []))
 @example((_RING3, [], []))
 @example((RATIONALS, [Fraction(2, 3)], [Fraction(-3, 4)]))
+@example((RATIONALS, [2, Fraction(1, 2)], [Fraction(1, 3), 3]))
+@example((RATIONALS, [Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(5, 2)]))
 @example((PrimeField(97), [PrimeField(97).from_int(50)], [PrimeField(97).from_int(60)]))
 @example((_RING3, [_RING3.variable(1) + _RING3.one], [_RING3.variable(3)]))
 def test_dot_equals_operator_fold(case):
@@ -129,11 +134,14 @@ def test_dot_equals_operator_fold(case):
         expected = expected + x * y
     got = dom.dot(xs, ys)
     assert got == expected
+    assert dom.contains(got)
     assert dom.format(got) == dom.format(expected)
     if isinstance(dom, PolynomialRing):  # ints stay ints, Fractions are reduced
         assert {e: type(c) for e, c in got.terms.items()} == {
             e: type(c) for e, c in expected.terms.items()
         }
+    if dom is RATIONALS and not xs:
+        assert type(got) is int and got == 0
 
 
 @st.composite
