@@ -491,7 +491,7 @@ class Rationals(Domain):
         return total if common == 1 else _rational(Fraction(total, common))
 
     def from_int(self, m: int):
-        return m
+        return int(m)
 
     def from_fraction(self, q: Fraction):
         return _rational(Fraction(q))

@@ -7,10 +7,11 @@ chain, Schroeder's classical binomial form for a_1 = 1, and Muckenhoupt's
 quotient formula for f_2. The brute-force oracle lives in ``series``; every
 route must agree with it exactly, in every coefficient domain.
 
-``coeff_closed`` sums the chains by a dynamic program over the index that
-leads them, O(K^3 * n) domain operations per n, shared across k.
-``closed_form_level`` and ``coeff_schroder`` still walk the chains one by
-one, so they check the dynamic program against the literal chain sum.
+``coeff_closed`` sums the chains by a dynamic program over their leading
+index, one list of entries per (j, alpha) kept per series and filled on
+demand: O(K^3 * N) domain operations for every cell with k <= K, n <= N.
+``closed_form_level`` and ``coeff_schroder`` walk the chains one by one, so
+they check the dynamic program against the literal chain sum.
 """
 
 from __future__ import annotations
@@ -218,20 +219,19 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
     v[d] += b_j * v[d-1], b_j = a_1^(j-1) (see ``nested_geometric_sum``).
     The step is linear, so the chains led by j are summed before they are
     extended (the transfer-matrix method; Stanley, Enumerative
-    Combinatorics I, sec. 4.7). Row j holds, for each level
-    alpha <= min(j-1, n), the summed h-vector U_alpha[j] of length
-    n-alpha+1:
+    Combinatorics I, sec. 4.7): U_alpha[j][d], entry d summed over the
+    chains of length alpha led by j, is
 
-        U_1[j]     = step_(b_j)([a_j, 0, ..., 0]),
-        U_alpha[j] = step_(b_j)(sum_{alpha <= j' < j} a_j^[j'] * U_(alpha-1)[j']),
+        U_1[j][d]     = (a_j if d = 0 else 0) + b_j * U_1[j][d-1],
+        U_alpha[j][d] = sum_{alpha <= i < j} a_j^[i] * U_(alpha-1)[i][d]
+                        + b_j * U_alpha[j][d-1],
 
-    the second cut to length n-alpha+1, and level alpha of f_k^(n) is
-    a_1^(n-alpha) times the sum of the entries of U_alpha[k]. Row j reads
-    only rows below it and not k, so ``memo[("closed", n)]`` keeps the rows
-    for n and a call extends them up to k: O(K^3 * n) domain operations
-    per n, shared across k, instead of 2^(k-2) chains per cell. A shared
-    ``memo`` (the one ``coeff_recursive`` keeps its int-keyed rows in) may
-    be passed, with cells visited in any order.
+    and f_k^(n) = sum_{alpha <= min(k-1, n)} a_1^(n-alpha) *
+    sum_{d <= n-alpha} U_alpha[k][d]. No entry depends on n: a call appends
+    the entries d <= n-alpha that the list ``memo["closed"][(j, alpha)]``
+    lacks, O(K^3 * N) domain operations for every cell with k <= K, n <= N
+    of one series. The ``memo`` may be shared with ``coeff_recursive``,
+    whose rows have int keys, and the cells visited in any order.
     """
     _check_index(f, k, n)
     a1 = f.coefficient(1)
@@ -242,25 +242,25 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
     if memo is None:
         memo = {}
     zero = f.domain.zero
-    rows = memo.setdefault(("closed", n), [None, None])
-    for j in range(len(rows), k + 1):
-        row = [[f.coefficient(j)] + [zero] * (n - 1)]
-        for alpha in range(2, min(j - 1, n) + 1):
-            size = n - alpha + 1
-            v = [zero] * size
-            for lower in range(alpha, j):
-                weight = table.get(j, lower)
-                for d, x in enumerate(rows[lower][alpha - 2][:size]):
-                    v[d] = v[d] + weight * x
-            row.append(v)
-        base = a1 ** (j - 1)
-        for v in row:
-            for d in range(1, len(v)):
-                v[d] = v[d] + base * v[d - 1]
-        rows.append(row)
+    entries = memo.setdefault("closed", {})
+    for j in range(2, k + 1):
+        for alpha in range(1, min(j - 1, n) + 1):
+            u = entries.setdefault((j, alpha), [])
+            if len(u) > n - alpha:
+                continue
+            base = a1 ** (j - 1)
+            seed = f.coefficient(j) if alpha == 1 else zero
+            below = range(alpha, j) if alpha > 1 else ()
+            lower = [(table.get(j, i), entries[i, alpha - 1]) for i in below]
+            for d in range(len(u), n - alpha + 1):
+                v = base * u[d - 1] if d else seed
+                for weight, w in lower:
+                    v = v + weight * w[d]
+                u.append(v)
     total = zero
-    for alpha, v in enumerate(rows[k], 1):
-        total = total + a1 ** (n - alpha) * sum(v[1:], v[0])
+    for alpha in range(1, min(k - 1, n) + 1):
+        u = entries[k, alpha]
+        total = total + a1 ** (n - alpha) * sum(u[1 : n - alpha + 1], u[0])
     return total
 
 

@@ -390,6 +390,9 @@ def _random_elements(domain, rng, count):
     "domain", [RATIONALS, PrimeField(5), PrimeField(97), PolynomialRing(3)]
 )
 def test_ring_axioms_random(domain):
+    # a bool is an int to Python; from_int(True) must still give the element 1
+    assert domain.from_int(True) == domain.one
+    domain.check(domain.from_int(True))
     rng = random.Random(f"axioms:{domain!r}")
     rounds = 60 if isinstance(domain, PolynomialRing) else 300
     for _ in range(rounds):

@@ -380,7 +380,8 @@ def test_closed_matches_oracle_random():
 def test_closed_equals_the_literal_chain_sum():
     # the dynamic program against closed_form_level, which walks the chains
     # one by one; cells shuffled over one table and memo per series, so a
-    # program that assumed k or n visited in increasing order would fail
+    # program that assumed k or n visited in increasing order would fail;
+    # then each entry U_alpha[j][d] is stored once per series, under no n
     rng = random.Random(61)
     cases = []
     for a1 in (0, 1, -1, 2, Fraction(1, 2)):
@@ -400,6 +401,10 @@ def test_closed_equals_the_literal_chain_sum():
             levels = [closed_form_level(f, k, n, alpha, table) for alpha in range(1, k)]
             want = sum(levels[1:], levels[0])
             assert coeff_closed(f, k, n, table, memo) == want, (f.domain, k, n)
+        keys = [(j, a) for j in range(2, k_max + 1) for a in range(1, j) if a <= n_max]
+        assert sorted(memo["closed"]) == keys
+        for (j, alpha), entries in memo["closed"].items():
+            assert len(entries) == n_max - alpha + 1, (f.domain, j, alpha)
 
 
 def test_closed_cold_rational_cell_at_k_and_n_20():
@@ -501,11 +506,11 @@ def test_schroder_forward_differences_in_n():
     field = PrimeField(p)
     rng = random.Random(71)
     f = TruncatedSeries(
-        field, 12, [field.one] + [field.from_int(rng.randrange(p)) for _ in range(11)]
+        field, 32, [field.one] + [field.from_int(rng.randrange(p)) for _ in range(31)]
     )
     table, memo = PowerCoefficientTable(f), {}
     for route in (coeff_closed, coeff_recursive):
-        for k in range(1, 13):
+        for k in range(1, 33):
             values = [route(f, k, n, table, memo) for n in range(1, 2 * k + 1)]
             for _ in range(k - 1):
                 values = [b - a for a, b in zip(values, values[1:])]
