@@ -1,7 +1,8 @@
 """Exact coefficient domains: rationals, prime fields, sparse polynomial rings.
 
 Values are immutable, ``==`` is exact equality, and printing is
-deterministic. Nothing here ever rounds.
+deterministic. Nothing here ever rounds. The oracle's products run on
+``Domain.convolve``: one ``dot`` per entry, one integer product over Z/p.
 
 A rational is an ``int`` or a ``Fraction``. Python keeps int with int as
 int, so integral inputs and their sums and products never become
@@ -410,10 +411,10 @@ def _parse_polynomial(text: str, num_vars: int) -> Polynomial:
 class Domain:
     """A coefficient domain: element checks, constants and conversions.
 
-    Arithmetic is the elements' own exact operators, plus ``dot``, the sum
-    of products that the composition oracle runs its Cauchy products on.
-    Subclasses fix the element types and their form, and may give
-    ``dot`` a faster exact implementation. The instance doubles as the
+    Arithmetic is the elements' own exact operators, plus ``convolve``, the
+    oracle's product kernel, made of ``dot`` sums of products. Subclasses
+    fix the element types and their form, and may give ``dot`` or
+    ``convolve`` a faster exact implementation. The instance doubles as the
     domain descriptor (value equality, JSON round-trip).
     """
 
@@ -436,6 +437,11 @@ class Domain:
         for x, y in zip(xs, ys):
             acc = acc + x * y
         return acc
+
+    def convolve(self, xs, ys):
+        """z_0, ..., z_(m-1) with z_s = x_0*y_s + x_1*y_(s-1) + ... + x_s*y_0,
+        for two sequences of m elements: one ``dot`` per entry."""
+        return [self.dot(xs[: s + 1], ys[s::-1]) for s in range(len(ys))]
 
     def from_int(self, m: int):
         raise NotImplementedError
@@ -483,7 +489,7 @@ class Rationals(Domain):
         numerator and denominator, one lcm of the denominators and one
         Fraction, instead of a reduced Fraction per term. An int has a
         numerator and a denominator too. The inputs must be rationals;
-        nothing checks them (as for ``PrimeField.dot``)."""
+        nothing checks them (as for ``PrimeField.convolve``)."""
         nums = [x.numerator * y.numerator for x, y in zip(xs, ys)]
         dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
         common = math.lcm(*dens)  # 1 when there are no terms
@@ -546,12 +552,23 @@ class PrimeField(Domain):
             raise ZeroDivisionError("inverse of zero")
         return FpElement(pow(a.value, -1, self.p), self.p)
 
-    def dot(self, xs, ys):
-        """Domain.dot as one integer sum, reduced once. The inputs must be
-        elements of this field; nothing checks them (``TruncatedSeries``
-        checks its coefficients on construction and refuses to combine
-        series over different domains)."""
-        return FpElement(sum([x.value * y.value for x, y in zip(xs, ys)]), self.p)
+    def convolve(self, xs, ys):
+        """Domain.convolve by Kronecker substitution: one integer product of
+        the sequences packed a residue per ``nb``-byte slot, each slot wide
+        enough for an unreduced z_s <= m*(p-1)^2 and reduced once. The inputs
+        must be elements of this field; nothing checks them."""
+        p, m = self.p, len(xs)
+        nb = (m * (p - 1) ** 2).bit_length() // 8 + 1
+
+        def pack(seq):
+            slots = b"".join([e.value.to_bytes(nb, "little") for e in seq])
+            return int.from_bytes(slots, "little")
+
+        z = (pack(xs) * pack(ys)).to_bytes(2 * m * nb, "little")
+        return [
+            FpElement(int.from_bytes(z[i : i + nb], "little"), p)
+            for i in range(0, m * nb, nb)
+        ]
 
     def from_int(self, m: int):
         return FpElement(m, self.p)
@@ -612,7 +629,7 @@ class PolynomialRing(Domain):
     def dot(self, xs, ys):
         """Domain.dot with every term product of the whole sum gathered in
         one mapping, made canonical once. The inputs must be elements of
-        this ring; nothing checks them (as for ``PrimeField.dot``)."""
+        this ring; nothing checks them (as for ``PrimeField.convolve``)."""
         out: dict[int, int | Fraction] = {}
         get = out.get
         for x, y in zip(xs, ys):

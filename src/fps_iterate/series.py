@@ -2,9 +2,9 @@
 
 A series is the coefficient vector a_1..a_K of f(x) = a_1 x + ... + a_K x^K.
 Multiplication, powering, composition, and iteration are exact in the
-coefficient domain and always stay at the same truncation order. Composition
-and iteration are deliberately naive so they can serve as the ground-truth
-oracle for every shortcut formula.
+coefficient domain and stay at the same truncation order, each product one
+``Domain.convolve``. Composition and iteration are deliberately naive so they
+can serve as the ground-truth oracle for every shortcut formula.
 """
 
 from __future__ import annotations
@@ -61,37 +61,17 @@ class TruncatedSeries:
         if other.order != self.order:
             raise ValueError("order mismatch")
 
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._like(other)
-        return TruncatedSeries(
-            self.domain,
-            self.order,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-        )
-
-    def scale(self, c) -> "TruncatedSeries":
-        self.domain.check(c)
-        return TruncatedSeries(
-            self.domain, self.order, [c * a for a in self.coeffs]
-        )
-
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product truncated at the common order.
 
         Both factors have zero constant term, so the product coefficient at
-        x^m is the convolution a_1*b_(m-1) + ... + a_(m-1)*b_1, one
-        ``Domain.dot`` each, and the x^1 coefficient is the empty sum.
+        x^m is a_1*b_(m-1) + ... + a_(m-1)*b_1: one ``Domain.convolve`` of
+        (0, a_1, ..., a_(K-1)) with (b_1, ..., b_K).
         """
         self._like(other)
         dom = self.domain
-        order = self.order
-        a = self.coeffs
-        b_rev = other.coeffs[::-1]  # b_rev[order - m + 1:] is b_(m-1), ..., b_1
-        out = [
-            dom.dot(a[: m - 1], b_rev[order - m + 1 :])
-            for m in range(1, order + 1)
-        ]
-        return TruncatedSeries(dom, order, out)
+        out = dom.convolve((dom.zero,) + self.coeffs[:-1], other.coeffs)
+        return TruncatedSeries(dom, self.order, out)
 
     def pow(self, i: int) -> "TruncatedSeries":
         """The i-th power as an i-fold product, i >= 1."""
@@ -103,12 +83,15 @@ class TruncatedSeries:
         return result
 
     def compose(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """self(other(x)) to the common truncation order, Horner style."""
+        """self(other(x)) to the common truncation order by Horner's rule:
+        acc = (a_m + acc)*other for m = K, ..., 1 from acc = 0, one
+        ``Domain.convolve`` per step."""
         self._like(other)
-        acc = other.scale(self.coeffs[-1])
-        for m in range(self.order - 1, 0, -1):
-            acc = acc.mul(other).add(other.scale(self.coeffs[m - 1]))
-        return acc
+        dom = self.domain
+        acc = [dom.zero] * self.order
+        for a_m in reversed(self.coeffs):
+            acc = dom.convolve([a_m, *acc[:-1]], other.coeffs)
+        return TruncatedSeries(dom, self.order, acc)
 
     def iterate(self, n: int) -> "TruncatedSeries":
         """The n-fold self-composition, folding f^(n) = f^(n-1) o f."""

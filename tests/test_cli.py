@@ -173,7 +173,10 @@ def test_symbolic_output_golden(capsys, argv, digest):
 
 # `fps iterate` runs the composition oracle, the path that every other
 # route is checked against; these digests were taken before its Cauchy
-# product moved onto Domain.dot.
+# product moved onto Domain.dot, and the two order-16 ones before it moved
+# onto a packed integer product over Z/p. They pack one byte per slot (Z/2,
+# every entry p - 1) and 16 (Z/(2^61 - 1)). The Z/2 answer is f^(16) = x,
+# but f^(15) is not.
 @pytest.mark.parametrize(
     "series, n, digest",
     [
@@ -187,6 +190,24 @@ def test_symbolic_output_golden(capsys, argv, digest):
             48,
             "f3a1c346b0115f09fe66734ccb668ac6b5ed1ee0b38d7233280020dd2a48de17",
             id="prime-order-24",
+        ),
+        pytest.param(
+            {"domain": {"prime": 2}, "coeffs": ["1"] * 16},
+            16,
+            "f992e0372bbadb008540d6d89aa34805707e87b016a0d76dbd2dea10205b5bf7",
+            id="prime-2-order-16",
+        ),
+        pytest.param(
+            {
+                "domain": {"prime": 2**61 - 1},
+                "coeffs": [
+                    str(2**61 - 1 - (37 * j * j + 11 * j + 5) % 64)
+                    for j in range(1, 17)
+                ],
+            },
+            16,
+            "84dcc93577d8ab251b7a976e130f2530b3e0cad10071593988a5f6bce27b205b",
+            id="prime-2^61-1-order-16",
         ),
         pytest.param(
             {

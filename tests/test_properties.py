@@ -109,7 +109,7 @@ def test_composition_is_associative(triple):
 @st.composite
 def dot_inputs(draw):
     """Two equally long lists of at most 5 elements of Q, Z/5, Z/97 or
-    Q[a1..a3]."""
+    Q[a1..a3], for ``dot`` and ``convolve``."""
     dom = draw(st.sampled_from((RATIONALS, PrimeField(5), PrimeField(97), _RING3)))
     size = draw(st.integers(0, 5))
     xs = draw(st.lists(_values(dom), min_size=size, max_size=size))
@@ -117,11 +117,34 @@ def dot_inputs(draw):
     return dom, xs, ys
 
 
+def _all_top(p, size):
+    """``size`` copies of p - 1 on both sides: every convolution entry is
+    as large as it can be, the carry edge of a packed Z/p product."""
+    dom = PrimeField(p)
+    return dom, [dom.from_int(p - 1)] * size, [dom.from_int(p - 1)] * size
+
+
+_Z97 = PrimeField(97)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(dot_inputs())
 @example((RATIONALS, [], []))
 @example((PrimeField(5), [], []))
 @example((_RING3, [], []))
+@example((RATIONALS, [Fraction(j, 7) for j in range(33)], list(range(-16, 17))))
+@example((_Z97, [_Z97.from_int(j * j) for j in range(33)], [_Z97.one] * 33))
+@example(
+    (_RING3, [_RING3.variable(j % 3 + 1) for j in range(33)], [_RING3.one] * 33)
+)
+@example(_all_top(2, 1))
+@example(_all_top(2, 33))
+@example(_all_top(3, 1))
+@example(_all_top(3, 33))
+@example(_all_top(1000003, 1))
+@example(_all_top(1000003, 33))
+@example(_all_top(2**61 - 1, 1))
+@example(_all_top(2**61 - 1, 33))
 @example((RATIONALS, [Fraction(2, 3)], [Fraction(-3, 4)]))
 @example((RATIONALS, [2, Fraction(1, 2)], [Fraction(1, 3), 3]))
 @example((RATIONALS, [Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(5, 2)]))
@@ -142,6 +165,16 @@ def test_dot_equals_operator_fold(case):
         }
     if dom is RATIONALS and not xs:
         assert type(got) is int and got == 0
+    # convolve: entry s is the fold of x_i * y_(s-i) over i = 0..s
+    conv = dom.convolve(xs, ys)
+    assert len(conv) == len(xs)
+    for s, z in enumerate(conv):
+        expected = dom.zero
+        for i in range(s + 1):
+            expected = expected + xs[i] * ys[s - i]
+        assert z == expected
+        assert dom.contains(z)
+        assert dom.format(z) == dom.format(expected)
 
 
 @st.composite
