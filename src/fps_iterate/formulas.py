@@ -323,10 +323,14 @@ def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int):
 
     One term per decreasing chain (k, j_1, ..., j_last) of length alpha <=
     n: a_1^(n-alpha) times the chain product, expanded by hand in
-    _SMALL_K_CHAIN_PRODUCTS, times the nested sum of a_1^((j - 1) * i)
-    over the chain, computed here by its own lattice recursion. It shares
-    no code with ``coeff_closed``; the two routes are tested against each
-    other.
+    _SMALL_K_CHAIN_PRODUCTS, times the chain's nested sum of
+    a_1^((j - 1) * i_j) over all i_j >= 0 with sum <= n - alpha. The sum is
+    taken one level at a time from the innermost out: from s = [1, ..., 1],
+    each j sets s[b] = sum_{i <= b} a_1^((j - 1) * i) * s[b - i], with the
+    powers formed once per call, and the outermost level forms only
+    s[n - alpha]. That is O(alpha * n^2) domain operations per chain. It
+    shares no code with ``coeff_closed``; the two routes are tested against
+    each other.
     """
     _check_index(f, k, n)
     if k > 5:
@@ -335,28 +339,22 @@ def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int):
     a1 = f.coefficient(1)
     if k == 1:
         return a1 ** n
-
-    def go(bases: list, budget: int):
-        # sum over i_0, i_1, ... >= 0 with i_0 + ... + i_last <= budget
-        # of the product of bases[level] ** i_level
-        if not bases:
-            return dom.one
-        total = dom.zero
-        power = dom.one
-        for i in range(budget + 1):
-            total = total + power * go(bases[1:], budget - i)
-            power = power * bases[0]
-        return total
-
     ring = PolynomialRing(k)
+    powers = {j: [a1 ** ((j - 1) * i) for i in range(n)] for j in range(2, k + 1)}
     total = dom.zero
     for chain, product in _SMALL_K_TERMS[k]:
         alpha = len(chain)
         if n < alpha:
             continue
         value = ring.substitute(product, f.coeffs[:k], dom)
-        bases = [a1 ** (j - 1) for j in chain]
-        total = total + a1 ** (n - alpha) * value * go(bases, n - alpha)
+        budget = n - alpha
+        s = [dom.one] * (budget + 1)
+        for j in reversed(chain):
+            s = [
+                sum([p * t for p, t in zip(powers[j], s[b::-1])], dom.zero)
+                for b in range(budget if j == k else 0, budget + 1)
+            ]
+        total = total + a1 ** (n - alpha) * value * s[-1]
     return total
 
 

@@ -1,8 +1,8 @@
 """Truncated formal power series with zero constant term.
 
 A series is the coefficient vector a_1..a_K of f(x) = a_1 x + ... + a_K x^K.
-Multiplication, powering, composition, and iteration are exact in the
-coefficient domain and stay at the same truncation order, each product one
+Multiplication, composition, and iteration are exact in the coefficient
+domain and stay at the same truncation order, each product one
 ``Domain.convolve``. Composition and iteration are deliberately naive so they
 can serve as the ground-truth oracle for every shortcut formula.
 """
@@ -42,7 +42,7 @@ class TruncatedSeries:
             order = len(coeffs)
         if order < len(coeffs):
             raise ValueError(
-                "order smaller than the coefficient list; truncate explicitly"
+                "order smaller than the coefficient list; slice it first"
             )
         coeffs.extend([domain.zero] * (order - len(coeffs)))
         return cls(domain, order, coeffs)
@@ -73,15 +73,6 @@ class TruncatedSeries:
         out = dom.convolve((dom.zero,) + self.coeffs[:-1], other.coeffs)
         return TruncatedSeries(dom, self.order, out)
 
-    def pow(self, i: int) -> "TruncatedSeries":
-        """The i-th power as an i-fold product, i >= 1."""
-        if not isinstance(i, int) or i < 1:
-            raise ValueError("constant term unsupported: power i must be >= 1")
-        result = self
-        for _ in range(i - 1):
-            result = result.mul(self)
-        return result
-
     def compose(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """self(other(x)) to the common truncation order by Horner's rule:
         acc = (a_m + acc)*other for m = K, ..., 1 from acc = 0, one
@@ -101,11 +92,6 @@ class TruncatedSeries:
         for _ in range(n - 1):
             result = result.compose(self)
         return result
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if not 1 <= order <= self.order:
-            raise ValueError(f"new order {order} outside 1..{self.order}")
-        return TruncatedSeries(self.domain, order, self.coeffs[:order])
 
     def to_json(self) -> dict:
         return {

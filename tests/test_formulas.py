@@ -432,6 +432,31 @@ def test_small_k_equals_closed_symbolically():
             assert coeff_explicit_small_k(f, k, n) == coeff_closed(f, k, n, table)
 
 
+def test_small_k_equals_closed_at_large_n():
+    # the nested sums at n up to 64, over Q with a_1 in {1/2, -3/2} and over
+    # Z/1000003 with a_1 in {0, 1, random}
+    rng = random.Random(73)
+    field = PrimeField(1000003)
+
+    def draw():
+        return field.from_int(rng.randrange(1000003))
+
+    cases = [
+        series(a1, *(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)))
+        for a1 in (Fraction(1, 2), Fraction(-3, 2))
+    ]
+    cases += [
+        TruncatedSeries(field, 5, [a1] + [draw() for _ in range(4)])
+        for a1 in (field.zero, field.one, draw())
+    ]
+    for f in cases:
+        table, memo = PowerCoefficientTable(f), {}
+        for k in range(1, 6):
+            for n in (16, 33, 64):
+                want = coeff_closed(f, k, n, table, memo)
+                assert coeff_explicit_small_k(f, k, n) == want, (f.domain, k, n)
+
+
 def test_small_k_chain_products_are_the_multinomial_chain_products():
     # the hand-expanded table covers every chain of every level once, and
     # each entry is that chain's product of power coefficients
