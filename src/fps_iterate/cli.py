@@ -232,6 +232,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    # exact answers outgrow the 4300-digit int/str limit of Python >= 3.11;
+    # lift it for this call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
@@ -240,6 +245,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

@@ -2,7 +2,9 @@
 
 Values are immutable, ``==`` is exact equality, and printing is
 deterministic. Nothing here ever rounds. The oracle's products run on
-``Domain.convolve``: one ``dot`` per entry, one integer product over Z/p.
+``Domain.convolve``, each domain's one product kernel: one common
+denominator per entry over Q, one gathered sum per entry over Q[a1..aK],
+one integer product over Z/p.
 
 A rational is an ``int`` or a ``Fraction``. Python keeps int with int as
 int, so integral inputs and their sums and products never become
@@ -412,10 +414,10 @@ class Domain:
     """A coefficient domain: element checks, constants and conversions.
 
     Arithmetic is the elements' own exact operators, plus ``convolve``, the
-    oracle's product kernel, made of ``dot`` sums of products. Subclasses
-    fix the element types and their form, and may give ``dot`` or
-    ``convolve`` a faster exact implementation. The instance doubles as the
-    domain descriptor (value equality, JSON round-trip).
+    oracle's product kernel, which each subclass implements exactly.
+    Subclasses fix the element types and their form. The instance doubles
+    as the domain descriptor: two domains are equal when their ``to_json``
+    descriptors are, and ``domain_from_json`` inverts ``to_json``.
     """
 
     is_field = False
@@ -430,18 +432,10 @@ class Domain:
     def inv(self, a):
         raise ValueError("not a field")
 
-    def dot(self, xs, ys):
-        """x_1*y_1 + ... + x_m*y_m over two equally long element sequences;
-        ``zero`` when they are empty."""
-        acc = self.zero
-        for x, y in zip(xs, ys):
-            acc = acc + x * y
-        return acc
-
     def convolve(self, xs, ys):
         """z_0, ..., z_(m-1) with z_s = x_0*y_s + x_1*y_(s-1) + ... + x_s*y_0,
-        for two sequences of m elements: one ``dot`` per entry."""
-        return [self.dot(xs[: s + 1], ys[s::-1]) for s in range(len(ys))]
+        for two sequences of m elements."""
+        raise NotImplementedError
 
     def from_int(self, m: int):
         raise NotImplementedError
@@ -458,6 +452,13 @@ class Domain:
 
     def to_json(self):
         raise NotImplementedError
+
+    def __eq__(self, other):
+        return isinstance(other, Domain) and self.to_json() == other.to_json()
+
+    def __hash__(self):
+        # the repr maps one to one to the descriptor
+        return hash(repr(self))
 
 
 class Rationals(Domain):
@@ -484,17 +485,22 @@ class Rationals(Domain):
         # the only true division in the package: 1 / a on an int is a float
         return _rational(1 / Fraction(a))
 
-    def dot(self, xs, ys):
-        """Domain.dot over one common denominator: the pairwise products as
-        numerator and denominator, one lcm of the denominators and one
-        Fraction, instead of a reduced Fraction per term. An int has a
-        numerator and a denominator too. The inputs must be rationals;
-        nothing checks them (as for ``PrimeField.convolve``)."""
-        nums = [x.numerator * y.numerator for x, y in zip(xs, ys)]
-        dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
-        common = math.lcm(*dens)  # 1 when there are no terms
-        total = sum([num * (common // den) for num, den in zip(nums, dens)])
-        return total if common == 1 else _rational(Fraction(total, common))
+    def convolve(self, xs, ys):
+        """Domain.convolve with each entry summed over one common
+        denominator: the pairwise products as numerator and denominator, one
+        lcm of the denominators and one Fraction, instead of a reduced
+        Fraction per term. An int has a numerator and a denominator too. The
+        inputs must be rationals; nothing checks them (as for
+        ``PrimeField.convolve``)."""
+        out = []
+        for s in range(len(ys)):
+            head, tail = xs[: s + 1], ys[s::-1]
+            nums = [x.numerator * y.numerator for x, y in zip(head, tail)]
+            dens = [x.denominator * y.denominator for x, y in zip(head, tail)]
+            common = math.lcm(*dens)
+            total = sum([num * (common // den) for num, den in zip(nums, dens)])
+            out.append(total if common == 1 else _rational(Fraction(total, common)))
+        return out
 
     def from_int(self, m: int):
         return int(m)
@@ -512,12 +518,6 @@ class Rationals(Domain):
 
     def to_json(self):
         return "rational"
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash(Rationals)
 
     def __repr__(self):
         return "Rationals()"
@@ -591,12 +591,6 @@ class PrimeField(Domain):
     def to_json(self):
         return {"prime": self.p}
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash((PrimeField, self.p))
-
     def __repr__(self):
         return f"PrimeField({self.p})"
 
@@ -626,19 +620,23 @@ class PolynomialRing(Domain):
             self.num_vars, {1 << (_FIELD_BITS * (index - 1)): 1}
         )
 
-    def dot(self, xs, ys):
-        """Domain.dot with every term product of the whole sum gathered in
-        one mapping, made canonical once. The inputs must be elements of
-        this ring; nothing checks them (as for ``PrimeField.convolve``)."""
-        out: dict[int, int | Fraction] = {}
-        get = out.get
-        for x, y in zip(xs, ys):
-            y_terms = y.terms.items()
-            for e1, c1 in x.terms.items():
-                for e2, c2 in y_terms:
-                    key = e1 + e2
-                    out[key] = get(key, 0) + c1 * c2
-        return Polynomial._from_sums(self.num_vars, out)
+    def convolve(self, xs, ys):
+        """Domain.convolve with every term product of an entry's sum gathered
+        in one mapping, made canonical once per entry. The inputs must be
+        elements of this ring; nothing checks them (as for
+        ``PrimeField.convolve``)."""
+        out = []
+        for s in range(len(ys)):
+            sums: dict[int, int | Fraction] = {}
+            get = sums.get
+            for x, y in zip(xs[: s + 1], ys[s::-1]):
+                y_terms = y.terms.items()
+                for e1, c1 in x.terms.items():
+                    for e2, c2 in y_terms:
+                        key = e1 + e2
+                        sums[key] = get(key, 0) + c1 * c2
+            out.append(Polynomial._from_sums(self.num_vars, sums))
+        return out
 
     def from_int(self, m: int):
         return Polynomial(self.num_vars, {(): m})
@@ -651,20 +649,17 @@ class PolynomialRing(Domain):
             raise ValueError("polynomial literal must be a string")
         return _parse_polynomial(text, self.num_vars)
 
-    def substitute(self, p: Polynomial, values, target: Domain | None = None):
-        """Evaluate p at ``values`` (one per variable) in the target domain.
+    def substitute(self, p: Polynomial, values, target: Domain):
+        """Evaluate p at ``values`` (one per variable) in ``target``.
 
-        The target is inferred from the assignment when not given: ints and
-        Fractions give the rationals. Every value must be an element of the
-        target, so a ``bool`` or a ``float`` raises ``ValueError``.
+        Every value must be an element of the target, so over the rationals
+        a ``bool`` or a ``float`` raises ``ValueError``.
         """
         self.check(p)
         if len(values) != self.num_vars:
             raise ValueError(
                 f"assignment length {len(values)} != num_vars {self.num_vars}"
             )
-        if target is None:
-            target = _infer_domain(values)
         for v in values:
             target.check(v)
         result = target.zero
@@ -679,28 +674,8 @@ class PolynomialRing(Domain):
     def to_json(self):
         return {"symbolic": self.num_vars}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolynomialRing)
-            and other.num_vars == self.num_vars
-        )
-
-    def __hash__(self):
-        return hash((PolynomialRing, self.num_vars))
-
     def __repr__(self):
         return f"PolynomialRing({self.num_vars})"
-
-
-def _infer_domain(values) -> Domain:
-    first = values[0]
-    if RATIONALS.contains(first):
-        return RATIONALS
-    if isinstance(first, FpElement):
-        return PrimeField(first.p)
-    if isinstance(first, Polynomial):
-        return PolynomialRing(first.num_vars)
-    raise ValueError(f"cannot infer a domain from {first!r}")
 
 
 def json_int(value, name: str) -> int:

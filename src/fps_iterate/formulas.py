@@ -88,8 +88,8 @@ def coeff_recursive(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
     Rows are filled bottom-up: ``memo[m]`` holds [f_1^(m), ..., f_i^(m)]
     for m >= 2, and a call extends rows 2..n in order to length k, so
     every f_j^(m) is formed at most once, O(K^2 N) domain operations in
-    all. A shared ``memo`` dict may be passed to reuse the rows across
-    calls for the same series, with cells visited in any order.
+    all. A ``memo`` dict may be passed to reuse the rows across calls for
+    the same series, with cells visited in any order.
     """
     _check_index(f, k, n)
     if table is None:
@@ -228,10 +228,9 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
 
     and f_k^(n) = sum_{alpha <= min(k-1, n)} a_1^(n-alpha) *
     sum_{d <= n-alpha} U_alpha[k][d]. No entry depends on n: a call appends
-    the entries d <= n-alpha that the list ``memo["closed"][(j, alpha)]``
-    lacks, O(K^3 * N) domain operations for every cell with k <= K, n <= N
-    of one series. The ``memo`` may be shared with ``coeff_recursive``,
-    whose rows have int keys, and the cells visited in any order.
+    the entries d <= n-alpha that the list ``memo[(j, alpha)]`` lacks,
+    O(K^3 * N) domain operations for every cell with k <= K, n <= N of one
+    series, with the cells visited in any order.
     """
     _check_index(f, k, n)
     a1 = f.coefficient(1)
@@ -242,16 +241,15 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
     if memo is None:
         memo = {}
     zero = f.domain.zero
-    entries = memo.setdefault("closed", {})
     for j in range(2, k + 1):
         for alpha in range(1, min(j - 1, n) + 1):
-            u = entries.setdefault((j, alpha), [])
+            u = memo.setdefault((j, alpha), [])
             if len(u) > n - alpha:
                 continue
             base = a1 ** (j - 1)
             seed = f.coefficient(j) if alpha == 1 else zero
             below = range(alpha, j) if alpha > 1 else ()
-            lower = [(table.get(j, i), entries[i, alpha - 1]) for i in below]
+            lower = [(table.get(j, i), memo[i, alpha - 1]) for i in below]
             for d in range(len(u), n - alpha + 1):
                 v = base * u[d - 1] if d else seed
                 for weight, w in lower:
@@ -259,7 +257,7 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
                 u.append(v)
     total = zero
     for alpha in range(1, min(k - 1, n) + 1):
-        u = entries[k, alpha]
+        u = memo[k, alpha]
         total = total + a1 ** (n - alpha) * sum(u[1 : n - alpha + 1], u[0])
     return total
 

@@ -65,7 +65,8 @@ def _muckenhoupt(f, k, n, table, memo):
     return muckenhoupt_f2(f, n)
 
 
-# name -> evaluate(f, k, n, table, memo), in report order. evaluate raises
+# name -> evaluate(f, k, n, table, memo), in report order; a sweep hands
+# each method its own memo dict per series. evaluate raises
 # NotApplicable where its route's precondition fails, and a plain ValueError
 # on input no route can take. Each evaluate calls one route, named in its
 # body so that the name is looked up in this module at call time
@@ -488,7 +489,7 @@ def _sweep_one(label: str, index: int, f: TruncatedSeries, k_range, n_range, met
     k_lo, k_hi = k_range
     n_lo, n_hi = n_range
     table = PowerCoefficientTable(f)
-    memo: dict = {}
+    memos = {method: {} for method in methods}
     iterates = {}
     current = f
     for n in range(1, n_hi + 1):
@@ -506,7 +507,7 @@ def _sweep_one(label: str, index: int, f: TruncatedSeries, k_range, n_range, met
             bad = []
             for method, evaluate in methods.items():
                 try:
-                    got = evaluate(f, k, n, table, memo)
+                    got = evaluate(f, k, n, table, memos[method])
                 except NotApplicable:
                     continue
                 values[method] = dom.format(got)

@@ -173,10 +173,10 @@ def test_symbolic_output_golden(capsys, argv, digest):
 
 # `fps iterate` runs the composition oracle, the path that every other
 # route is checked against; these digests were taken before its Cauchy
-# product moved onto Domain.dot, and the two order-16 ones before it moved
-# onto a packed integer product over Z/p. They pack one byte per slot (Z/2,
-# every entry p - 1) and 16 (Z/(2^61 - 1)). The Z/2 answer is f^(16) = x,
-# but f^(15) is not.
+# product moved onto a per-domain kernel (now ``Domain.convolve``), and the
+# two order-16 ones before it moved onto a packed integer product over Z/p.
+# They pack one byte per slot (Z/2, every entry p - 1) and 16
+# (Z/(2^61 - 1)). The Z/2 answer is f^(16) = x, but f^(15) is not.
 @pytest.mark.parametrize(
     "series, n, digest",
     [
@@ -353,6 +353,40 @@ def test_round_trip_fixed_point(tmp_path, capsys):
     code, once_more, _ = run_cli(capsys, "iterate", str(again), "-n", "1")
     assert code == 0
     assert once_more == out
+
+
+def _int_str_limit():
+    # Python >= 3.11 (and 3.10 security releases) refuse int/str
+    # conversions of more than 4300 digits by default
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_coeff_prints_answers_over_4300_digits(capsys, monkeypatch):
+    limit = _int_str_limit()
+    values = set()
+    for method in ("recursive", "closed"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"coeffs": ["2", "1"]}'))
+        code, out, err = run_cli(capsys, "coeff", "-", "-k", "12", "-n", "2000",
+                                 "--order", "12", "--method", method)
+        assert (code, err) == (0, "")
+        values.add(json.loads(out)["value"])
+    (value,) = values
+    assert len(value) == 7217
+    assert _int_str_limit() == limit  # restored after each call
+
+
+def test_iterate_output_over_4300_digits_reads_back(tmp_path, capsys):
+    limit = _int_str_limit()
+    path = write_series(tmp_path, "s.json", ["10", "1"])
+    code, out, _ = run_cli(capsys, "iterate", path, "-n", "4400", "--order", "2")
+    assert code == 0
+    assert json.loads(out)["coeffs"][0] == "1" + "0" * 4400
+    again = tmp_path / "t.json"
+    again.write_text(out)
+    code, once_more, _ = run_cli(capsys, "iterate", str(again), "-n", "1")
+    assert code == 0
+    assert once_more == out
+    assert _int_str_limit() == limit
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -14,6 +14,7 @@ from fps_iterate.domains import (
     PolynomialRing,
     PrimeField,
     RATIONALS,
+    Rationals,
     domain_from_json,
     is_prime,
 )
@@ -265,19 +266,21 @@ def test_polynomial_exponent_guard():
 
 
 def _products_raise(xs, ys):
-    """Whether the products x*y, one pair at a time, raise on an exponent."""
+    """Whether the term products x_i*y_(s-i) of the convolution entries,
+    one pair at a time, raise on an exponent."""
     try:
-        for x, y in zip(xs, ys):
-            x * y
+        for s in range(len(ys)):
+            for i in range(s + 1):
+                xs[i] * ys[s - i]
     except ValueError as exc:
         assert str(exc) == "exponent too large"
         return True
     return False
 
 
-def _dot_raises(ring, xs, ys):
+def _convolve_raises(ring, xs, ys):
     try:
-        ring.dot(xs, ys)
+        ring.convolve(xs, ys)
     except ValueError as exc:
         assert str(exc) == "exponent too large"
         return True
@@ -296,14 +299,21 @@ _BIG_A2 = _RING2.variable(2) ** 2**30
         pytest.param(
             [_BIG_A1], [_RING2.variable(1) ** (2**30 - 1)], False, id="just-below"
         ),
-        # the sum cancels, but the first product alone overflows
-        pytest.param([_BIG_A1, _BIG_A1], [_BIG_A1, -_BIG_A1], True, id="cancelled"),
+        # entry 1 is a1^(2^31) - a1^(2^31): the sum cancels, but each of its
+        # products alone overflows; entry 0 is a1^(2^30 + 1)
         pytest.param(
-            [_BIG_A1, _RING2.zero], [_RING2.one, _BIG_A1], False, id="zero-factor"
+            [_BIG_A1, -_RING2.variable(1) ** (2**31 - 1)],
+            [_RING2.variable(1), _BIG_A1],
+            True,
+            id="cancelled",
+        ),
+        # the zero meets a1^(2^30), which a1^(2^30) in its place would overflow
+        pytest.param(
+            [_BIG_A2, _RING2.zero], [_BIG_A1, _RING2.one], False, id="zero-factor"
         ),
         pytest.param(
             [_BIG_A1 * _RING2.variable(2), _BIG_A2],
-            [_RING2.variable(2) ** (2**30 - 1), _BIG_A2],
+            [_BIG_A2, _RING2.variable(2) ** (2**30 - 1)],
             True,
             id="second-variable",
         ),
@@ -315,20 +325,24 @@ _BIG_A2 = _RING2.variable(2) ** 2**30
     ],
 )
 def test_polynomial_dot_guards_exponents_like_mul(xs, ys, raises):
+    """Each entry of ``convolve`` is the dot product of x_0..x_s with
+    y_s..y_0, and raises exactly where one of its term products would."""
     assert _products_raise(xs, ys) is raises
-    assert _dot_raises(_RING2, xs, ys) is raises
+    assert _convolve_raises(_RING2, xs, ys) is raises
 
 
 @pytest.mark.parametrize(
     "domain", [RATIONALS, PrimeField(7), PolynomialRing(2)], ids=repr
 )
 def test_dot_of_no_terms_and_one_term(domain):
+    # the one entry of a length-1 convolve is the one-term dot product
     x, y = domain.from_fraction(Fraction(2, 3)), domain.from_int(6)
     if isinstance(domain, PolynomialRing):
         x = x + domain.variable(2)
-    assert domain.dot([], []) == domain.zero
-    assert domain.dot((x,), (y,)) == x * y
-    assert domain.format(domain.dot([x], [y])) == domain.format(x * y)
+    assert domain.convolve([], []) == []
+    assert domain.convolve((x,), (y,)) == [x * y]
+    (z,) = domain.convolve([x], [y])
+    assert domain.format(z) == domain.format(x * y)
 
 
 def test_polynomial_coefficients_canonical():
@@ -350,7 +364,7 @@ def test_polynomial_degrees_and_substitution_multi_field():
     assert [p.degree_in(j) for j in (1, 2, 3, 4)] == [5, 1, 2, 7]
     q_values = [Fraction(2), Fraction(-1, 3), Fraction(1, 2), Fraction(-1)]
     # 3*2^5*(1/2)^2 - 1/2*(-1/3)*(-1)^7 + (-1) + 2
-    assert ring.substitute(p, q_values) == 24 - Fraction(1, 6) - 1 + 2
+    assert ring.substitute(p, q_values, RATIONALS) == 24 - Fraction(1, 6) - 1 + 2
     gf = PrimeField(11)
     got = ring.substitute(p, [gf.from_int(v) for v in (2, 3, 4, 5)], target=gf)
     want = 3 * 2**5 * 4**2 - 3 * 5**7 * pow(2, -1, 11) + 5 + 2
@@ -360,12 +374,13 @@ def test_polynomial_degrees_and_substitution_multi_field():
 def test_substitute_takes_ints_as_rationals_and_refuses_bool():
     ring = PolynomialRing(2)
     p = ring.parse("1/2*a1^3*a2 - a2^2 + 3")
-    ints = ring.substitute(p, [2, -3])
-    assert ints == ring.substitute(p, [Fraction(2), Fraction(-3)]) == -18
+    ints = ring.substitute(p, [2, -3], RATIONALS)
+    assert ints == ring.substitute(p, [Fraction(2), Fraction(-3)], RATIONALS)
+    assert ints == -18
     assert ring.substitute(p, [Fraction(2), 3], target=RATIONALS) == 6
     for values in ([True, 2], [2, True]):
         with pytest.raises(ValueError):
-            ring.substitute(p, values)
+            ring.substitute(p, values, RATIONALS)
 
 
 def _random_elements(domain, rng, count):
@@ -427,10 +442,10 @@ def test_substitution_is_homomorphism():
     for _ in range(200):
         p, q = _random_elements(ring, rng, 2)
         values = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)]
-        sp = ring.substitute(p, values)
-        sq = ring.substitute(q, values)
-        assert ring.substitute(p + q, values) == sp + sq
-        assert ring.substitute(p * q, values) == sp * sq
+        sp = ring.substitute(p, values, RATIONALS)
+        sq = ring.substitute(q, values, RATIONALS)
+        assert ring.substitute(p + q, values, RATIONALS) == sp + sq
+        assert ring.substitute(p * q, values, RATIONALS) == sp * sq
 
 
 def test_substitution_targets():
@@ -439,8 +454,8 @@ def test_substitution_targets():
     gf7 = PrimeField(7)
     got = ring.substitute(p, [gf7.from_int(2), gf7.from_int(4)], target=gf7)
     assert got == gf7.from_int(2)
-    # ints are promoted to exact rationals
-    assert ring.substitute(p, [2, 4]) == Fraction(16)
+    # ints are exact rationals
+    assert ring.substitute(p, [2, 4], RATIONALS) == Fraction(16)
     bigger = PolynomialRing(3)
     lifted = ring.substitute(
         p, [bigger.variable(3), bigger.one], target=bigger
@@ -452,9 +467,9 @@ def test_substitution_errors():
     ring = PolynomialRing(2)
     p = ring.variable(1)
     with pytest.raises(ValueError):
-        ring.substitute(p, [Fraction(1)])
+        ring.substitute(p, [Fraction(1)], RATIONALS)
     with pytest.raises(ValueError):
-        ring.substitute(p, [Fraction(1), 0.5])
+        ring.substitute(p, [Fraction(1), 0.5], RATIONALS)
 
 
 def test_polynomial_ring_api():
@@ -481,3 +496,22 @@ def test_domain_json_round_trip():
         domain_from_json({"weird": 1})
     with pytest.raises(ValueError):
         domain_from_json(3.5)
+
+
+def test_domain_equality_is_the_descriptor():
+    domains = [
+        RATIONALS, PrimeField(2), PrimeField(13), PolynomialRing(1), PolynomialRing(2)
+    ]
+    for domain in domains:
+        again = domain_from_json(domain.to_json())
+        assert again == domain and not again != domain
+        assert hash(again) == hash(domain)
+    # across types and parameters; {"prime": 2} and {"symbolic": 2} differ
+    # only in their key
+    for i, a in enumerate(domains):
+        for b in domains[i + 1 :]:
+            assert a != b and not a == b
+    assert RATIONALS == Rationals() and hash(RATIONALS) == hash(Rationals())
+    assert RATIONALS != "rational" and PrimeField(2) != {"prime": 2}
+    for cls in (Rationals, PrimeField, PolynomialRing):
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)

@@ -147,7 +147,8 @@ def test_recursive_shared_memo_matches_oracle():
 def test_recursive_matches_oracle_at_scale():
     # every k at orders 32 and 60 over Z/1000003, where a wrong index bound,
     # truncation or row length would show that k <= 9 can hide; at order 32
-    # the closed route shares the table and the memo with the recursive one
+    # the closed route shares the table with the recursive one, and each
+    # keeps its own memo
     p = 1000003
     field = PrimeField(p)
     rng = random.Random(59)
@@ -160,12 +161,12 @@ def test_recursive_matches_oracle_at_scale():
         f = draw(32, a1)
         iterates = {1: f, 2: f.compose(f), 31: f.iterate(31)}
         iterates[32] = iterates[31].compose(f)
-        table, memo = PowerCoefficientTable(f), {}
+        table, rows, entries = PowerCoefficientTable(f), {}, {}
         for n, g in iterates.items():
             for k in range(1, 33):
                 want = g.coefficient(k)
-                assert coeff_recursive(f, k, n, table, memo) == want, (a1, k, n)
-                assert coeff_closed(f, k, n, table, memo) == want, (a1, k, n)
+                assert coeff_recursive(f, k, n, table, rows) == want, (a1, k, n)
+                assert coeff_closed(f, k, n, table, entries) == want, (a1, k, n)
     f = draw(60, rng.randrange(p))
     table = PowerCoefficientTable(f)
     for n, g in ((1, f), (2, f.compose(f))):
@@ -175,7 +176,8 @@ def test_recursive_matches_oracle_at_scale():
 
 def test_recursive_and_closed_match_oracle_at_scale_over_q():
     # every k at order 16 over Q, where coefficients grow to over a hundred
-    # digits and int and Fraction elements mix; one table and memo per series
+    # digits and int and Fraction elements mix; one table per series and
+    # one memo per route
     rng = random.Random(61)
     for a1 in (1, -1, Fraction(1, 2)):
         rest = [
@@ -187,12 +189,65 @@ def test_recursive_and_closed_match_oracle_at_scale_over_q():
         )
         iterates = {1: f, 2: f.compose(f), 15: f.iterate(15)}
         iterates[16] = iterates[15].compose(f)
-        table, memo = PowerCoefficientTable(f), {}
+        table, rows, entries = PowerCoefficientTable(f), {}, {}
         for n, g in iterates.items():
             for k in range(1, 17):
                 want = g.coefficient(k)
-                assert coeff_recursive(f, k, n, table, memo) == want, (a1, k, n)
-                assert coeff_closed(f, k, n, table, memo) == want, (a1, k, n)
+                assert coeff_recursive(f, k, n, table, rows) == want, (a1, k, n)
+                assert coeff_closed(f, k, n, table, entries) == want, (a1, k, n)
+
+
+def test_routes_over_q_reduce_mod_p_to_the_field_oracle():
+    # reduction Q -> Z/p is a ring homomorphism where the denominators are
+    # units, so a route's answer over Q, reduced mod p, is the Z/p oracle's
+    # coefficient for the reduced series: order 32 over Q, with answers of
+    # hundreds of digits, checked without the Q oracle
+    rng = random.Random(79)
+    fields = [PrimeField(1000003), PrimeField(2**61 - 1)]
+    cells = {
+        coeff_recursive: [(k, n) for n in (1, 2, 31, 32) for k in range(1, 33)],
+        coeff_closed: [(k, n) for n in (2, 16) for k in range(1, 33)],
+    }
+    for a1 in (Fraction(1, 2), Fraction(-3, 2), 7):
+        rest = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(31)]
+        f = series(a1, *rest)
+        table = PowerCoefficientTable(f)
+        oracles = []
+        for field in fields:
+            g = TruncatedSeries(field, 32, [field.from_fraction(c) for c in f.coeffs])
+            iterates = [g]
+            for _ in range(31):
+                iterates.append(iterates[-1].compose(g))
+            oracles.append((field, iterates))
+        for route, route_cells in cells.items():
+            memo = {}
+            for k, n in route_cells:
+                got = route(f, k, n, table, memo)
+                for field, iterates in oracles:
+                    want = iterates[n - 1].coefficient(k)
+                    assert field.from_fraction(got) == want, (a1, route, k, n)
+
+
+def test_symbolic_routes_substitute_to_the_rational_routes():
+    # substitution Q[a1..a6] -> Q is a ring homomorphism, so the symbolic
+    # answer evaluated at a point is the same route's answer over Q there
+    f = generic_series(6)
+    ring = f.domain
+    points = [
+        [Fraction(1, 2), 3, Fraction(-2, 3), 1, 0, Fraction(5, 7)],
+        [1, Fraction(-1, 2), 2, Fraction(3, 4), -1, 4],
+        [-1, 0, Fraction(1, 3), -2, Fraction(7, 5), Fraction(-1, 9)],
+        [0, 1, 1, 1, 1, 1],
+    ]
+    for route in (coeff_closed, coeff_recursive):
+        table, memo = PowerCoefficientTable(f), {}
+        rational = [series(*point) for point in points]
+        for k in range(1, 7):
+            for n in range(1, 6):
+                answer = route(f, k, n, table, memo)
+                for point, g in zip(points, rational):
+                    got = ring.substitute(answer, point, target=RATIONALS)
+                    assert got == route(g, k, n), (route, point, k, n)
 
 
 def test_muckenhoupt():
@@ -402,8 +457,8 @@ def test_closed_equals_the_literal_chain_sum():
             want = sum(levels[1:], levels[0])
             assert coeff_closed(f, k, n, table, memo) == want, (f.domain, k, n)
         keys = [(j, a) for j in range(2, k_max + 1) for a in range(1, j) if a <= n_max]
-        assert sorted(memo["closed"]) == keys
-        for (j, alpha), entries in memo["closed"].items():
+        assert sorted(memo) == keys
+        for (j, alpha), entries in memo.items():
             assert len(entries) == n_max - alpha + 1, (f.domain, j, alpha)
 
 
@@ -526,21 +581,31 @@ def test_schroder_forward_differences_in_n():
     # alpha) is a polynomial in n of degree k - 1 whose top level has the one
     # chain (k, k-1, ..., 2), of product (k-1)! * a_2^(k-1); so the (k-1)-th
     # forward difference is that constant and the k-th vanishes, with no
-    # oracle needed
+    # oracle needed: over Z/p to order 32, and over Q[a2..a8] as a
+    # polynomial identity
     p = 1000003
     field = PrimeField(p)
     rng = random.Random(71)
-    f = TruncatedSeries(
+    over_field = TruncatedSeries(
         field, 32, [field.one] + [field.from_int(rng.randrange(p)) for _ in range(31)]
     )
-    table, memo = PowerCoefficientTable(f), {}
-    for route in (coeff_closed, coeff_recursive):
-        for k in range(1, 33):
-            values = [route(f, k, n, table, memo) for n in range(1, 2 * k + 1)]
-            for _ in range(k - 1):
-                values = [b - a for a, b in zip(values, values[1:])]
-            top = field.from_int(math.factorial(k - 1)) * f.coefficient(2) ** (k - 1)
-            assert values == [top] * (k + 1), (route.__name__, k)
+    for f, routes in (
+        (over_field, (coeff_closed, coeff_recursive)),
+        (
+            generic_series(8, a1_is_one=True),
+            (coeff_closed, coeff_recursive, coeff_schroder),
+        ),
+    ):
+        dom = f.domain
+        table = PowerCoefficientTable(f)
+        for route in routes:
+            memo = () if route is coeff_schroder else ({},)  # one per route
+            for k in range(1, f.order + 1):
+                values = [route(f, k, n, table, *memo) for n in range(1, 2 * k + 1)]
+                for _ in range(k - 1):
+                    values = [b - a for a, b in zip(values, values[1:])]
+                top = dom.from_int(math.factorial(k - 1)) * f.coefficient(2) ** (k - 1)
+                assert values == [top] * (k + 1), (dom, route.__name__, k)
 
 
 def test_residual_vanishes_without_middle_coefficients():

