@@ -1,10 +1,16 @@
 """Exact coefficient domains: rationals, prime fields, sparse polynomial rings.
 
 Values are immutable, ``==`` is exact equality, and printing is
-deterministic. Nothing here ever rounds. The oracle's products run on
-``Domain.convolve``, each domain's one product kernel: one common
-denominator per entry over Q, one gathered sum per entry over Q[a1..aK],
-one integer product over Z/p.
+deterministic. Nothing here ever rounds. Two kernels sit beside the
+elements' operators, each kept apart from the other so that the routes and
+the oracle they are checked against run on different code:
+
+- ``Domain.convolve``, the oracle's product kernel: one common denominator
+  per entry over Q, one gathered sum per entry over Q[a1..aK], one integer
+  product over Z/p;
+- ``Domain.combine``, the routes' sum of products x_0*y_0 + x_1*y_1 + ...:
+  the operator fold over Q and Q[a1..aK], one integer sum and one
+  reduction over Z/p.
 
 A rational is an ``int`` or a ``Fraction``. Python keeps int with int as
 int, so integral inputs and their sums and products never become
@@ -23,6 +29,7 @@ rather than carrying into the next variable's field.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import struct
 from fractions import Fraction
@@ -413,8 +420,10 @@ def _parse_polynomial(text: str, num_vars: int) -> Polynomial:
 class Domain:
     """A coefficient domain: element checks, constants and conversions.
 
-    Arithmetic is the elements' own exact operators, plus ``convolve``, the
-    oracle's product kernel, which each subclass implements exactly.
+    Arithmetic is the elements' own exact operators, plus two kernels:
+    ``convolve``, the oracle's product kernel, which each subclass
+    implements exactly, and ``combine``, the routes' sum of products, the
+    operator fold unless a subclass does better. Neither calls the other.
     Subclasses fix the element types and their form. The instance doubles
     as the domain descriptor: two domains are equal when their ``to_json``
     descriptors are, and ``domain_from_json`` inverts ``to_json``.
@@ -436,6 +445,15 @@ class Domain:
         """z_0, ..., z_(m-1) with z_s = x_0*y_s + x_1*y_(s-1) + ... + x_s*y_0,
         for two sequences of m elements."""
         raise NotImplementedError
+
+    def combine(self, xs, ys):
+        """x_0*y_0 + x_1*y_1 + ... for two sequences of equal length, the sum
+        of products that the power table, ``coeff_recursive`` and
+        ``coeff_closed`` form: the elements' operator fold, from the first
+        product on (``zero`` for empty sequences), which over Q saves the
+        Fraction operation that ``zero + x`` would cost."""
+        products = map(operator.mul, xs, ys)
+        return sum(products, next(products, self.zero))
 
     def from_int(self, m: int):
         raise NotImplementedError
@@ -569,6 +587,12 @@ class PrimeField(Domain):
             FpElement(int.from_bytes(z[i : i + nb], "little"), p)
             for i in range(0, m * nb, nb)
         ]
+
+    def combine(self, xs, ys):
+        """Domain.combine as one integer sum of the residues' products,
+        reduced once. The inputs must be elements of this field; nothing
+        checks them (as for ``convolve``)."""
+        return FpElement(sum([x.value * y.value for x, y in zip(xs, ys)]), self.p)
 
     def from_int(self, m: int):
         return FpElement(m, self.p)

@@ -88,23 +88,23 @@ def coeff_recursive(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
     Rows are filled bottom-up: ``memo[m]`` holds [f_1^(m), ..., f_i^(m)]
     for m >= 2, and a call extends rows 2..n in order to length k, so
     every f_j^(m) is formed at most once, O(K^2 N) domain operations in
-    all. A ``memo`` dict may be passed to reuse the rows across calls for
-    the same series, with cells visited in any order.
+    all. Each entry is one ``Domain.combine`` of row m-1 with the table's
+    row i, and each table row is read once per call. A ``memo`` dict may
+    be passed to reuse the rows across calls for the same series, with
+    cells visited in any order.
     """
     _check_index(f, k, n)
     if table is None:
         table = PowerCoefficientTable(f)
     if memo is None:
         memo = {}
-    zero = f.domain.zero
+    combine = f.domain.combine
+    powers = [table.row(i) for i in range(1, k + 1)] if n > 1 else []
     prev = f.coeffs
     for m in range(2, n + 1):
         row = memo.setdefault(m, [])
         for i in range(len(row) + 1, k + 1):
-            total = zero
-            for j in range(1, i + 1):
-                total = total + prev[j - 1] * table.get(i, j)
-            row.append(total)
+            row.append(combine(prev[:i], powers[i - 1]))
         prev = row
     return prev[k - 1]
 
@@ -227,10 +227,12 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
                         + b_j * U_alpha[j][d-1],
 
     and f_k^(n) = sum_{alpha <= min(k-1, n)} a_1^(n-alpha) *
-    sum_{d <= n-alpha} U_alpha[k][d]. No entry depends on n: a call appends
-    the entries d <= n-alpha that the list ``memo[(j, alpha)]`` lacks,
-    O(K^3 * N) domain operations for every cell with k <= K, n <= N of one
-    series, with the cells visited in any order.
+    sum_{d <= n-alpha} U_alpha[k][d]. Each entry is one ``Domain.combine``
+    of the weights b_j, a_j^[alpha..j-1] with the entries they multiply. No
+    entry depends on n: a call appends the entries d <= n-alpha that the
+    list ``memo[(j, alpha)]`` lacks, O(K^3 * N) domain operations for every
+    cell with k <= K, n <= N of one series, with the cells visited in any
+    order.
     """
     _check_index(f, k, n)
     a1 = f.coefficient(1)
@@ -240,22 +242,23 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
         table = PowerCoefficientTable(f)
     if memo is None:
         memo = {}
-    zero = f.domain.zero
+    combine = f.domain.combine
     for j in range(2, k + 1):
         for alpha in range(1, min(j - 1, n) + 1):
             u = memo.setdefault((j, alpha), [])
             if len(u) > n - alpha:
                 continue
-            base = a1 ** (j - 1)
-            seed = f.coefficient(j) if alpha == 1 else zero
             below = range(alpha, j) if alpha > 1 else ()
-            lower = [(table.get(j, i), memo[i, alpha - 1]) for i in below]
+            weights = [a1 ** (j - 1)] + [table.get(j, i) for i in below]
+            lower = [memo[i, alpha - 1] for i in below]
             for d in range(len(u), n - alpha + 1):
-                v = base * u[d - 1] if d else seed
-                for weight, w in lower:
-                    v = v + weight * w[d]
-                u.append(v)
-    total = zero
+                if d:
+                    u.append(combine(weights, [u[d - 1]] + [w[d] for w in lower]))
+                elif alpha == 1:
+                    u.append(f.coefficient(j))
+                else:
+                    u.append(combine(weights[1:], [w[0] for w in lower]))
+    total = f.domain.zero
     for alpha in range(1, min(k - 1, n) + 1):
         u = memo[k, alpha]
         total = total + a1 ** (n - alpha) * sum(u[1 : n - alpha + 1], u[0])

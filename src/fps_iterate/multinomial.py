@@ -9,7 +9,8 @@ brute-force oracle.
 
 ``PowerCoefficientTable`` feeds the coefficient routes. It fills each row
 from the rows below it, since f^j = f * f^(j-1): O(k^2) products per row,
-and no division, so it holds over every domain and for a_1 = 0.
+summed by ``Domain.combine``, and no division, so it holds over every
+domain and for a_1 = 0.
 """
 
 from __future__ import annotations
@@ -62,10 +63,10 @@ class PowerCoefficientTable:
     """Memoized a_k^[i] values bound to one series.
 
     A lookup at k fills the rows up to k in increasing order. Row m is
-    [0, a_m^[1], ..., a_m^[m]], with a_m^[1] = a_m and
+    [a_m^[1], ..., a_m^[m]], with a_m^[1] = a_m and
     a_m^[j] = sum_{t=1}^{m-j+1} a_t * a_(m-t)^[j-1], the x^m coefficient of
-    f * f^(j-1). k < i short-circuits to zero when k is within the
-    truncation order.
+    f * f^(j-1), each entry one ``Domain.combine``. k < i short-circuits to
+    zero when k is within the truncation order.
     """
 
     def __init__(self, series: TruncatedSeries):
@@ -78,13 +79,17 @@ class PowerCoefficientTable:
         rows = self._rows
         if i < 1 or not 0 < k < len(rows):
             _check_power_index(self.series, k, i)
-            zero, coeffs = self.series.domain.zero, self.series.coeffs
+            coeffs, combine = self.series.coeffs, self.series.domain.combine
             for m in range(len(rows), k + 1):
-                row = [zero, coeffs[m - 1]]
+                row = [coeffs[m - 1]]
                 for j in range(2, m + 1):
-                    total = zero
-                    for t in range(1, m - j + 2):
-                        total = total + coeffs[t - 1] * rows[m - t][j - 1]
-                    row.append(total)
+                    below = [rows[m - t][j - 2] for t in range(1, m - j + 2)]
+                    row.append(combine(coeffs[: m - j + 1], below))
                 rows.append(row)
-        return rows[k][i]
+        return rows[k][i - 1]
+
+    def row(self, k: int) -> list:
+        """[a_k^[1], ..., a_k^[k]], the list that ``get(k, i)`` reads; it is
+        the table's own, so the caller must not change it."""
+        self.get(k, k)
+        return self._rows[k]

@@ -230,6 +230,71 @@ def test_iterate_output_golden(tmp_path, capsys, series, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# `fps coeff -k 48 -n 96` by the two routes whose sums of products run on
+# Domain.combine, digests taken before they did. Every entry p - 1 (or
+# just below it) makes each unreduced sum as large as it gets: one-bit
+# residues over Z/2, 61-bit ones over Z/(2^61 - 1). The all-top series are
+# Moebius maps whose 96-fold iterate is x, so their answer is 0; the
+# near-top one's is not.
+_TOP = {
+    "prime-2-top": {"domain": {"prime": 2}, "coeffs": ["1"] * 48},
+    "prime-2^61-1-top": {
+        "domain": {"prime": 2**61 - 1}, "coeffs": [str(2**61 - 2)] * 48
+    },
+    "prime-2^61-1-near-top": {
+        "domain": {"prime": 2**61 - 1},
+        "coeffs": [
+            str(2**61 - 2 - (37 * j * j + 11 * j + 5) % 64) for j in range(1, 49)
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, method, digest",
+    [
+        pytest.param(
+            "prime-2-top", "recursive",
+            "dd4a5acc670903e4d8a9a5a34dc34078322b40ed05b9f9efd046ec2632f17159",
+            id="prime-2-top-recursive",
+        ),
+        pytest.param(
+            "prime-2-top", "closed",
+            "62bcb4f92efdf7a963e80b2486b44d52bcef074e183f9f32d3f5f52535569dee",
+            id="prime-2-top-closed",
+        ),
+        pytest.param(
+            "prime-2^61-1-top", "recursive",
+            "dd4a5acc670903e4d8a9a5a34dc34078322b40ed05b9f9efd046ec2632f17159",
+            id="prime-2^61-1-top-recursive",
+        ),
+        pytest.param(
+            "prime-2^61-1-top", "closed",
+            "62bcb4f92efdf7a963e80b2486b44d52bcef074e183f9f32d3f5f52535569dee",
+            id="prime-2^61-1-top-closed",
+        ),
+        pytest.param(
+            "prime-2^61-1-near-top", "recursive",
+            "9a2a0fceffc8ff7aa737f2571fead90635d05e85e0df23cc18f08162a4b70d3e",
+            id="prime-2^61-1-near-top-recursive",
+        ),
+        pytest.param(
+            "prime-2^61-1-near-top", "closed",
+            "f81d0e330aa370a80ae25e2a8e0c09154d54f71c29cda2673e41776bcf9ca4ec",
+            id="prime-2^61-1-near-top-closed",
+        ),
+    ],
+)
+def test_coeff_output_golden_on_top_residues(tmp_path, capsys, name, method, digest):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_TOP[name]))
+    code, out, _ = run_cli(
+        capsys, "coeff", str(path), "-k", "48", "-n", "96", "--method", method
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_identities_command(capsys):
     code, out, _ = run_cli(capsys, "identities", "--n-max", "10", "--alpha-max", "3")
     assert code == 0

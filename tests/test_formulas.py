@@ -197,6 +197,36 @@ def test_recursive_and_closed_match_oracle_at_scale_over_q():
                 assert coeff_closed(f, k, n, table, entries) == want, (a1, k, n)
 
 
+def _top_series(p, order=48, below_top=lambda j: 0):
+    field = PrimeField(p)
+    coeffs = [field.from_int(p - 1 - below_top(j)) for j in range(1, order + 1)]
+    return TruncatedSeries(field, order, coeffs)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        _top_series(2),
+        _top_series(2**61 - 1),
+        _top_series(2**61 - 1, below_top=lambda j: (37 * j * j + 11 * j + 5) % 64),
+    ],
+    ids=["prime-2-top", "prime-2^61-1-top", "prime-2^61-1-near-top"],
+)
+def test_recursive_and_closed_match_oracle_on_top_residues(f):
+    # every entry p - 1 or just below it: each Domain.combine of the table,
+    # the recurrence and the closed DP sums products of residues near
+    # (p - 1)^2 before it reduces them once, the carry edge over Z/2 and
+    # the width edge over Z/(2^61 - 1). With every entry p - 1 the series
+    # is -x/(1 - x), an involution, over Z/(2^61 - 1) and x/(1 - x), whose
+    # n-fold iterate is x/(1 - n*x), over Z/2, so the 96-fold iterate is x;
+    # the near-top series has nonzero answers
+    want = f.iterate(96)
+    table, rows, entries = PowerCoefficientTable(f), {}, {}
+    for k in range(1, 49):
+        assert coeff_recursive(f, k, 96, table, rows) == want.coefficient(k), k
+        assert coeff_closed(f, k, 96, table, entries) == want.coefficient(k), k
+
+
 def test_routes_over_q_reduce_mod_p_to_the_field_oracle():
     # reduction Q -> Z/p is a ring homomorphism where the denominators are
     # units, so a route's answer over Q, reduced mod p, is the Z/p oracle's

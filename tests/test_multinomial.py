@@ -169,8 +169,8 @@ def test_power_coefficient_table():
 
 def test_table_and_multinomial_walk_share_no_code():
     """The table and ``multinomial_coeff`` check each other, so neither
-    reads the other, and the table keeps the element operators rather than
-    the oracle's ``mul`` or ``convolve``."""
+    reads the other; the table sums on ``combine`` rather than the oracle's
+    ``mul`` or ``convolve``, and the walk keeps the element operators."""
     tree = ast.parse(Path(multinomial.__file__).read_text(encoding="utf-8"))
 
     def names(name):
@@ -181,7 +181,9 @@ def test_table_and_multinomial_walk_share_no_code():
             if isinstance(n, (ast.Name, ast.Attribute))
         }
 
-    assert not names("multinomial_coeff") & {"PowerCoefficientTable", "get"}
+    assert not names("multinomial_coeff") & {
+        "PowerCoefficientTable", "get", "row", "combine", "convolve"
+    }
     assert not names("PowerCoefficientTable") & {
         "multinomial_coeff", "convolve", "mul"
     }

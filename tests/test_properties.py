@@ -171,6 +171,48 @@ def test_convolve_equals_operator_fold(case):
 
 
 @st.composite
+def combine_inputs(draw):
+    """Two equally long lists of at most 40 elements of Q (ints and
+    Fractions mixed), Z/5, Z/97 or Q[a1..a4], for ``combine``."""
+    dom = draw(st.sampled_from((RATIONALS, PrimeField(5), PrimeField(97), _RING)))
+    size = draw(st.integers(0, 40))
+    xs = draw(st.lists(_values(dom), min_size=size, max_size=size))
+    ys = draw(st.lists(_values(dom), min_size=size, max_size=size))
+    return dom, xs, ys
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(combine_inputs())
+@example((RATIONALS, [], []))
+@example((_Z97, [], []))
+@example((_RING, [], []))
+@example((RATIONALS, [Fraction(2, 3)], [Fraction(-3, 4)]))
+@example((_Z97, [_Z97.from_int(50)], [_Z97.from_int(60)]))
+@example((_RING, [_RING.variable(4) + _RING.one], [_RING.variable(2)]))
+@example((RATIONALS, [Fraction(1, 2), 3, Fraction(1, 2)], [1, Fraction(1, 3), -1]))
+@example((RATIONALS, [Fraction(j, 7) if j % 2 else j for j in range(40)], list(range(-20, 20))))
+@example(_all_top(2, 1))
+@example(_all_top(2, 40))
+@example(_all_top(2**61 - 1, 1))
+@example(_all_top(2**61 - 1, 40))
+def test_combine_equals_operator_fold(case):
+    dom, xs, ys = case
+    expected = dom.zero
+    for x, y in zip(xs, ys):
+        expected = expected + x * y
+    got = dom.combine(xs, ys)
+    assert got == expected
+    assert dom.contains(got)
+    assert dom.format(got) == dom.format(expected)
+    if dom is RATIONALS:  # an int where the fold gives one, else a Fraction
+        assert type(got) is type(expected)
+    if isinstance(dom, PolynomialRing):  # ints stay ints, Fractions are reduced
+        assert {e: type(c) for e, c in got.terms.items()} == {
+            e: type(c) for e, c in expected.terms.items()
+        }
+
+
+@st.composite
 def any_series(draw):
     """A series of order <= 6 over Q, Z/5, Z/97 or Q[a1..a3]."""
     dom = draw(st.sampled_from((RATIONALS, PrimeField(5), PrimeField(97), _RING3)))

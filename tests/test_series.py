@@ -109,8 +109,8 @@ def test_mul_is_the_truncated_convolution(dom):
 def test_only_the_oracle_calls_convolve():
     """``Domain.convolve`` is the oracle's arithmetic alone, and each
     domain's only product kernel: no ``dot`` is defined or called. The
-    routes keep the elements' operators, so the cross-check covers both
-    implementations."""
+    routes sum on ``Domain.combine`` and the elements' operators instead,
+    so the cross-check covers both implementations."""
     package = Path(fps_iterate.__file__).parent
     callers = {"dot": set(), "convolve": set()}
     defined = set()
@@ -135,6 +135,53 @@ def test_only_the_oracle_calls_convolve():
     }
 
 
+def test_only_the_routes_call_combine():
+    """``Domain.combine`` is the routes' sum of products: one base fold and
+    one ``PrimeField`` override, named only by the power table's ``get``,
+    ``coeff_recursive`` and ``coeff_closed``. It names no ``convolve``, so
+    the oracle, the partition walk, the chain walks and ``small``, which
+    name neither kernel, check it on code it does not run."""
+    package = Path(fps_iterate.__file__).parent
+    defined, naming = [], {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (path.name, node.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "combine"
+                ]
+            if isinstance(node, ast.FunctionDef):
+                names = {
+                    n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(node)
+                    if isinstance(n, (ast.Name, ast.Attribute))
+                }
+                key = (path.name, node.name)
+                naming[key] = naming.get(key, set()) | (
+                    names & {"combine", "convolve", "dot"}
+                )
+    assert sorted(defined) == [("domains.py", "Domain"), ("domains.py", "PrimeField")]
+    assert naming["domains.py", "combine"] == set()
+    assert {key for key, names in naming.items() if "combine" in names} == {
+        ("multinomial.py", "get"),
+        ("formulas.py", "coeff_recursive"),
+        ("formulas.py", "coeff_closed"),
+    }
+    checks = [key for key in naming if key[0] == "series.py"] + [
+        ("multinomial.py", "multinomial_coeff"),
+        ("formulas.py", "closed_form_level"),
+        ("formulas.py", "_chain_product"),
+        ("formulas.py", "nested_geometric_sum"),
+        ("formulas.py", "coeff_schroder"),
+        ("formulas.py", "coeff_explicit_small_k"),
+    ]
+    for key in checks:
+        oracle = key in (("series.py", "mul"), ("series.py", "compose"))
+        assert naming[key] == ({"convolve"} if oracle else set()), key
+
+
 def _names_in_route(name):
     # every name and attribute the body of formulas.<name> reads
     path = Path(fps_iterate.__file__).parent / "formulas.py"
@@ -154,7 +201,7 @@ def _names_in_route(name):
 def test_small_route_shares_no_code_with_the_closed_form():
     """``coeff_explicit_small_k`` is cross-checked against the closed form
     and the oracle, so its body names none of the closed form's pieces and
-    not the oracle's product kernel."""
+    neither the oracle's product kernel nor the routes' ``combine``."""
     names = _names_in_route("coeff_explicit_small_k")
     assert "_SMALL_K_TERMS" in names
     assert not names & {
@@ -165,6 +212,7 @@ def test_small_route_shares_no_code_with_the_closed_form():
         "closed_form_level",
         "coeff_closed",
         "convolve",
+        "combine",
     }
 
 
