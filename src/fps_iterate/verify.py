@@ -484,56 +484,45 @@ def _generate_series(spec: SweepSpec, domain: Domain) -> list[TruncatedSeries]:
 def _sweep_one(label: str, index: int, f: TruncatedSeries, k_range, n_range, methods):
     """Every (k, n) cell of one series: each entry of ``methods`` (shaped
     like ``REGISTRY``, without the oracle) that does not raise
-    ``NotApplicable``, against the oracle."""
+    ``NotApplicable``, against the oracle.
+
+    A cell prints the oracle's value once and reports each method value
+    equal to it with that text, since every domain prints equal values alike
+    (over Q an int and an integral Fraction too; see ``fps_iterate.domains``).
+    Such a value still needs its membership check; ``dom.format`` checks and
+    prints a differing one.
+    """
     dom = f.domain
     k_lo, k_hi = k_range
     n_lo, n_hi = n_range
     table = PowerCoefficientTable(f)
     memos = {method: {} for method in methods}
-    iterates = {}
-    current = f
-    for n in range(1, n_hi + 1):
-        if n > 1:
-            current = current.compose(f)
-        if n >= n_lo:
-            iterates[n] = current
+    iterates = [f]  # iterates[n - 1] is f composed n times
+    for _ in range(1, n_hi):
+        iterates.append(iterates[-1].compose(f))
     cells = []
     mismatches = []
     for k in range(k_lo, k_hi + 1):
         for n in range(n_lo, n_hi + 1):
-            oracle_value = iterates[n].coefficient(k)
-            values = {"oracle": dom.format(oracle_value)}
-            applied = ["oracle"]
+            want = iterates[n - 1].coefficient(k)
+            text = dom.format(want)
+            values = {"oracle": text}
             bad = []
             for method, evaluate in methods.items():
                 try:
                     got = evaluate(f, k, n, table, memos[method])
                 except NotApplicable:
                     continue
+                if got == want:
+                    dom.check(got)
+                    values[method] = text
+                    continue
                 values[method] = dom.format(got)
-                applied.append(method)
-                if got != oracle_value:
-                    bad.append(
-                        Mismatch(
-                            k,
-                            n,
-                            label,
-                            index,
-                            ("oracle", method),
-                            {
-                                "oracle": values["oracle"],
-                                method: values[method],
-                            },
-                            dom.format(got - oracle_value),
-                        )
-                    )
-            if len(applied) == 1:
-                status = "n/a"
-            else:
-                status = "fail" if bad else "pass"
-            cells.append(
-                CellResult(k, n, label, index, tuple(applied), status, values)
-            )
+                pair = {"oracle": text, method: values[method]}
+                diff = dom.format(got - want)
+                bad.append(Mismatch(k, n, label, index, ("oracle", method), pair, diff))
+            status = "n/a" if len(values) == 1 else "fail" if bad else "pass"
+            cells.append(CellResult(k, n, label, index, tuple(values), status, values))
             mismatches.extend(bad)
     return cells, mismatches
 
@@ -586,19 +575,20 @@ _PRINTED = {
 
 
 def _printed(name: str):
-    """An evaluate shaped like REGISTRY's for the printed formula ``name``,
-    read from _PRINTED at call time (so that tests can patch it) and
-    evaluated at the series' a1..a5 in its own domain."""
+    """An evaluate shaped like REGISTRY's for the printed formula ``name``:
+    its _PRINTED terms, parsed once here, evaluated at the series' a1..a5 in
+    the series' own domain."""
+    ring = PolynomialRing(5)
+    terms = [ring.parse(text) for text in _PRINTED[name]]
+    only = len(terms) + 1
 
     def evaluate(f, k, n, table, memo):
-        terms = _PRINTED[name]
-        if k != len(terms) + 1:
-            raise NotApplicable(f"{name} computes only k = {len(terms) + 1}")
-        ring = PolynomialRing(5)
+        if k != only:
+            raise NotApplicable(f"{name} computes only k = {only}")
         dom = f.domain
         total = dom.zero
-        for alpha, text in enumerate(terms, 1):
-            value = ring.substitute(ring.parse(text), f.coeffs[:5], dom)
+        for alpha, term in enumerate(terms, 1):
+            value = ring.substitute(term, f.coeffs[:5], dom)
             total = total + dom.from_int(math.comb(n, alpha)) * value
         return total
 

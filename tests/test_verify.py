@@ -416,6 +416,22 @@ def test_sweep_stops_on_a_plain_value_error(monkeypatch):
     assert all(c.status == "n/a" and c.methods == ("oracle",) for c in report.cells)
 
 
+def test_sweep_stops_on_a_value_outside_the_domain_equal_to_the_oracle(monkeypatch):
+    """A value equal to the oracle's is reported with the oracle's text, but
+    it must still be an element of the domain: a float over Q stops the
+    sweep even where it compares equal."""
+
+    def as_float(f, k, n, table, memo):
+        return float(f.iterate(n).coefficient(k))
+
+    spec = small_spec(methods=("oracle", "closed"), count=2)
+    # the first cell is k = n = 1 of a series with a_1 = -1, where -1.0 == -1
+    assert verify._generate_series(spec, RATIONALS)[0].coefficient(1) == -1
+    monkeypatch.setattr(verify, "coeff_closed", as_float)
+    with pytest.raises(ValueError, match=r"^-1\.0 is not an element of Rationals\(\)$"):
+        run_sweep(spec)
+
+
 def test_adjudication():
     report = adjudicate_typo_cases()
     assert report.passed
