@@ -1,0 +1,78 @@
+"""Re-run the committed mutants: each one must make the tier-1 suite fail.
+
+    python3 mutants/run.py
+
+Each entry of ``mutants.json`` names a ``file`` of the repository, ``old``
+text that occurs in it exactly once, the ``new`` text that replaces it,
+and ``named_in``, the commit whose CHANGES.md entry first recorded the
+mutant (null for one first recorded in this file). The repository is
+copied once to a temporary directory, without ``.git`` and caches. The
+unmutated copy must pass tier-1; then each mutant in turn is applied to
+the copy, tier-1 runs there with ``-x -q``, and the file is restored. A
+mutant is caught when pytest exits 1. Exits 1 if a mutant survives or its
+old text does not occur exactly once. Standard library only, besides the
+test suite's own needs.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                                "*.egg-info", ".perfbench-*")
+
+
+def tier1(copy: Path) -> tuple[int, str]:
+    """pytest's exit code in ``copy`` and the first test it failed, else the
+    last line it printed."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, text=True)
+    lines = (done.stdout + done.stderr).strip().splitlines() or [""]
+    failed = [line for line in lines if line.startswith(("FAILED ", "ERROR "))]
+    return done.returncode, (failed or lines[-1:])[0][:160]
+
+
+def main() -> int:
+    mutants = json.loads((ROOT / "mutants" / "mutants.json").read_text())
+    bad = [m["name"] for m in mutants if (ROOT / m["file"]).read_text().count(m["old"]) != 1]
+    for name in bad:
+        print(f"MISSING   {name}: its old text does not occur exactly once")
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
+        code, last = tier1(copy)
+        if code != 0:
+            print(f"the unmutated copy fails tier-1 (exit {code}): {last}")
+            return 1
+        for m in mutants:
+            if m["name"] in bad:
+                continue
+            path = copy / m["file"]
+            source = path.read_text()
+            path.write_text(source.replace(m["old"], m["new"]))
+            start = time.perf_counter()
+            try:
+                code, last = tier1(copy)
+            finally:
+                path.write_text(source)
+            verdict = "caught" if code == 1 else "SURVIVED" if code == 0 else f"ERROR {code}"
+            print(f"{verdict:9} {m['name']} ({time.perf_counter() - start:.1f} s): {last}")
+            if code != 1:
+                bad.append(m["name"])
+    print(f"{len(mutants) - len(bad)} of {len(mutants)} mutants caught")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,16 +1,22 @@
-"""Layer timings of fps-iterate: kernels, the power table, routes, oracle.
+"""Layer timings of fps-iterate: kernels, the power table, routes, oracle, presets.
 
     python3 tools/layers.py --src src --out BENCH_<pr>.json [--repeat N]
+    python3 tools/layers.py --src <parent>/src --src src --out BENCH_<pr>.json
 
-Imports the package from ``--src`` (the ``src`` directory of any checkout),
-times each row of a fixed grid ``--repeat`` times, and writes one JSON
-object: per row the best and median of the runs in seconds, their spread
-as the distance between the quartiles (0 for fewer than two runs), the
-Python version, ``nproc`` and the commit of the checkout (``-dirty`` when
-its tracked files differ from it). A row counts as moved between two files
+Imports the package from each ``--src`` (the ``src`` directory of a
+checkout; give it twice to compare two checkouts) into this one process:
+the package's modules are dropped from ``sys.modules`` before each import,
+and each checkout's grid of rows keeps the modules it was built from. Each
+row runs ``--repeat`` times per checkout, the checkouts alternating run by
+run, so host drift reaches both alike. The JSON object written holds the
+Python version, ``nproc``, each checkout's commit (``-dirty`` when its
+tracked files differ from it) and, per row and per checkout, the best and
+median of the runs in seconds and their spread as the distance between the
+quartiles (0 for fewer than two runs); with two checkouts also
+``best_ratio``, the second's best over the first's. A row counts as moved
 only if the best times differ by more than both spreads. Each cold row
-builds a new table and memo per run; the last answers are cross-checked,
-and a wrong one exits 1. Standard library only.
+builds a new table and memo per run; the last answers of every checkout
+are cross-checked, and a wrong one exits 1. Standard library only.
 """
 
 from __future__ import annotations
@@ -34,10 +40,16 @@ KERNEL_CALLS = 200
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", required=True, type=Path, help="directory holding fps_iterate/")
+    parser.add_argument("--src", required=True, type=Path, action="append",
+                        help="directory holding fps_iterate/; once, or twice to compare")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--repeat", type=int, default=7, help="runs per row (default 7)")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if len(args.src) > 2:
+        parser.error("--src is given once or twice")
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
+    return args
 
 
 def commit(src: Path) -> str:
@@ -51,28 +63,33 @@ def commit(src: Path) -> str:
     return git.stdout.strip() if git.returncode == 0 else "unknown"
 
 
-def timed(fn, repeat: int, calls: int = 1):
-    """Seconds per call of ``fn`` in each of ``repeat`` runs, and its last
-    result; the collector runs between runs, not inside them."""
-    times, result = [], None
-    for _ in range(repeat):
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            for _ in range(calls):
-                result = fn()
-            times.append((time.perf_counter() - start) / calls)
-        finally:
-            gc.enable()
-    return times, result
+def timed(fn, calls: int):
+    """Seconds per call of ``fn`` over ``calls`` calls, and its last result;
+    the collector runs before the run, not inside it."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        for _ in range(calls):
+            result = fn()
+        return (time.perf_counter() - start) / calls, result
+    finally:
+        gc.enable()
 
 
 def load(src: Path):
-    sys.path.insert(0, str(src.resolve()))
-    pkg = importlib.import_module("fps_iterate")
-    if not Path(pkg.__file__).resolve().is_relative_to(src.resolve()):
-        raise SystemExit(f"fps_iterate imported from {pkg.__file__}, not from {src}")
+    """The grid of the package imported afresh from ``src``."""
+    for name in [m for m in sys.modules if m.split(".")[0] == "fps_iterate"]:
+        del sys.modules[name]
+    path = str(src.resolve())
+    sys.path.insert(0, path)
+    try:
+        pkg = importlib.import_module("fps_iterate")
+        if not Path(pkg.__file__).resolve().is_relative_to(src.resolve()):
+            raise SystemExit(f"fps_iterate imported from {pkg.__file__}, not from {src}")
+        return grid()
+    finally:
+        sys.path.remove(path)
 
 
 def grid():
@@ -82,6 +99,7 @@ def grid():
     from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
     from fps_iterate.multinomial import PowerCoefficientTable, multinomial_coeff
     from fps_iterate.series import TruncatedSeries
+    from fps_iterate.verify import run_preset
 
     field, ring = PrimeField(P), PolynomialRing(4)
 
@@ -113,9 +131,8 @@ def grid():
             want = fold(dom, xs, ys)
             rows.append((f"fold/{label}/m={m}", lambda d=dom, x=xs, y=ys: fold(d, x, y),
                          KERNEL_CALLS, lambda got, w=want: got == w))
-            if hasattr(dom, "combine"):
-                rows.append((f"combine/{label}/m={m}", lambda d=dom, x=xs, y=ys: d.combine(x, y),
-                             KERNEL_CALLS, lambda got, w=want: got == w))
+            rows.append((f"combine/{label}/m={m}", lambda d=dom, x=xs, y=ys: d.combine(x, y),
+                         KERNEL_CALLS, lambda got, w=want: got == w))
 
     big = residues(100)
 
@@ -155,36 +172,49 @@ def grid():
         fn = getattr(formulas, f"coeff_{route}")
         rows.append((f"{route}/Q/K=n=14", lambda fn=fn: fn(rational, 14, 14), 1,
                      lambda got: got == want_q))
+    for preset in ("symbolic", "acceptance"):
+        rows.append((f"preset/{preset}", lambda p=preset: run_preset(p), 1,
+                     lambda got: got.passed))
     return rows
+
+
+def spread(times) -> dict:
+    quartiles = statistics.quantiles(times, n=4) if len(times) > 1 else [times[0]] * 3
+    return {"best": min(times), "median": statistics.median(times),
+            "iqr": quartiles[2] - quartiles[0]}
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.repeat < 1:
-        raise SystemExit("--repeat must be >= 1")
-    load(args.src)
-    host = {
+    grids = [load(src) for src in args.src]
+    sides = range(len(grids))
+    out = {
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        "commit": commit(args.src),
+        "commits": [commit(src) for src in args.src],
+        "rows": [],
     }
-    out, wrong = [], []
-    for name, fn, calls, check in grid():
-        times, result = timed(fn, args.repeat, calls)
-        if not check(result):
-            wrong.append(name)
-        quartiles = statistics.quantiles(times, n=4) if len(times) > 1 else [times[0]] * 3
-        out.append({
-            "name": name,
-            "unit": "s",
-            "best": min(times),
-            "median": statistics.median(times),
-            "iqr": quartiles[2] - quartiles[0],
-            "runs": len(times),
-            **host,
-        })
-        print(f"{name:36} best {min(times):.6f} s  iqr {out[-1]['iqr']:.6f} s", file=sys.stderr)
-    args.out.write_text(json.dumps({"rows": out}, indent=1) + "\n")
+    wrong = []
+    for rows in zip(*grids):
+        name, _, calls, _ = rows[0]
+        times, results = [[] for _ in sides], [None for _ in sides]
+        for run in range(args.repeat):
+            for side in sides if run % 2 == 0 else reversed(sides):
+                seconds, results[side] = timed(rows[side][1], calls)
+                times[side].append(seconds)
+        for src, (_, _, _, check), result in zip(args.src, rows, results):
+            if not check(result):
+                wrong.append(f"{name} (--src {src})")
+        row = {"name": name, "unit": "s", "runs": args.repeat,
+               "sides": [spread(t) for t in times]}
+        best = [s["best"] for s in row["sides"]]
+        if len(best) == 2:
+            row["best_ratio"] = best[1] / best[0]
+        out["rows"].append(row)
+        shown = "  ".join(f"best {b:.6f} s" for b in best)
+        ratio = f"  ratio {row['best_ratio']:.3f}" if len(best) == 2 else ""
+        print(f"{name:36} {shown}{ratio}", file=sys.stderr)
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
     if wrong:
         print(f"wrong answers: {', '.join(wrong)}", file=sys.stderr)
         return 1
