@@ -5,12 +5,12 @@ deterministic. Nothing here ever rounds. Two kernels sit beside the
 elements' operators, each kept apart from the other so that the routes and
 the oracle they are checked against run on different code:
 
-- ``Domain.convolve``, the oracle's product kernel: one common denominator
-  per entry over Q, one gathered sum per entry over Q[a1..aK], one integer
-  product over Z/p;
+- ``Domain.convolve``, the oracle's product kernel: each sequence scaled
+  to integers once per call over Q, one gathered sum per entry over
+  Q[a1..aK], one integer product over Z/p;
 - ``Domain.combine``, the routes' sum of products x_0*y_0 + x_1*y_1 + ...:
-  the operator fold over Q and Q[a1..aK], one integer sum and one
-  reduction over Z/p.
+  one integer sum over one common denominator, reduced once, over Q; the
+  operator fold over Q[a1..aK]; one integer sum and one reduction over Z/p.
 
 A rational is an ``int`` or a ``Fraction``. Python keeps int with int as
 int, so integral inputs and their sums and products never become
@@ -423,7 +423,8 @@ class Domain:
     Arithmetic is the elements' own exact operators, plus two kernels:
     ``convolve``, the oracle's product kernel, which each subclass
     implements exactly, and ``combine``, the routes' sum of products, the
-    operator fold unless a subclass does better. Neither calls the other.
+    operator fold unless a subclass does better (Q and Z/p do). Neither
+    calls the other.
     Subclasses fix the element types and their form. The instance doubles
     as the domain descriptor: two domains are equal when their ``to_json``
     descriptors are, and ``domain_from_json`` inverts ``to_json``.
@@ -449,9 +450,10 @@ class Domain:
     def combine(self, xs, ys):
         """x_0*y_0 + x_1*y_1 + ... for two sequences of equal length, the sum
         of products that the power table, ``coeff_recursive`` and
-        ``coeff_closed`` form: the elements' operator fold, from the first
-        product on (``zero`` for empty sequences), which over Q saves the
-        Fraction operation that ``zero + x`` would cost."""
+        ``coeff_closed`` form: here the elements' operator fold, from the
+        first product on (``zero`` for empty sequences), which skips the
+        operation that ``zero + x`` would cost. ``Rationals`` and
+        ``PrimeField`` override it."""
         products = map(operator.mul, xs, ys)
         return sum(products, next(products, self.zero))
 
@@ -484,9 +486,11 @@ class Rationals(Domain):
     ``fractions.Fraction``; ``bool`` and ``float`` are refused.
 
     Operations on ints stay ints, so integral values skip the gcd and the
-    object that each Fraction operation pays for. Constructors return an
-    ``int`` for an integral value, but arithmetic may not (see the module
-    docstring).
+    object that each Fraction operation pays for. Constructors and both
+    kernels return an ``int`` for an integral value, but arithmetic may not
+    (see the module docstring). Each kernel sums in ints over one common
+    denominator per call and reduces once, where the operator fold would
+    pay a gcd and a Fraction per operation (Knuth, TAOCP vol. 2, 4.5.1).
     """
 
     is_field = True
@@ -504,21 +508,38 @@ class Rationals(Domain):
         return _rational(1 / Fraction(a))
 
     def convolve(self, xs, ys):
-        """Domain.convolve with each entry summed over one common
-        denominator: the pairwise products as numerator and denominator, one
-        lcm of the denominators and one Fraction, instead of a reduced
-        Fraction per term. An int has a numerator and a denominator too. The
-        inputs must be rationals; nothing checks them (as for
-        ``PrimeField.convolve``)."""
+        """Domain.convolve with each sequence scaled to integers once: xs by
+        dx, the lcm of its denominators, and ys by dy. Entry s is then an
+        int sum of int products over dx*dy, an int when it divides evenly
+        and else one reduced Fraction. An int has a numerator and a
+        denominator too. The inputs must be rationals; nothing checks them
+        (as for ``PrimeField.convolve``)."""
+        x_dens = [x.denominator for x in xs]
+        y_dens = [y.denominator for y in ys]
+        dx, dy = math.lcm(*x_dens), math.lcm(*y_dens)
+        scaled_xs = [x.numerator * (dx // d) for x, d in zip(xs, x_dens)]
+        scaled_ys = [y.numerator * (dy // d) for y, d in zip(ys, y_dens)]
+        common = dx * dy
         out = []
-        for s in range(len(ys)):
-            head, tail = xs[: s + 1], ys[s::-1]
-            nums = [x.numerator * y.numerator for x, y in zip(head, tail)]
-            dens = [x.denominator * y.denominator for x, y in zip(head, tail)]
-            common = math.lcm(*dens)
-            total = sum([num * (common // den) for num, den in zip(nums, dens)])
-            out.append(total if common == 1 else _rational(Fraction(total, common)))
+        for s in range(len(scaled_ys)):
+            total = sum(map(operator.mul, scaled_xs[: s + 1], scaled_ys[s::-1]))
+            exact = total % common == 0
+            out.append(total // common if exact else Fraction(total, common))
         return out
+
+    def combine(self, xs, ys):
+        """Domain.combine over one common denominator: each pair's
+        numerator and denominator products, one lcm of the denominators, one
+        int sum and one reduction, an int exactly when the sum is integral.
+        The inputs must be rationals; nothing checks them (as for
+        ``convolve``)."""
+        nums, dens = [], []
+        for x, y in zip(xs, ys):
+            nums.append(x.numerator * y.numerator)
+            dens.append(x.denominator * y.denominator)
+        common = math.lcm(*dens)
+        total = sum([n * (common // d) for n, d in zip(nums, dens)])
+        return total // common if total % common == 0 else Fraction(total, common)
 
     def from_int(self, m: int):
         return int(m)

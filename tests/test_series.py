@@ -137,10 +137,10 @@ def test_only_the_oracle_calls_convolve():
 
 def test_only_the_routes_call_combine():
     """``Domain.combine`` is the routes' sum of products: one base fold and
-    one ``PrimeField`` override, named only by the power table's ``get``,
-    ``coeff_recursive`` and ``coeff_closed``. It names no ``convolve``, so
-    the oracle, the partition walk, the chain walks and ``small``, which
-    name neither kernel, check it on code it does not run."""
+    the ``Rationals`` and ``PrimeField`` overrides, named only by the power
+    table's ``get``, ``coeff_recursive`` and ``coeff_closed``. It names no
+    ``convolve``, so the oracle, the partition walk, the chain walks and
+    ``small``, which name neither kernel, check it on code it does not run."""
     package = Path(fps_iterate.__file__).parent
     defined, naming = [], {}
     for path in sorted(package.glob("*.py")):
@@ -162,7 +162,11 @@ def test_only_the_routes_call_combine():
                 naming[key] = naming.get(key, set()) | (
                     names & {"combine", "convolve", "dot"}
                 )
-    assert sorted(defined) == [("domains.py", "Domain"), ("domains.py", "PrimeField")]
+    assert sorted(defined) == [
+        ("domains.py", "Domain"),
+        ("domains.py", "PrimeField"),
+        ("domains.py", "Rationals"),
+    ]
     assert naming["domains.py", "combine"] == set()
     assert {key for key, names in naming.items() if "combine" in names} == {
         ("multinomial.py", "get"),

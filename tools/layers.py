@@ -13,10 +13,13 @@ Python version, ``nproc``, each checkout's commit (``-dirty`` when its
 tracked files differ from it) and, per row and per checkout, the best and
 median of the runs in seconds and their spread as the distance between the
 quartiles (0 for fewer than two runs); with two checkouts also
-``best_ratio``, the second's best over the first's. A row counts as moved
-only if the best times differ by more than both spreads. Each cold row
-builds a new table and memo per run; the last answers of every checkout
-are cross-checked, and a wrong one exits 1. Standard library only.
+``best_ratio`` and ``median_ratio``, the second's best and median over the
+first's; the median ratio is the steadier reading for rows under 1 ms. A
+row counts as moved only if the times differ by more than both spreads.
+Each cold row builds a new table and memo per run; the last answers of
+every checkout are cross-checked, and a wrong one exits 1: the kernel rows
+and the rational oracle row against the elements' operator fold. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -123,6 +126,19 @@ def grid():
             total = total + x * y
         return total
 
+    def fold_convolve(dom, xs, ys):
+        return [fold(dom, xs[: s + 1], ys[s::-1]) for s in range(len(ys))]
+
+    def fold_iterate(f, n):
+        # the oracle's Horner composition, each product an operator fold
+        dom, coeffs = f.domain, f.coeffs
+        for _ in range(n - 1):
+            acc = [dom.zero] * f.order
+            for a_m in reversed(coeffs):
+                acc = fold_convolve(dom, [a_m, *acc[:-1]], f.coeffs)
+            coeffs = acc
+        return list(coeffs)
+
     rows = []
     for label, (dom, element) in samples.items():
         for m in (8, 32, 100):
@@ -133,6 +149,13 @@ def grid():
                          KERNEL_CALLS, lambda got, w=want: got == w))
             rows.append((f"combine/{label}/m={m}", lambda d=dom, x=xs, y=ys: d.combine(x, y),
                          KERNEL_CALLS, lambda got, w=want: got == w))
+        for m in (8, 16, 32):
+            xs = [element(j) for j in range(m)]
+            ys = [element(j + m) for j in range(m)]
+            want = fold_convolve(dom, xs, ys)
+            rows.append((f"convolve/{label}/m={m}",
+                         lambda d=dom, x=xs, y=ys: d.convolve(x, y),
+                         KERNEL_CALLS, lambda got, w=want: list(got) == w))
 
     big = residues(100)
 
@@ -167,7 +190,10 @@ def grid():
     oracle = residues(45).iterate(90)
     rows.append((f"oracle/Z/{P}/K=45,n=90", lambda: residues(45).iterate(90), 1,
                  lambda got: got == oracle))
-    want_q = rational.iterate(14).coefficient(14)
+    want_oracle = fold_iterate(rational, 14)
+    rows.append(("oracle/Q/K=n=14", lambda: rational.iterate(14), 1,
+                 lambda got: list(got.coeffs) == want_oracle))
+    want_q = want_oracle[13]
     for route in ("closed", "recursive"):
         fn = getattr(formulas, f"coeff_{route}")
         rows.append((f"{route}/Q/K=n=14", lambda fn=fn: fn(rational, 14, 14), 1,
@@ -208,11 +234,14 @@ def main(argv=None) -> int:
         row = {"name": name, "unit": "s", "runs": args.repeat,
                "sides": [spread(t) for t in times]}
         best = [s["best"] for s in row["sides"]]
+        median = [s["median"] for s in row["sides"]]
         if len(best) == 2:
             row["best_ratio"] = best[1] / best[0]
+            row["median_ratio"] = median[1] / median[0]
         out["rows"].append(row)
         shown = "  ".join(f"best {b:.6f} s" for b in best)
-        ratio = f"  ratio {row['best_ratio']:.3f}" if len(best) == 2 else ""
+        ratio = (f"  ratio {row['best_ratio']:.3f} (median {row['median_ratio']:.3f})"
+                 if len(best) == 2 else "")
         print(f"{name:36} {shown}{ratio}", file=sys.stderr)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     if wrong:
