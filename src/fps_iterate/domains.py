@@ -489,8 +489,9 @@ class Rationals(Domain):
     object that each Fraction operation pays for. Constructors and both
     kernels return an ``int`` for an integral value, but arithmetic may not
     (see the module docstring). Each kernel sums in ints over one common
-    denominator per call and reduces once, where the operator fold would
-    pay a gcd and a Fraction per operation (Knuth, TAOCP vol. 2, 4.5.1).
+    denominator per call and reduces each result once, where the operator
+    fold would pay a gcd and a Fraction per operation (Knuth, TAOCP vol. 2,
+    4.5.1).
     """
 
     is_field = True
