@@ -9,8 +9,9 @@ the oracle they are checked against run on different code:
   to integers once per call over Q, one gathered sum per entry over
   Q[a1..aK], one integer product over Z/p;
 - ``Domain.combine``, the routes' sum of products x_0*y_0 + x_1*y_1 + ...:
-  one integer sum over one common denominator, reduced once, over Q; the
-  operator fold over Q[a1..aK]; one integer sum and one reduction over Z/p.
+  one integer sum over one common denominator, reduced once, over Q; one
+  gathered sum of every pair's term products over Q[a1..aK]; one integer
+  sum and one reduction over Z/p.
 
 A rational is an ``int`` or a ``Fraction``. Python keeps int with int as
 int, so integral inputs and their sums and products never become
@@ -420,11 +421,10 @@ def _parse_polynomial(text: str, num_vars: int) -> Polynomial:
 class Domain:
     """A coefficient domain: element checks, constants and conversions.
 
-    Arithmetic is the elements' own exact operators, plus two kernels:
-    ``convolve``, the oracle's product kernel, which each subclass
-    implements exactly, and ``combine``, the routes' sum of products, the
-    operator fold unless a subclass does better (Q and Z/p do). Neither
-    calls the other.
+    Arithmetic is the elements' own exact operators, plus two kernels that
+    each subclass implements and this class does not: ``convolve``, the
+    oracle's product kernel, and ``combine``, the routes' sum of products.
+    Neither calls the other.
     Subclasses fix the element types and their form. The instance doubles
     as the domain descriptor: two domains are equal when their ``to_json``
     descriptors are, and ``domain_from_json`` inverts ``to_json``.
@@ -450,12 +450,8 @@ class Domain:
     def combine(self, xs, ys):
         """x_0*y_0 + x_1*y_1 + ... for two sequences of equal length, the sum
         of products that the power table, ``coeff_recursive`` and
-        ``coeff_closed`` form: here the elements' operator fold, from the
-        first product on (``zero`` for empty sequences), which skips the
-        operation that ``zero + x`` would cost. ``Rationals`` and
-        ``PrimeField`` override it."""
-        products = map(operator.mul, xs, ys)
-        return sum(products, next(products, self.zero))
+        ``coeff_closed`` form; ``zero`` for empty sequences."""
+        raise NotImplementedError
 
     def from_int(self, m: int):
         raise NotImplementedError
@@ -683,6 +679,22 @@ class PolynomialRing(Domain):
                         sums[key] = get(key, 0) + c1 * c2
             out.append(Polynomial._from_sums(self.num_vars, sums))
         return out
+
+    def combine(self, xs, ys):
+        """Domain.combine with every term product of every pair gathered in
+        one mapping, made canonical once per call. A guard bit set by any
+        product raises, even where the sums cancel, so this raises exactly
+        where the operator fold would. The inputs must be elements of this
+        ring; nothing checks them (as for ``convolve``)."""
+        sums: dict[int, int | Fraction] = {}
+        get = sums.get
+        for x, y in zip(xs, ys):
+            y_terms = y.terms.items()
+            for e1, c1 in x.terms.items():
+                for e2, c2 in y_terms:
+                    key = e1 + e2
+                    sums[key] = get(key, 0) + c1 * c2
+        return Polynomial._from_sums(self.num_vars, sums)
 
     def from_int(self, m: int):
         return Polynomial(self.num_vars, {(): m})

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import random
+import signal
 import sys
 import time
 from contextlib import contextmanager
@@ -42,6 +43,27 @@ def criterion(number: int, name: str):
     print(f"[acceptance] criterion {number:02d} {name}: PASS")
 
 
+@contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError once ``seconds`` of wall-clock time have passed, so
+    a run that will miss its budget fails there instead of running on (a
+    fault that makes polynomials grow on each call would never finish)."""
+    if not hasattr(signal, "setitimer"):  # no interval timer: check afterwards
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds:g} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def generic_series(order, a1_is_one=False):
     ring = PolynomialRing(order)
     first = ring.one if a1_is_one else ring.variable(1)
@@ -52,7 +74,8 @@ def generic_series(order, a1_is_one=False):
 def test_criterion_01_rational_sweep():
     with criterion(1, "rational sweep, 100 series, all methods"):
         start = time.monotonic()
-        report = run_preset("acceptance")
+        with deadline(60.0):
+            report = run_preset("acceptance")
         elapsed = time.monotonic() - start
         assert report.passed
         assert len(report.cells) == 100 * 8 * 6
@@ -67,7 +90,8 @@ def test_criterion_01_rational_sweep():
 def test_criterion_02_symbolic_identity():
     with criterion(2, "symbolic polynomial identity, k <= 6, n <= 5"):
         start = time.monotonic()
-        report = run_preset("symbolic")
+        with deadline(120.0):
+            report = run_preset("symbolic")
         elapsed = time.monotonic() - start
         assert report.passed
         assert len(report.cells) == 6 * 5

@@ -9,6 +9,7 @@ import pytest
 
 import fps_iterate
 from fps_iterate.domains import (
+    Domain,
     FpElement,
     Polynomial,
     PolynomialRing,
@@ -278,9 +279,21 @@ def _products_raise(xs, ys):
     return False
 
 
-def _convolve_raises(ring, xs, ys):
+def _pair_products_raise(xs, ys):
+    """Whether the products x_i*y_i summed by ``combine``, one pair at a
+    time, raise on an exponent."""
     try:
-        ring.convolve(xs, ys)
+        for x, y in zip(xs, ys):
+            x * y
+    except ValueError as exc:
+        assert str(exc) == "exponent too large"
+        return True
+    return False
+
+
+def _kernel_raises(kernel, xs, ys):
+    try:
+        kernel(xs, ys)
     except ValueError as exc:
         assert str(exc) == "exponent too large"
         return True
@@ -321,14 +334,20 @@ _BIG_A2 = _RING2.variable(2) ** 2**30
         pytest.param(
             [_BIG_A1 + _BIG_A2], [_BIG_A1 - _BIG_A2], True, id="difference-of-squares"
         ),
+        # combine sums a1^(2^31) - a1^(2^31): the key cancels across two pairs
+        pytest.param(
+            [_BIG_A1, _BIG_A1], [_BIG_A1, -_BIG_A1], True, id="cancelled-across-pairs"
+        ),
         pytest.param([], [], False, id="empty"),
     ],
 )
-def test_polynomial_dot_guards_exponents_like_mul(xs, ys, raises):
-    """Each entry of ``convolve`` is the dot product of x_0..x_s with
-    y_s..y_0, and raises exactly where one of its term products would."""
+def test_polynomial_kernels_guard_exponents_like_mul(xs, ys, raises):
+    """Each entry of ``convolve`` sums the products of x_0..x_s with
+    y_s..y_0, and ``combine`` those of x_i with y_i; each kernel raises
+    exactly where one of the products it sums would."""
     assert _products_raise(xs, ys) is raises
-    assert _convolve_raises(_RING2, xs, ys) is raises
+    assert _kernel_raises(_RING2.convolve, xs, ys) is raises
+    assert _kernel_raises(_RING2.combine, xs, ys) is _pair_products_raise(xs, ys)
 
 
 @pytest.mark.parametrize(
@@ -343,6 +362,13 @@ def test_dot_of_no_terms_and_one_term(domain):
     assert domain.convolve((x,), (y,)) == [x * y]
     (z,) = domain.convolve([x], [y])
     assert domain.format(z) == domain.format(x * y)
+
+
+def test_the_base_domain_defines_no_kernel():
+    # each domain implements both kernels; the base class has no fallback
+    for kernel in (Domain().convolve, Domain().combine):
+        with pytest.raises(NotImplementedError):
+            kernel([], [])
 
 
 def test_polynomial_coefficients_canonical():

@@ -18,8 +18,8 @@ first's; the median ratio is the steadier reading for rows under 1 ms. A
 row counts as moved only if the times differ by more than both spreads.
 Each cold row builds a new table and memo per run; the last answers of
 every checkout are cross-checked, and a wrong one exits 1: the kernel rows
-and the rational oracle row against the elements' operator fold. Standard
-library only.
+and the rational and symbolic oracle rows against the elements' operator
+fold, the symbolic routes against the oracle. Standard library only.
 """
 
 from __future__ import annotations
@@ -198,6 +198,28 @@ def grid():
         fn = getattr(formulas, f"coeff_{route}")
         rows.append((f"{route}/Q/K=n=14", lambda fn=fn: fn(rational, 14, 14), 1,
                      lambda got: got == want_q))
+
+    def generic(K, a1_is_one=False):
+        # a_1 x + ... + a_K x^K over Q[a1..aK], or x + a_2 x^2 + ... + a_K x^K
+        sym = PolynomialRing(K)
+        first = sym.one if a1_is_one else sym.variable(1)
+        return TruncatedSeries(sym, K, [first] + [sym.variable(j) for j in range(2, K + 1)])
+
+    for K in (8, 10):
+        f = generic(K)
+        want_sym = f.iterate(K).coefficient(K)
+        for route in ("closed", "recursive"):
+            fn = getattr(formulas, f"coeff_{route}")
+            rows.append((f"{route}/Q[a1..a{K}]/K=n={K}", lambda fn=fn, f=f, K=K: fn(f, K, K),
+                         1, lambda got, w=want_sym: got == w))
+    one = generic(11, a1_is_one=True)
+    want_one = one.iterate(11).coefficient(11)
+    rows.append(("schroder/Q[a1..a11],a1=1/K=n=11", lambda: formulas.coeff_schroder(one, 11, 11),
+                 1, lambda got: got == want_one))
+    sym8 = generic(8)
+    want_sym8 = fold_iterate(sym8, 8)
+    rows.append(("oracle/Q[a1..a8]/K=n=8", lambda: sym8.iterate(8), 1,
+                 lambda got: list(got.coeffs) == want_sym8))
     for preset in ("symbolic", "acceptance"):
         rows.append((f"preset/{preset}", lambda p=preset: run_preset(p), 1,
                      lambda got: got.passed))
