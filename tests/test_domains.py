@@ -266,34 +266,10 @@ def test_polynomial_exponent_guard():
         ring.parse("a1^2147483648")
 
 
-def _products_raise(xs, ys):
-    """Whether the term products x_i*y_(s-i) of the convolution entries,
-    one pair at a time, raise on an exponent."""
+def _raises(fn):
+    """Whether ``fn()`` raises the exponent guard's ValueError."""
     try:
-        for s in range(len(ys)):
-            for i in range(s + 1):
-                xs[i] * ys[s - i]
-    except ValueError as exc:
-        assert str(exc) == "exponent too large"
-        return True
-    return False
-
-
-def _pair_products_raise(xs, ys):
-    """Whether the products x_i*y_i summed by ``combine``, one pair at a
-    time, raise on an exponent."""
-    try:
-        for x, y in zip(xs, ys):
-            x * y
-    except ValueError as exc:
-        assert str(exc) == "exponent too large"
-        return True
-    return False
-
-
-def _kernel_raises(kernel, xs, ys):
-    try:
-        kernel(xs, ys)
+        fn()
     except ValueError as exc:
         assert str(exc) == "exponent too large"
         return True
@@ -345,9 +321,14 @@ def test_polynomial_kernels_guard_exponents_like_mul(xs, ys, raises):
     """Each entry of ``convolve`` sums the products of x_0..x_s with
     y_s..y_0, and ``combine`` those of x_i with y_i; each kernel raises
     exactly where one of the products it sums would."""
-    assert _products_raise(xs, ys) is raises
-    assert _kernel_raises(_RING2.convolve, xs, ys) is raises
-    assert _kernel_raises(_RING2.combine, xs, ys) is _pair_products_raise(xs, ys)
+    # the products one pair at a time: x_i*y_(s-i) per entry s, and x_i*y_i
+    assert _raises(
+        lambda: [xs[i] * ys[s - i] for s in range(len(ys)) for i in range(s + 1)]
+    ) is raises
+    assert _raises(lambda: _RING2.convolve(xs, ys)) is raises
+    assert _raises(lambda: _RING2.combine(xs, ys)) is _raises(
+        lambda: [x * y for x, y in zip(xs, ys)]
+    )
 
 
 @pytest.mark.parametrize(

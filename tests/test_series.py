@@ -138,8 +138,8 @@ def test_only_the_oracle_calls_convolve():
 def test_only_the_routes_call_combine():
     """``Domain.combine`` is the routes' sum of products, which the base
     class leaves to the ``Rationals``, ``PrimeField`` and ``PolynomialRing``
-    kernels, named only by the power
-    table's ``get``, ``coeff_recursive`` and ``coeff_closed``. It names no
+    kernels, named only by the power table's ``get``, ``coeff_recursive``
+    and ``coeff_closed``. It names no
     ``convolve``, so the oracle, the partition walk, the chain walks and
     ``small``, which name neither kernel, check it on code it does not run."""
     package = Path(fps_iterate.__file__).parent
