@@ -232,7 +232,9 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
     entry depends on n: a call appends the entries d <= n-alpha that the
     list ``memo[(j, alpha)]`` lacks, O(K^3 * N) domain operations for every
     cell with k <= K, n <= N of one series, with the cells visited in any
-    order.
+    order. The cell's total is one more ``Domain.combine``: of each level's
+    weight a_1^(n-alpha), repeated once per entry, with the entries
+    ``memo[(k, alpha)][:n-alpha+1]``.
     """
     _check_index(f, k, n)
     a1 = f.coefficient(1)
@@ -258,20 +260,23 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
                     u.append(f.coefficient(j))
                 else:
                     u.append(combine(weights[1:], [w[0] for w in lower]))
-    total = f.domain.zero
-    for alpha in range(1, min(k - 1, n) + 1):
-        u = memo[k, alpha]
-        total = total + a1 ** (n - alpha) * sum(u[1 : n - alpha + 1], u[0])
-    return total
+    levels = range(1, min(k - 1, n) + 1)
+    weights = [w for alpha in levels for w in [a1 ** (n - alpha)] * (n - alpha + 1)]
+    return combine(weights, [u for alpha in levels for u in memo[k, alpha][: n - alpha + 1]])
 
 
-def coeff_schroder(f: TruncatedSeries, k: int, n: int, table=None):
+def coeff_schroder(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
     """f_k^(n) for a_1 = 1: binomials times chain products.
 
     Schroeder's classical form: f_k^(n) is the sum over levels
-    alpha = 1..min(k-1, n) of C(n, alpha) times the sum over decreasing
-    chains of a_k^[j_1] * a_(j_1)^[j_2] * ... * a_(j_(alpha-1)); level 1
-    is a_k * n. Binomials are exact integers mapped into the domain.
+    alpha = 1..min(k-1, n) of C(n, alpha) times the level sum L_alpha(k)
+    over decreasing chains of a_k^[j_1] * a_(j_1)^[j_2] * ... *
+    a_(j_(alpha-1)); level 1 is a_k * n. Binomials are exact integers
+    mapped into the domain. No L_alpha(k) depends on n: each is walked
+    chain by chain on the element operators once per ``memo`` dict, under
+    the key (k, alpha), so a sweep over n sharing one ``memo`` per series
+    walks each chain once, and a call without one walks the chains of its
+    own levels once.
     """
     _check_index(f, k, n)
     dom = f.domain
@@ -281,12 +286,17 @@ def coeff_schroder(f: TruncatedSeries, k: int, n: int, table=None):
         return dom.one
     if table is None:
         table = PowerCoefficientTable(f)
+    if memo is None:
+        memo = {}
     total = dom.zero
     for alpha in range(1, min(k - 1, n) + 1):
-        level = dom.zero
-        for chain in enumerate_subsets(k, alpha):
-            level = level + _chain_product(f, chain, table)
-        total = total + dom.from_int(math.comb(n, alpha)) * level
+        key = (k, alpha)
+        if key not in memo:
+            level = dom.zero
+            for chain in enumerate_subsets(k, alpha):
+                level = level + _chain_product(f, chain, table)
+            memo[key] = level
+        total = total + dom.from_int(math.comb(n, alpha)) * memo[key]
     return total
 
 
@@ -313,13 +323,17 @@ _SMALL_K_CHAIN_PRODUCTS = {
         (5, 4, 3, 2): "24*a1^6*a2^4",
     },
 }
+# k -> [(chain, its parsed chain product)], the chains sorted by length
 _SMALL_K_TERMS = {
-    k: [(chain, PolynomialRing(k).parse(text)) for chain, text in products.items()]
+    k: [
+        (chain, PolynomialRing(k).parse(text))
+        for chain, text in sorted(products.items(), key=lambda item: len(item[0]))
+    ]
     for k, products in _SMALL_K_CHAIN_PRODUCTS.items()
 }
 
 
-def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int):
+def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int, memo=None):
     """f_k^(n) for k <= 5 from the fixed explicit formulas.
 
     One term per decreasing chain (k, j_1, ..., j_last) of length alpha <=
@@ -327,11 +341,18 @@ def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int):
     _SMALL_K_CHAIN_PRODUCTS, times the chain's nested sum of
     a_1^((j - 1) * i_j) over all i_j >= 0 with sum <= n - alpha. The sum is
     taken one level at a time from the innermost out: from s = [1, ..., 1],
-    each j sets s[b] = sum_{i <= b} a_1^((j - 1) * i) * s[b - i], with the
-    powers formed once per call, and the outermost level forms only
+    each j sets s[b] = sum_{i <= b} a_1^((j - 1) * i) * s[b - i], and the
+    outermost level forms only
     s[n - alpha]. That is O(alpha * n^2) domain operations per chain. It
     shares no code with ``coeff_closed``; the two routes are tested against
     each other.
+
+    Neither the chain products nor the powers depend on n. A ``memo`` dict
+    keeps them per series: under k the substituted chain products, in the
+    order of _SMALL_K_TERMS[k], whose chains are sorted by length, so the
+    chains of length <= n are a prefix that grows with n; under
+    ("powers", j) the list of a_1^((j - 1) * i), extended as n grows. A
+    call without a memo forms only what its own cell needs.
     """
     _check_index(f, k, n)
     if k > 5:
@@ -340,14 +361,24 @@ def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int):
     a1 = f.coefficient(1)
     if k == 1:
         return a1 ** n
-    ring = PolynomialRing(k)
-    powers = {j: [a1 ** ((j - 1) * i) for i in range(n)] for j in range(2, k + 1)}
+    if memo is None:
+        memo = {}
+    terms, ring = _SMALL_K_TERMS[k], PolynomialRing(k)
+    values = memo.setdefault(k, [])
+    values += [
+        ring.substitute(product, f.coeffs[:k], dom)
+        for chain, product in terms[len(values) :]
+        if len(chain) <= n
+    ]
+    powers = {}
+    for j in range(2, k + 1):
+        row = powers[j] = memo.setdefault(("powers", j), [])
+        row += [a1 ** ((j - 1) * i) for i in range(len(row), n)]
     total = dom.zero
-    for chain, product in _SMALL_K_TERMS[k]:
+    for (chain, _), value in zip(terms, values):
         alpha = len(chain)
         if n < alpha:
-            continue
-        value = ring.substitute(product, f.coeffs[:k], dom)
+            break
         budget = n - alpha
         s = [dom.one] * (budget + 1)
         for j in reversed(chain):

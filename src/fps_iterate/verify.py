@@ -66,7 +66,8 @@ def _muckenhoupt(f, k, n, table, memo):
 
 
 # name -> evaluate(f, k, n, table, memo), in report order; a sweep hands
-# each method its own memo dict per series. evaluate raises
+# each method its own memo dict per series, which every route but the
+# oracle and muckenhoupt keeps its n-free parts in. evaluate raises
 # NotApplicable where its route's precondition fails, and a plain ValueError
 # on input no route can take. Each evaluate calls one route, named in its
 # body so that the name is looked up in this module at call time
@@ -76,8 +77,8 @@ REGISTRY = {
     "oracle": _oracle,
     "recursive": lambda f, k, n, table, memo: coeff_recursive(f, k, n, table, memo),
     "closed": lambda f, k, n, table, memo: coeff_closed(f, k, n, table, memo),
-    "small": lambda f, k, n, table, memo: coeff_explicit_small_k(f, k, n),
-    "schroder": lambda f, k, n, table, memo: coeff_schroder(f, k, n, table),
+    "small": lambda f, k, n, table, memo: coeff_explicit_small_k(f, k, n, memo),
+    "schroder": lambda f, k, n, table, memo: coeff_schroder(f, k, n, table, memo),
     "muckenhoupt": _muckenhoupt,
 }
 METHODS = tuple(REGISTRY)

@@ -144,6 +144,43 @@ def test_recursive_shared_memo_matches_oracle():
             assert got == iterates[n - 1].coefficient(k), (f.domain, k, n)
 
 
+@pytest.mark.parametrize(
+    "route", [coeff_explicit_small_k, coeff_schroder, coeff_closed], ids=lambda r: r.__name__
+)
+def test_shared_memo_matches_oracle_and_cold_calls(route):
+    # one table and one memo per series across every cell, visited in a
+    # shuffled order: small keeps its substituted chain products and a_1
+    # powers there, schroder its level sums and closed its DP entries, so a
+    # key that misses k or alpha, or a list cut to an earlier cell's n, would
+    # hand one cell another's part; each answer must equal the oracle's and
+    # the same route's without a memo
+    rng = random.Random(89)
+    field = PrimeField(1000003)
+    units = (-3, -2, -1, 1, 2, 3)
+    a1_is_one = route is coeff_schroder
+    q_a1 = 1 if a1_is_one else Fraction(rng.choice(units), rng.randint(1, 3))
+    p_a1 = 1 if a1_is_one else rng.randint(2, 1000002)
+    cases = [
+        (series(q_a1, *(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(7))), 8),
+        (TruncatedSeries(field, 8, [field.from_int(p_a1)]
+                         + [field.from_int(rng.randrange(1000003)) for _ in range(7)]), 10),
+        (generic_series(5, a1_is_one), 5),
+    ]
+    k_max = 5 if route is coeff_explicit_small_k else None
+    for f, n_max in cases:
+        iterates = [f]
+        for _ in range(n_max - 1):
+            iterates.append(iterates[-1].compose(f))
+        cells = list(product(range(1, (k_max or f.order) + 1), range(1, n_max + 1)))
+        rng.shuffle(cells)
+        table, memo = PowerCoefficientTable(f), {}
+        shared = {} if route is coeff_explicit_small_k else {"table": table}
+        for k, n in cells:
+            got = route(f, k, n, memo=memo, **shared)
+            assert got == iterates[n - 1].coefficient(k), (f.domain, k, n)
+            assert got == route(f, k, n, **shared), (f.domain, k, n)
+
+
 def test_recursive_matches_oracle_at_scale():
     # every k at orders 32 and 60 over Z/1000003, where a wrong index bound,
     # truncation or row length would show that k <= 9 can hide; at order 32
@@ -629,9 +666,9 @@ def test_schroder_forward_differences_in_n():
         dom = f.domain
         table = PowerCoefficientTable(f)
         for route in routes:
-            memo = () if route is coeff_schroder else ({},)  # one per route
+            memo = {}  # one per route
             for k in range(1, f.order + 1):
-                values = [route(f, k, n, table, *memo) for n in range(1, 2 * k + 1)]
+                values = [route(f, k, n, table, memo) for n in range(1, 2 * k + 1)]
                 for _ in range(k - 1):
                     values = [b - a for a, b in zip(values, values[1:])]
                 top = dom.from_int(math.factorial(k - 1)) * f.coefficient(2) ** (k - 1)

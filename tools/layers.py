@@ -19,7 +19,10 @@ row counts as moved only if the times differ by more than both spreads.
 Each cold row builds a new table and memo per run; the last answers of
 every checkout are cross-checked, and a wrong one exits 1: the kernel rows
 and the rational and symbolic oracle rows against the elements' operator
-fold, the symbolic routes against the oracle. Standard library only.
+fold, the symbolic routes and the route sweeps against the oracle. A kernel
+or sweep row makes as many calls per run as take ``KERNEL_RUN_S`` on the
+first checkout, timed once before its runs, and every checkout makes that
+many; each row records its count as ``calls``. Standard library only.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import importlib
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -38,7 +42,7 @@ from fractions import Fraction
 from pathlib import Path
 
 P = 1000003
-KERNEL_CALLS = 200
+KERNEL_RUN_S = 0.005  # seconds per run of a kernel or sweep row
 
 
 def parse_args(argv):
@@ -80,6 +84,13 @@ def timed(fn, calls: int):
         gc.enable()
 
 
+def calibrate(fn) -> int:
+    """Calls of ``fn`` that take about ``KERNEL_RUN_S``, from the time of ten."""
+    fn()
+    seconds, _ = timed(fn, 10)
+    return max(1, round(KERNEL_RUN_S / seconds))
+
+
 def load(src: Path):
     """The grid of the package imported afresh from ``src``."""
     for name in [m for m in sys.modules if m.split(".")[0] == "fps_iterate"]:
@@ -97,12 +108,13 @@ def load(src: Path):
 
 def grid():
     """(name, fn, calls, check) per row; ``check`` takes the last result and
-    says whether it is right."""
+    says whether it is right. ``calls`` is None for a kernel or sweep row,
+    whose count is calibrated."""
     from fps_iterate import formulas
     from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
     from fps_iterate.multinomial import PowerCoefficientTable, multinomial_coeff
     from fps_iterate.series import TruncatedSeries
-    from fps_iterate.verify import run_preset
+    from fps_iterate.verify import REGISTRY, A1_POOL, run_preset
 
     field, ring = PrimeField(P), PolynomialRing(4)
 
@@ -146,16 +158,16 @@ def grid():
             ys = [element(j + m) for j in range(m)]
             want = fold(dom, xs, ys)
             rows.append((f"fold/{label}/m={m}", lambda d=dom, x=xs, y=ys: fold(d, x, y),
-                         KERNEL_CALLS, lambda got, w=want: got == w))
+                         None, lambda got, w=want: got == w))
             rows.append((f"combine/{label}/m={m}", lambda d=dom, x=xs, y=ys: d.combine(x, y),
-                         KERNEL_CALLS, lambda got, w=want: got == w))
+                         None, lambda got, w=want: got == w))
         for m in (8, 16, 32):
             xs = [element(j) for j in range(m)]
             ys = [element(j + m) for j in range(m)]
             want = fold_convolve(dom, xs, ys)
             rows.append((f"convolve/{label}/m={m}",
                          lambda d=dom, x=xs, y=ys: d.convolve(x, y),
-                         KERNEL_CALLS, lambda got, w=want: list(got) == w))
+                         None, lambda got, w=want: list(got) == w))
 
     big = residues(100)
 
@@ -220,6 +232,27 @@ def grid():
     want_sym8 = fold_iterate(sym8, 8)
     rows.append(("oracle/Q[a1..a8]/K=n=8", lambda: sym8.iterate(8), 1,
                  lambda got: list(got.coeffs) == want_sym8))
+    # every cell k <= 8, n <= 6 (small: k <= 5) of one seeded rational
+    # series, with a_1 = 1 for schroder; one table and memo per run, each
+    # route called as a sweep calls it
+    rng = random.Random(27)
+    digits = [d for d in range(-9, 10) if d]
+    higher = [Fraction(rng.randint(-9, 9), rng.choice(digits)) for _ in range(7)]
+    for a1, routes in ((rng.choice(A1_POOL), ("small", "closed", "recursive")), (1, ("schroder",))):
+        f = TruncatedSeries(RATIONALS, 8, [RATIONALS.from_fraction(q) for q in [a1] + higher])
+        iterates = [f]
+        for _ in range(5):
+            iterates.append(iterates[-1].compose(f))
+        for route in routes:
+            cells = [(k, n) for k in range(1, 6 if route == "small" else 9) for n in range(1, 7)]
+            want = [iterates[n - 1].coefficient(k) for k, n in cells]
+
+            def sweep(f=f, evaluate=REGISTRY[route], cells=cells):
+                table, memo = PowerCoefficientTable(f), {}
+                return [evaluate(f, k, n, table, memo) for k, n in cells]
+
+            rows.append((f"sweep/{route}/Q/k<={cells[-1][0]},n<=6", sweep, None,
+                         lambda got, w=want: got == w))
     for preset in ("symbolic", "acceptance"):
         rows.append((f"preset/{preset}", lambda p=preset: run_preset(p), 1,
                      lambda got: got.passed))
@@ -245,6 +278,8 @@ def main(argv=None) -> int:
     wrong = []
     for rows in zip(*grids):
         name, _, calls, _ = rows[0]
+        if calls is None:
+            calls = calibrate(rows[0][1])
         times, results = [[] for _ in sides], [None for _ in sides]
         for run in range(args.repeat):
             for side in sides if run % 2 == 0 else reversed(sides):
@@ -253,7 +288,7 @@ def main(argv=None) -> int:
         for src, (_, _, _, check), result in zip(args.src, rows, results):
             if not check(result):
                 wrong.append(f"{name} (--src {src})")
-        row = {"name": name, "unit": "s", "runs": args.repeat,
+        row = {"name": name, "unit": "s", "runs": args.repeat, "calls": calls,
                "sides": [spread(t) for t in times]}
         best = [s["best"] for s in row["sides"]]
         median = [s["median"] for s in row["sides"]]
