@@ -342,10 +342,9 @@ def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int, memo=None):
     a_1^((j - 1) * i_j) over all i_j >= 0 with sum <= n - alpha. The sum is
     taken one level at a time from the innermost out: from s = [1, ..., 1],
     each j sets s[b] = sum_{i <= b} a_1^((j - 1) * i) * s[b - i], and the
-    outermost level forms only
-    s[n - alpha]. That is O(alpha * n^2) domain operations per chain. It
-    shares no code with ``coeff_closed``; the two routes are tested against
-    each other.
+    outermost level forms only s[n - alpha]. That is O(alpha * n^2) domain
+    operations per chain. It shares no code with ``coeff_closed``; the two
+    routes are tested against each other.
 
     Neither the chain products nor the powers depend on n. A ``memo`` dict
     keeps them per series: under k the substituted chain products, in the
