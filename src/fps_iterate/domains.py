@@ -1,13 +1,18 @@
 """Exact coefficient domains: rationals, prime fields, sparse polynomial rings.
 
 Values are immutable, ``==`` is exact equality, and printing is
-deterministic. Nothing here ever rounds. Two kernels sit beside the
-elements' operators, each kept apart from the other so that the routes and
-the oracle they are checked against run on different code:
+deterministic. Nothing here ever rounds. Three kernels sit beside the
+elements' operators. The oracle's two are kept apart from the routes' one,
+so that the routes and the oracle they are checked against run on
+different code:
 
 - ``Domain.convolve``, the oracle's product kernel: each sequence scaled
   to integers once per call over Q, one gathered sum per entry over
   Q[a1..aK], one integer product over Z/p;
+- ``Domain.horner``, the oracle's composition: Horner's rule, one
+  ``convolve`` per step over Q and Q[a1..aK]; over Z/p, for primes with
+  m*(p-1)^2 < 2^64, one integer product per step on plain residues, the
+  fixed operand packed once per call;
 - ``Domain.combine``, the routes' sum of products x_0*y_0 + x_1*y_1 + ...:
   one integer sum over one common denominator, reduced once, over Q; one
   gathered sum of every pair's term products over Q[a1..aK]; one integer
@@ -424,7 +429,8 @@ class Domain:
     Arithmetic is the elements' own exact operators, plus two kernels that
     each subclass implements and this class does not: ``convolve``, the
     oracle's product kernel, and ``combine``, the routes' sum of products.
-    Neither calls the other.
+    Neither calls the other. ``horner``, the oracle's composition, runs on
+    ``convolve`` here; a subclass may replace it with its own loop.
     Subclasses fix the element types and their form. The instance doubles
     as the domain descriptor: two domains are equal when their ``to_json``
     descriptors are, and ``domain_from_json`` inverts ``to_json``.
@@ -446,6 +452,16 @@ class Domain:
         """z_0, ..., z_(m-1) with z_s = x_0*y_s + x_1*y_(s-1) + ... + x_s*y_0,
         for two sequences of m elements."""
         raise NotImplementedError
+
+    def horner(self, coeffs, ys):
+        """The coefficients of f(g(x)) to order m, for f = a_1 x + ... +
+        a_m x^m with ``coeffs`` a_1..a_m and g with ``ys`` g_1..g_m, by
+        Horner's rule: acc = (a_j + acc)*g for j = m, ..., 1 from acc = 0,
+        one ``convolve`` per step."""
+        acc = [self.zero] * len(coeffs)
+        for a_m in reversed(coeffs):
+            acc = self.convolve([a_m, *acc[:-1]], ys)
+        return acc
 
     def combine(self, xs, ys):
         """x_0*y_0 + x_1*y_1 + ... for two sequences of equal length, the sum
@@ -605,6 +621,26 @@ class PrimeField(Domain):
             FpElement(int.from_bytes(z[i : i + nb], "little"), p)
             for i in range(0, m * nb, nb)
         ]
+
+    def horner(self, coeffs, ys):
+        """Domain.horner on plain residues when m*(p-1)^2 < 2^64: ``ys`` is
+        packed once, a residue per 8-byte slot, and each step is one pack
+        of a_j and acc, one integer product and one unpack of its low m
+        slots, reduced mod p; the elements are built once, at the end.
+        Every entry of a step's product is at most m*(p-1)^2, so no slot
+        carries. Wider primes take the base loop. The inputs must be
+        elements of this field; nothing checks them."""
+        p, m = self.p, len(ys)
+        if m * (p - 1) ** 2 >= 1 << 64:
+            return super().horner(coeffs, ys)
+        # "<mQ" is m little-endian 64-bit unsigned slots
+        slots = struct.Struct(f"<{m}Q")
+        g = int.from_bytes(slots.pack(*[y.value for y in ys]), "little")
+        acc = [0] * m
+        for a in reversed(coeffs):
+            z = int.from_bytes(slots.pack(a.value, *acc[:-1]), "little") * g
+            acc = [v % p for v in slots.unpack_from(z.to_bytes(16 * m, "little"))]
+        return [FpElement(v, p) for v in acc]
 
     def combine(self, xs, ys):
         """Domain.combine as one integer sum of the residues' products,

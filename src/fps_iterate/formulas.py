@@ -340,8 +340,9 @@ def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int, memo=None):
     n: a_1^(n-alpha) times the chain product, expanded by hand in
     _SMALL_K_CHAIN_PRODUCTS, times the chain's nested sum of
     a_1^((j - 1) * i_j) over all i_j >= 0 with sum <= n - alpha. The sum is
-    taken one level at a time from the innermost out: from s = [1, ..., 1],
-    each j sets s[b] = sum_{i <= b} a_1^((j - 1) * i) * s[b - i], and the
+    taken one level at a time from the innermost out: the innermost level
+    is the prefix sums s[b] = sum_{i <= b} a_1^((j - 1) * i), each level
+    out sets s[b] = sum_{i <= b} a_1^((j - 1) * i) * s[b - i], and the
     outermost level forms only s[n - alpha]. That is O(alpha * n^2) domain
     operations per chain. It shares no code with ``coeff_closed``; the two
     routes are tested against each other.
@@ -379,8 +380,8 @@ def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int, memo=None):
         if n < alpha:
             break
         budget = n - alpha
-        s = [dom.one] * (budget + 1)
-        for j in reversed(chain):
+        s = list(accumulate(powers[chain[-1]][: budget + 1]))
+        for j in reversed(chain[:-1]):
             s = [
                 sum([p * t for p, t in zip(powers[j], s[b::-1])], dom.zero)
                 for b in range(budget if j == k else 0, budget + 1)

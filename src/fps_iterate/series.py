@@ -2,9 +2,10 @@
 
 A series is the coefficient vector a_1..a_K of f(x) = a_1 x + ... + a_K x^K.
 Multiplication, composition, and iteration are exact in the coefficient
-domain and stay at the same truncation order, each product one
-``Domain.convolve``. Composition and iteration are deliberately naive so they
-can serve as the ground-truth oracle for every shortcut formula.
+domain and stay at the same truncation order: a product is one
+``Domain.convolve``, a composition one ``Domain.horner``. Composition and
+iteration are deliberately naive so they can serve as the ground-truth
+oracle for every shortcut formula.
 """
 
 from __future__ import annotations
@@ -76,13 +77,10 @@ class TruncatedSeries:
     def compose(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """self(other(x)) to the common truncation order by Horner's rule:
         acc = (a_m + acc)*other for m = K, ..., 1 from acc = 0, one
-        ``Domain.convolve`` per step."""
+        ``Domain.horner``."""
         self._like(other)
-        dom = self.domain
-        acc = [dom.zero] * self.order
-        for a_m in reversed(self.coeffs):
-            acc = dom.convolve([a_m, *acc[:-1]], other.coeffs)
-        return TruncatedSeries(dom, self.order, acc)
+        acc = self.domain.horner(self.coeffs, other.coeffs)
+        return TruncatedSeries(self.domain, self.order, acc)
 
     def iterate(self, n: int) -> "TruncatedSeries":
         """The n-fold self-composition, folding f^(n) = f^(n-1) o f."""

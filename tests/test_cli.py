@@ -15,8 +15,15 @@ from pathlib import Path
 import pytest
 
 import fps_iterate.cli as cli
+from fps_iterate.domains import PrimeField
 from fps_iterate.series import TruncatedSeries
-from fps_iterate.verify import METHODS, DiscrepancyReport, Mismatch
+from fps_iterate.verify import (
+    METHODS,
+    DiscrepancyReport,
+    GeneratorSpec,
+    Mismatch,
+    _refuse_long_draws,
+)
 
 
 def write_series(tmp_path, name, coeffs, **extra):
@@ -355,6 +362,22 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     assert "result: FAIL" in out
+
+
+@pytest.mark.parametrize("order, refused", [(29, False), (30, True)])
+def test_draw_budget_boundary_over_z2(order, refused):
+    # one random-rational series over Z/2 takes about 19,279 draws at order
+    # 29 and 27,245 at order 30, either side of the 20,000 limit
+    generator = GeneratorSpec("random-rational", count=1)
+    if not refused:
+        _refuse_long_draws(generator, PrimeField(2), order)
+        return
+    with pytest.raises(ValueError) as info:
+        _refuse_long_draws(generator, PrimeField(2), order)
+    assert str(info.value) == (
+        "random-rational series over 'prime:2' need about 27,245 draws "
+        "(1 series of order 30), above the limit of 20,000"
+    )
 
 
 def test_random_rational_spec_that_would_redraw_for_minutes_is_refused(

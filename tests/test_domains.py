@@ -350,6 +350,25 @@ def test_the_base_domain_defines_no_kernel():
     for kernel in (Domain().convolve, Domain().combine):
         with pytest.raises(NotImplementedError):
             kernel([], [])
+    # its horner is the loop on convolve, with no zero to start from
+    with pytest.raises(AttributeError, match="zero"):
+        Domain().horner([1], [1])
+
+
+@pytest.mark.parametrize("m, packed", [(1, True), (2, False)])
+def test_prime_field_horner_packs_residues_only_below_2_to_the_64(monkeypatch, m, packed):
+    """Over the largest prime below 2^32, m*(p-1)^2 < 2^64 holds for m = 1
+    alone: m = 1 runs on 8-byte slots, m = 2 on the base ``convolve`` loop."""
+    field = PrimeField(4294967291)
+    calls = []
+    convolve = PrimeField.convolve
+    monkeypatch.setattr(
+        PrimeField, "convolve", lambda self, xs, ys: calls.append(1) or convolve(self, xs, ys)
+    )
+    top = [field.from_int(-1)] * m
+    got = field.horner(top, top)
+    assert len(calls) == (0 if packed else m)
+    assert got == Domain.horner(field, top, top)
 
 
 def test_polynomial_coefficients_canonical():

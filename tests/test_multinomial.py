@@ -170,7 +170,8 @@ def test_power_coefficient_table():
 def test_table_and_multinomial_walk_share_no_code():
     """The table and ``multinomial_coeff`` check each other, so neither
     reads the other; the table sums on ``combine`` rather than the oracle's
-    ``mul`` or ``convolve``, and the walk keeps the element operators."""
+    ``mul``, ``convolve`` or ``horner``, and the walk keeps the element
+    operators."""
     tree = ast.parse(Path(multinomial.__file__).read_text(encoding="utf-8"))
 
     def names(name):
@@ -182,8 +183,8 @@ def test_table_and_multinomial_walk_share_no_code():
         }
 
     assert not names("multinomial_coeff") & {
-        "PowerCoefficientTable", "get", "row", "combine", "convolve"
+        "PowerCoefficientTable", "get", "row", "combine", "convolve", "horner"
     }
     assert not names("PowerCoefficientTable") & {
-        "multinomial_coeff", "convolve", "mul"
+        "multinomial_coeff", "convolve", "horner", "mul"
     }

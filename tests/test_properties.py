@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fps_iterate import cli
-from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
+from fps_iterate.domains import RATIONALS, Domain, PolynomialRing, PrimeField
 from fps_iterate.formulas import NotApplicable
 from fps_iterate.series import TruncatedSeries
 from fps_iterate.verify import GENERATOR_KINDS, METHODS, REGISTRY
@@ -177,6 +177,54 @@ def test_convolve_equals_operator_fold(case):
             assert {e: type(c) for e, c in z.terms.items()} == {
                 e: type(c) for e, c in expected.terms.items()
             }
+
+
+@st.composite
+def horner_inputs(draw):
+    """Two equally long lists of at most 6 elements of Q, Z/5, Z/97,
+    Z/1000003, Z/(2^61 - 1) or Q[a1..a3], for ``horner``."""
+    dom = draw(st.sampled_from(
+        (RATIONALS, PrimeField(5), _Z97, PrimeField(1000003), PrimeField(2**61 - 1), _RING3)
+    ))
+    size = draw(st.integers(0, 6))
+    coeffs = draw(st.lists(_values(dom), min_size=size, max_size=size))
+    ys = draw(st.lists(_values(dom), min_size=size, max_size=size))
+    return dom, coeffs, ys
+
+
+# the largest prime below 2^32: m*(p-1)^2 < 2^64 holds for m = 1 alone
+_P32 = PrimeField(4294967291)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(horner_inputs())
+@example((RATIONALS, [], []))
+@example((PrimeField(5), [], []))
+@example(_all_top(2, 1))
+@example(_all_top(2, 33))
+@example(_all_top(3, 1))
+@example(_all_top(3, 33))
+@example(_all_top(1000003, 1))
+@example(_all_top(1000003, 33))
+@example(_all_top(2**61 - 1, 1))
+@example(_all_top(2**61 - 1, 33))
+@example(_all_top(_P32.p, 1))
+@example(_all_top(_P32.p, 2))
+# the first step leaves acc_0 = p - 1, so the second step's x^1 entry is
+# 2*(p-1)^2, above 2^64: it would carry out of an 8-byte slot
+@example((_P32, [_P32.from_int(-1), _P32.one], [_P32.from_int(-1)] * 2))
+@example((RATIONALS, [Fraction(1, 2), Fraction(-2, 3), 5], [Fraction(3, 4), 1, Fraction(-1, 6)]))
+@example((_RING3, [_RING3.variable(1), _RING3.variable(2)], [_RING3.one, _RING3.variable(3)]))
+def test_horner_equals_the_convolve_loop(case):
+    dom, coeffs, ys = case
+    # Horner's rule with one convolve per step, as the base Domain.horner
+    expected = [dom.zero] * len(coeffs)
+    for a_m in reversed(coeffs):
+        expected = dom.convolve([a_m, *expected[:-1]], ys)
+    got = dom.horner(coeffs, ys)
+    assert got == expected
+    assert [dom.format(z) for z in got] == [dom.format(z) for z in expected]
+    assert all(dom.contains(z) for z in got)
 
 
 @st.composite

@@ -108,30 +108,47 @@ def test_mul_is_the_truncated_convolution(dom):
 
 def test_only_the_oracle_calls_convolve():
     """``Domain.convolve`` is the oracle's arithmetic alone, and each
-    domain's only product kernel: no ``dot`` is defined or called. The
-    routes sum on ``Domain.combine`` and the elements' operators instead,
-    so the cross-check covers both implementations."""
+    domain's only product kernel: no ``dot`` is defined or called. It is
+    called by ``mul`` and by the base ``Domain.horner``, which ``compose``
+    calls and ``PrimeField.horner`` falls back on. The routes sum on
+    ``Domain.combine`` and the elements' operators instead, so the
+    cross-check covers both implementations."""
     package = Path(fps_iterate.__file__).parent
-    callers = {"dot": set(), "convolve": set()}
+    callers = {"dot": set(), "convolve": set(), "horner": set()}
     defined = set()
     for path in sorted(package.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         if ".convolve(" in text:
             assert path.name in ("domains.py", "series.py"), path.name
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        defined |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        # module functions by name, methods as Class.method
+        functions = []
+        for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                defined.add(node.name)
-                for call in ast.walk(node):
-                    if (
-                        isinstance(call, ast.Call)
-                        and isinstance(call.func, ast.Attribute)
-                        and call.func.attr in callers
-                    ):
-                        callers[call.func.attr].add((path.name, node.name))
+                functions.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                functions += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+        for name, node in functions:
+            for call in ast.walk(node):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in callers
+                ):
+                    callers[call.func.attr].add((path.name, name))
     assert "dot" not in defined
     assert callers == {
         "dot": set(),
-        "convolve": {("series.py", "mul"), ("series.py", "compose")},
+        "convolve": {("series.py", "TruncatedSeries.mul"), ("domains.py", "Domain.horner")},
+        "horner": {
+            ("series.py", "TruncatedSeries.compose"),
+            ("domains.py", "PrimeField.horner"),
+        },
     }
 
 
@@ -139,9 +156,10 @@ def test_only_the_routes_call_combine():
     """``Domain.combine`` is the routes' sum of products, which the base
     class leaves to the ``Rationals``, ``PrimeField`` and ``PolynomialRing``
     kernels, named only by the power table's ``get``, ``coeff_recursive``
-    and ``coeff_closed``. It names no
-    ``convolve``, so the oracle, the partition walk, the chain walks and
-    ``small``, which name neither kernel, check it on code it does not run."""
+    and ``coeff_closed``. It names no ``convolve`` or ``horner``, and only
+    ``compose`` and the kernel itself name ``horner``, so the oracle, the
+    partition walk, the chain walks and ``small``, which name no kernel,
+    check it on code it does not run."""
     package = Path(fps_iterate.__file__).parent
     defined, naming = [], {}
     for path in sorted(package.glob("*.py")):
@@ -161,7 +179,7 @@ def test_only_the_routes_call_combine():
                 }
                 key = (path.name, node.name)
                 naming[key] = naming.get(key, set()) | (
-                    names & {"combine", "convolve", "dot"}
+                    names & {"combine", "convolve", "dot", "horner"}
                 )
     assert sorted(defined) == [
         ("domains.py", "Domain"),
@@ -175,6 +193,10 @@ def test_only_the_routes_call_combine():
         ("formulas.py", "coeff_recursive"),
         ("formulas.py", "coeff_closed"),
     }
+    assert {key for key, names in naming.items() if "horner" in names} == {
+        ("series.py", "compose"),
+        ("domains.py", "horner"),
+    }
     checks = [key for key in naming if key[0] == "series.py"] + [
         ("multinomial.py", "multinomial_coeff"),
         ("formulas.py", "closed_form_level"),
@@ -183,9 +205,9 @@ def test_only_the_routes_call_combine():
         ("formulas.py", "coeff_schroder"),
         ("formulas.py", "coeff_explicit_small_k"),
     ]
+    oracle = {("series.py", "mul"): {"convolve"}, ("series.py", "compose"): {"horner"}}
     for key in checks:
-        oracle = key in (("series.py", "mul"), ("series.py", "compose"))
-        assert naming[key] == ({"convolve"} if oracle else set()), key
+        assert naming[key] == oracle.get(key, set()), key
 
 
 def _names_in_route(name):
@@ -206,8 +228,8 @@ def _names_in_route(name):
 
 def test_small_route_shares_no_code_with_the_closed_form():
     """``coeff_explicit_small_k`` is cross-checked against the closed form
-    and the oracle, so its body names none of the closed form's pieces and
-    neither the oracle's product kernel nor the routes' ``combine``."""
+    and the oracle, so its body names none of the closed form's pieces,
+    neither of the oracle's kernels and not the routes' ``combine``."""
     names = _names_in_route("coeff_explicit_small_k")
     assert "_SMALL_K_TERMS" in names
     assert not names & {
@@ -218,6 +240,7 @@ def test_small_route_shares_no_code_with_the_closed_form():
         "closed_form_level",
         "coeff_closed",
         "convolve",
+        "horner",
         "combine",
     }
 

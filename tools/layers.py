@@ -19,7 +19,8 @@ row counts as moved only if the times differ by more than both spreads.
 Each cold row builds a new table and memo per run; the last answers of
 every checkout are cross-checked, and a wrong one exits 1: the kernel rows
 and the rational and symbolic oracle rows against the elements' operator
-fold, the symbolic routes and the route sweeps against the oracle. A kernel
+fold, the Z/p oracle rows against ``coeff_recursive`` at every k, the
+symbolic routes and the route sweeps against the oracle. A kernel
 or sweep row makes as many calls per run as take ``KERNEL_RUN_S`` on the
 first checkout, timed once before its runs, and every checkout makes that
 many; each row records its count as ``calls``. Standard library only.
@@ -118,9 +119,9 @@ def grid():
 
     field, ring = PrimeField(P), PolynomialRing(4)
 
-    def residues(order):
+    def residues(order, dom=field):
         return TruncatedSeries(
-            field, order, [field.from_int(37 * j * j + 11 * j + 5) for j in range(1, order + 1)]
+            dom, order, [dom.from_int(37 * j * j + 11 * j + 5) for j in range(1, order + 1)]
         )
 
     rational = TruncatedSeries(
@@ -199,9 +200,15 @@ def grid():
 
     rows.append((f"closed-sweep/Z/{P}/k,n<=24", closed_sweep, 1,
                  lambda got: got[-1] == sweep_series.iterate(24).coefficient(24)))
-    oracle = residues(45).iterate(90)
-    rows.append((f"oracle/Z/{P}/K=45,n=90", lambda: residues(45).iterate(90), 1,
-                 lambda got: got == oracle))
+    # the Z/p oracle against coeff_recursive at every k, on one table and
+    # memo; over Z/(2^61 - 1) the oracle takes the base Horner loop
+    for dom, label, K, n in ((field, f"Z/{P}", 24, 48), (field, f"Z/{P}", 45, 90),
+                             (PrimeField(2**61 - 1), "Z/(2^61-1)", 24, 48)):
+        f = residues(K, dom)
+        t, memo = PowerCoefficientTable(f), {}
+        want = [formulas.coeff_recursive(f, k, n, t, memo) for k in range(1, K + 1)]
+        rows.append((f"oracle/{label}/K={K},n={n}", lambda f=f, n=n: f.iterate(n), 1,
+                     lambda got, w=want: list(got.coeffs) == w))
     want_oracle = fold_iterate(rational, 14)
     rows.append(("oracle/Q/K=n=14", lambda: rational.iterate(14), 1,
                  lambda got: list(got.coeffs) == want_oracle))
