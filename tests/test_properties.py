@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fps_iterate import cli
-from fps_iterate.domains import RATIONALS, Domain, PolynomialRing, PrimeField
+from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
 from fps_iterate.formulas import NotApplicable
 from fps_iterate.series import TruncatedSeries
 from fps_iterate.verify import GENERATOR_KINDS, METHODS, REGISTRY
