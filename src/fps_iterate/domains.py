@@ -9,8 +9,11 @@ different code:
 - ``Domain.convolve``, the oracle's product kernel: each sequence scaled
   to integers once per call over Q, one gathered sum per entry over
   Q[a1..aK], one integer product over Z/p;
-- ``Domain.horner``, the oracle's composition: Horner's rule, one
-  ``convolve`` per step over Q and Q[a1..aK]; over Z/p, for primes with
+- ``Domain.horner``, the oracle's composition: Horner's rule, each step
+  forming only the entries that still reach order m, because the inner
+  series has a zero constant term; one truncated ``convolve`` per step
+  over Q[a1..aK] and wide primes; over Q, int numerators over one common
+  denominator carried from step to step; over Z/p, for primes with
   m*(p-1)^2 < 2^64, one integer product per step on plain residues, the
   fixed operand packed once per call;
 - ``Domain.combine``, the routes' sum of products x_0*y_0 + x_1*y_1 + ...:
@@ -457,10 +460,16 @@ class Domain:
         """The coefficients of f(g(x)) to order m, for f = a_1 x + ... +
         a_m x^m with ``coeffs`` a_1..a_m and g with ``ys`` g_1..g_m, by
         Horner's rule: acc = (a_j + acc)*g for j = m, ..., 1 from acc = 0,
-        one ``convolve`` per step."""
-        acc = [self.zero] * len(coeffs)
-        for a_m in reversed(coeffs):
-            acc = self.convolve([a_m, *acc[:-1]], ys)
+        one ``convolve`` per step, truncated. g has a zero constant term,
+        so each later step's product by g raises every order by at least
+        one; the acc of step j meets g j - 1 more times, and only its
+        entries up to x^(m-j+1) reach x^m. Step j forms just those m - j + 1
+        entries, each the same sum as in the full-length product (Brent and
+        Kung, J. ACM 25, 1978)."""
+        m = len(coeffs)
+        acc = []
+        for j in range(m, 0, -1):
+            acc = self.convolve([coeffs[j - 1], *acc], ys[: m - j + 1])
         return acc
 
     def combine(self, xs, ys):
@@ -498,12 +507,11 @@ class Rationals(Domain):
     ``fractions.Fraction``; ``bool`` and ``float`` are refused.
 
     Operations on ints stay ints, so integral values skip the gcd and the
-    object that each Fraction operation pays for. Constructors and both
+    object that each Fraction operation pays for. Constructors and the
     kernels return an ``int`` for an integral value, but arithmetic may not
     (see the module docstring). Each kernel sums in ints over one common
-    denominator per call and reduces each result once, where the operator
-    fold would pay a gcd and a Fraction per operation (Knuth, TAOCP vol. 2,
-    4.5.1).
+    denominator and reduces each result once, where the operator fold would
+    pay a gcd and a Fraction per operation (Knuth, TAOCP vol. 2, 4.5.1).
     """
 
     is_field = True
@@ -539,6 +547,35 @@ class Rationals(Domain):
             exact = total % common == 0
             out.append(total // common if exact else Fraction(total, common))
         return out
+
+    def horner(self, coeffs, ys):
+        """Domain.horner on integers: ``ys`` is scaled to integers once, by
+        dy, the lcm of its denominators, and acc is carried as int
+        numerators over one common denominator. Step j takes a_j in, its
+        numerators rescaled when the denominator must grow, forms the
+        m - j + 1 entries that reach x^m (see ``Domain.horner``) as int
+        sums of int products over that denominator times dy, and divides
+        out one gcd of the denominator and every entry. The rationals are
+        built once, at the end, each an int exactly when it is integral.
+        The inputs must be rationals; nothing checks them (as for
+        ``convolve``)."""
+        m = len(ys)
+        dy = math.lcm(*[y.denominator for y in ys])
+        g = [y.numerator * (dy // y.denominator) for y in ys]
+        acc, den = [], 1
+        for j in range(m, 0, -1):
+            a = coeffs[j - 1]
+            common = math.lcm(den, a.denominator)
+            if common != den:
+                acc = [v * (common // den) for v in acc]
+            x = [a.numerator * (common // a.denominator), *acc]
+            acc = [sum(map(operator.mul, x[: s + 1], g[s::-1])) for s in range(len(x))]
+            den = common * dy
+            d = math.gcd(den, *acc)
+            if d > 1:
+                acc = [v // d for v in acc]
+                den //= d
+        return [v // den if v % den == 0 else Fraction(v, den) for v in acc]
 
     def combine(self, xs, ys):
         """Domain.combine over one common denominator: each pair's
@@ -624,22 +661,27 @@ class PrimeField(Domain):
 
     def horner(self, coeffs, ys):
         """Domain.horner on plain residues when m*(p-1)^2 < 2^64: ``ys`` is
-        packed once, a residue per 8-byte slot, and each step is one pack
-        of a_j and acc, one integer product and one unpack of its low m
-        slots, reduced mod p; the elements are built once, at the end.
-        Every entry of a step's product is at most m*(p-1)^2, so no slot
-        carries. Wider primes take the base loop. The inputs must be
-        elements of this field; nothing checks them."""
+        packed once, a residue per 8-byte slot, and step j is one pack of
+        a_j and acc, one integer product with the low m - j + 1 slots of
+        ``ys`` and one unpack of the product's low m - j + 1 slots, reduced
+        mod p; the higher slots never reach x^m (see ``Domain.horner``), and
+        the low slots of a product depend only on its factors' low slots.
+        The elements are built once, at the end. Every entry of a step's
+        product is at most m*(p-1)^2, so no slot carries. Wider primes take
+        the base loop. The inputs must be elements of this field; nothing
+        checks them."""
         p, m = self.p, len(ys)
         if m * (p - 1) ** 2 >= 1 << 64:
             return super().horner(coeffs, ys)
-        # "<mQ" is m little-endian 64-bit unsigned slots
-        slots = struct.Struct(f"<{m}Q")
-        g = int.from_bytes(slots.pack(*[y.value for y in ys]), "little")
-        acc = [0] * m
-        for a in reversed(coeffs):
-            z = int.from_bytes(slots.pack(a.value, *acc[:-1]), "little") * g
-            acc = [v % p for v in slots.unpack_from(z.to_bytes(16 * m, "little"))]
+        # "<nQ" is n little-endian 64-bit unsigned slots
+        g = int.from_bytes(struct.pack(f"<{m}Q", *[y.value for y in ys]), "little")
+        acc = []
+        for j in range(m, 0, -1):
+            n = m - j + 1
+            low = (1 << 64 * n) - 1
+            x = int.from_bytes(struct.pack(f"<{n}Q", coeffs[j - 1].value, *acc), "little")
+            z = (x * (g & low) & low).to_bytes(8 * n, "little")
+            acc = [v % p for v in struct.unpack(f"<{n}Q", z)]
         return [FpElement(v, p) for v in acc]
 
     def combine(self, xs, ys):

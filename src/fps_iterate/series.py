@@ -77,7 +77,9 @@ class TruncatedSeries:
     def compose(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """self(other(x)) to the common truncation order by Horner's rule:
         acc = (a_m + acc)*other for m = K, ..., 1 from acc = 0, one
-        ``Domain.horner``."""
+        ``Domain.horner``. other has a zero constant term, so the acc of
+        step m is multiplied by it m - 1 more times and reaches x^K only
+        through its entries up to x^(K-m+1); the kernel forms just those."""
         self._like(other)
         acc = self.domain.horner(self.coeffs, other.coeffs)
         return TruncatedSeries(self.domain, self.order, acc)

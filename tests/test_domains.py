@@ -9,6 +9,7 @@ import pytest
 
 import fps_iterate
 from fps_iterate.domains import (
+    _MILLER_RABIN_WITNESSES,
     Domain,
     FpElement,
     Polynomial,
@@ -19,6 +20,12 @@ from fps_iterate.domains import (
     domain_from_json,
     is_prime,
 )
+
+
+def test_miller_rabin_witnesses_are_the_primes_up_to_41():
+    # the Sorenson-Webster bound holds for exactly these bases
+    primes = [n for n in range(2, 42) if all(n % d for d in range(2, n))]
+    assert _MILLER_RABIN_WITNESSES == tuple(primes)
 
 
 def test_is_prime_spot_checks():
@@ -350,8 +357,8 @@ def test_the_base_domain_defines_no_kernel():
     for kernel in (Domain().convolve, Domain().combine):
         with pytest.raises(NotImplementedError):
             kernel([], [])
-    # its horner is the loop on convolve, with no zero to start from
-    with pytest.raises(AttributeError, match="zero"):
+    # its horner is the loop on convolve, which it does not define
+    with pytest.raises(NotImplementedError):
         Domain().horner([1], [1])
 
 

@@ -215,9 +215,24 @@ _P32 = PrimeField(4294967291)
 @example((_P32, [_P32.from_int(-1), _P32.one], [_P32.from_int(-1)] * 2))
 @example((RATIONALS, [Fraction(1, 2), Fraction(-2, 3), 5], [Fraction(3, 4), 1, Fraction(-1, 6)]))
 @example((_RING3, [_RING3.variable(1), _RING3.variable(2)], [_RING3.one, _RING3.variable(3)]))
+# m = 1: one step, one entry
+@example((RATIONALS, [Fraction(2, 3)], [Fraction(-3, 4)]))
+@example((_RING3, [_RING3.variable(1)], [_RING3.variable(2) + _RING3.one]))
+# g_1 = 0: every step's product starts at x^2
+@example((RATIONALS, [Fraction(1, 2), 3, Fraction(-2, 5)], [0, Fraction(1, 3), 2]))
+@example((_Z97, [_Z97.from_int(5), _Z97.from_int(96), _Z97.one], [_Z97.zero, _Z97.from_int(3), _Z97.one]))
+# denominators near 10^30 on both sides, a new one at every step
+@example((
+    RATIONALS,
+    [Fraction(10**30 - 1, 10**30 + 1), Fraction(-7, 10**30 + 3), Fraction(10**29, 10**30 + 7)],
+    [Fraction(3, 10**30 + 9), Fraction(10**30 - 3, 10**30 + 11), Fraction(-2, 10**30 - 1)],
+))
+# fractions on both sides whose common denominator cancels: -4, -9, -14
+@example((RATIONALS, [2, Fraction(-3, 2), Fraction(3, 4)], [-2, Fraction(-3, 2), Fraction(1, 2)]))
 def test_horner_equals_the_convolve_loop(case):
     dom, coeffs, ys = case
-    # Horner's rule with one convolve per step, as the base Domain.horner
+    # Horner's rule with one full-length convolve per step: the kernels
+    # form fewer entries per step, and must still agree with it
     expected = [dom.zero] * len(coeffs)
     for a_m in reversed(coeffs):
         expected = dom.convolve([a_m, *expected[:-1]], ys)
@@ -225,6 +240,8 @@ def test_horner_equals_the_convolve_loop(case):
     assert got == expected
     assert [dom.format(z) for z in got] == [dom.format(z) for z in expected]
     assert all(dom.contains(z) for z in got)
+    if dom is RATIONALS:  # an int exactly where convolve gives one
+        assert [type(z) for z in got] == [type(z) for z in expected]
 
 
 @st.composite

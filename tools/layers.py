@@ -240,16 +240,28 @@ def grid():
     rows.append(("oracle/Q[a1..a8]/K=n=8", lambda: sym8.iterate(8), 1,
                  lambda got: list(got.coeffs) == want_sym8))
     # every cell k <= 8, n <= 6 (small: k <= 5) of one seeded rational
-    # series, with a_1 = 1 for schroder; one table and memo per run, each
-    # route called as a sweep calls it
+    # series, drawn as `acceptance` draws them, with a_1 = 1 for schroder;
+    # one table and memo per run, each route called as a sweep calls it;
+    # and the oracle's iterates 2..6 of the first series, checked against
+    # the operator fold
     rng = random.Random(27)
     digits = [d for d in range(-9, 10) if d]
     higher = [Fraction(rng.randint(-9, 9), rng.choice(digits)) for _ in range(7)]
     for a1, routes in ((rng.choice(A1_POOL), ("small", "closed", "recursive")), (1, ("schroder",))):
         f = TruncatedSeries(RATIONALS, 8, [RATIONALS.from_fraction(q) for q in [a1] + higher])
-        iterates = [f]
-        for _ in range(5):
-            iterates.append(iterates[-1].compose(f))
+
+        def oracle_sweep(f=f):
+            # iterates 1..6, composed as a sweep composes them
+            iterates = [f]
+            for _ in range(5):
+                iterates.append(iterates[-1].compose(f))
+            return iterates
+
+        iterates = oracle_sweep()
+        if "small" in routes:
+            want_iterates = [fold_iterate(f, n) for n in range(2, 7)]
+            rows.append(("oracle/Q/sweep-like/K=8,n=6", oracle_sweep, None,
+                         lambda got, w=want_iterates: [list(g.coeffs) for g in got[1:]] == w))
         for route in routes:
             cells = [(k, n) for k in range(1, 6 if route == "small" else 9) for n in range(1, 7)]
             want = [iterates[n - 1].coefficient(k) for k, n in cells]
