@@ -570,11 +570,9 @@ class Rationals(Domain):
                 acc = [v * (common // den) for v in acc]
             x = [a.numerator * (common // a.denominator), *acc]
             acc = [sum(map(operator.mul, x[: s + 1], g[s::-1])) for s in range(len(x))]
-            den = common * dy
-            d = math.gcd(den, *acc)
-            if d > 1:
-                acc = [v // d for v in acc]
-                den //= d
+            d = math.gcd(common * dy, *acc)
+            acc = [v // d for v in acc]
+            den = common * dy // d
         return [v // den if v % den == 0 else Fraction(v, den) for v in acc]
 
     def combine(self, xs, ys):
