@@ -12,8 +12,7 @@ different code:
 - ``Domain.horner``, the oracle's composition: Horner's rule, each step
   forming only the entries that still reach order m, because the inner
   series has a zero constant term; one truncated ``convolve`` per step
-  over Q[a1..aK] and wide primes; over Q, int numerators over one common
-  denominator carried from step to step; over Z/p, for primes with
+  over Q, Q[a1..aK] and wide primes; over Z/p, for primes with
   m*(p-1)^2 < 2^64, one integer product per step on plain residues, the
   fixed operand packed once per call;
 - ``Domain.combine``, the routes' sum of products x_0*y_0 + x_1*y_1 + ...:
@@ -507,11 +506,12 @@ class Rationals(Domain):
     ``fractions.Fraction``; ``bool`` and ``float`` are refused.
 
     Operations on ints stay ints, so integral values skip the gcd and the
-    object that each Fraction operation pays for. Constructors and the
+    object that each Fraction operation pays for. Constructors and both
     kernels return an ``int`` for an integral value, but arithmetic may not
     (see the module docstring). Each kernel sums in ints over one common
-    denominator and reduces each result once, where the operator fold would
-    pay a gcd and a Fraction per operation (Knuth, TAOCP vol. 2, 4.5.1).
+    denominator per call and reduces each result once, where the operator
+    fold would pay a gcd and a Fraction per operation (Knuth, TAOCP vol. 2,
+    4.5.1).
     """
 
     is_field = True
@@ -547,33 +547,6 @@ class Rationals(Domain):
             exact = total % common == 0
             out.append(total // common if exact else Fraction(total, common))
         return out
-
-    def horner(self, coeffs, ys):
-        """Domain.horner on integers: ``ys`` is scaled to integers once, by
-        dy, the lcm of its denominators, and acc is carried as int
-        numerators over one common denominator. Step j takes a_j in, its
-        numerators rescaled when the denominator must grow, forms the
-        m - j + 1 entries that reach x^m (see ``Domain.horner``) as int
-        sums of int products over that denominator times dy, and divides
-        out one gcd of the denominator and every entry. The rationals are
-        built once, at the end, each an int exactly when it is integral.
-        The inputs must be rationals; nothing checks them (as for
-        ``convolve``)."""
-        m = len(ys)
-        dy = math.lcm(*[y.denominator for y in ys])
-        g = [y.numerator * (dy // y.denominator) for y in ys]
-        acc, den = [], 1
-        for j in range(m, 0, -1):
-            a = coeffs[j - 1]
-            common = math.lcm(den, a.denominator)
-            if common != den:
-                acc = [v * (common // den) for v in acc]
-            x = [a.numerator * (common // a.denominator), *acc]
-            acc = [sum(map(operator.mul, x[: s + 1], g[s::-1])) for s in range(len(x))]
-            d = math.gcd(common * dy, *acc)
-            acc = [v // d for v in acc]
-            den = common * dy // d
-        return [v // den if v % den == 0 else Fraction(v, den) for v in acc]
 
     def combine(self, xs, ys):
         """Domain.combine over one common denominator: each pair's
