@@ -59,7 +59,9 @@ def _read_json(path: str):
 
 
 def _with_order(f: TruncatedSeries, order: int | None) -> TruncatedSeries:
-    # from_coefficients zero-pads; the slice truncates; None keeps the order
+    # from_coefficients zero-pads; the slice truncates; None keeps f as parsed
+    if order is None:
+        return f
     return TruncatedSeries.from_coefficients(f.domain, f.coeffs[:order], order)
 
 

@@ -1,20 +1,17 @@
 """Exact coefficient domains: rationals, prime fields, sparse polynomial rings.
 
 Values are immutable, ``==`` is exact equality, and printing is
-deterministic. Nothing here ever rounds. Three kernels sit beside the
-elements' operators. The oracle's two are kept apart from the routes' one,
-so that the routes and the oracle they are checked against run on
-different code:
+deterministic. Nothing here ever rounds. Each domain has two kernels beside
+the elements' operators, and neither calls the other, so that the routes
+and the oracle they are checked against run on different code:
 
-- ``Domain.convolve``, the oracle's product kernel: each sequence scaled
-  to integers once per call over Q, one gathered sum per entry over
-  Q[a1..aK], one integer product over Z/p;
 - ``Domain.horner``, the oracle's composition: Horner's rule, each step
   forming only the entries that still reach order m, because the inner
-  series has a zero constant term; one truncated ``convolve`` per step
-  over Q, Q[a1..aK] and wide primes; over Z/p, for primes with
-  m*(p-1)^2 < 2^64, one integer product per step on plain residues, the
-  fixed operand packed once per call;
+  series has a zero constant term; over Q, int numerators over one
+  denominator, the fixed operand scaled to integers once per call; over
+  Q[a1..aK], one gathered sum per entry; over Z/p, plain residues, and for
+  primes with m*(p-1)^2 < 2^64 one integer product per step, the fixed
+  operand packed once per call;
 - ``Domain.combine``, the routes' sum of products x_0*y_0 + x_1*y_1 + ...:
   one integer sum over one common denominator, reduced once, over Q; one
   gathered sum of every pair's term products over Q[a1..aK]; one integer
@@ -429,13 +426,12 @@ class Domain:
     """A coefficient domain: element checks, constants and conversions.
 
     Arithmetic is the elements' own exact operators, plus two kernels that
-    each subclass implements and this class does not: ``convolve``, the
-    oracle's product kernel, and ``combine``, the routes' sum of products.
-    Neither calls the other. ``horner``, the oracle's composition, runs on
-    ``convolve`` here; a subclass may replace it with its own loop.
-    Subclasses fix the element types and their form. The instance doubles
-    as the domain descriptor: two domains are equal when their ``to_json``
-    descriptors are, and ``domain_from_json`` inverts ``to_json``.
+    each subclass implements and this class does not: ``horner``, the
+    oracle's composition, and ``combine``, the routes' sum of products.
+    Neither calls the other. Subclasses fix the element types and their
+    form. The instance doubles as the domain descriptor: two domains are
+    equal when their ``to_json`` descriptors are, and ``domain_from_json``
+    inverts ``to_json``.
     """
 
     is_field = False
@@ -450,26 +446,18 @@ class Domain:
     def inv(self, a):
         raise ValueError("not a field")
 
-    def convolve(self, xs, ys):
-        """z_0, ..., z_(m-1) with z_s = x_0*y_s + x_1*y_(s-1) + ... + x_s*y_0,
-        for two sequences of m elements."""
-        raise NotImplementedError
-
     def horner(self, coeffs, ys):
         """The coefficients of f(g(x)) to order m, for f = a_1 x + ... +
         a_m x^m with ``coeffs`` a_1..a_m and g with ``ys`` g_1..g_m, by
         Horner's rule: acc = (a_j + acc)*g for j = m, ..., 1 from acc = 0,
-        one ``convolve`` per step, truncated. g has a zero constant term,
-        so each later step's product by g raises every order by at least
-        one; the acc of step j meets g j - 1 more times, and only its
-        entries up to x^(m-j+1) reach x^m. Step j forms just those m - j + 1
-        entries, each the same sum as in the full-length product (Brent and
+        truncated. g has a zero constant term, so each later step's product
+        by g raises every order by at least one; the acc of step j meets g
+        j - 1 more times, and only its entries up to x^(m-j+1) reach x^m.
+        Step j forms just those m - j + 1 entries: with x the list a_j,
+        acc_1, ..., acc_(m-j), entry s is x_0*g_(s+1) + x_1*g_s + ... +
+        x_s*g_1, the same sum as in the full-length product (Brent and
         Kung, J. ACM 25, 1978)."""
-        m = len(coeffs)
-        acc = []
-        for j in range(m, 0, -1):
-            acc = self.convolve([coeffs[j - 1], *acc], ys[: m - j + 1])
-        return acc
+        raise NotImplementedError
 
     def combine(self, xs, ys):
         """x_0*y_0 + x_1*y_1 + ... for two sequences of equal length, the sum
@@ -509,9 +497,8 @@ class Rationals(Domain):
     object that each Fraction operation pays for. Constructors and both
     kernels return an ``int`` for an integral value, but arithmetic may not
     (see the module docstring). Each kernel sums in ints over one common
-    denominator per call and reduces each result once, where the operator
-    fold would pay a gcd and a Fraction per operation (Knuth, TAOCP vol. 2,
-    4.5.1).
+    denominator and reduces each result once, where the operator fold would
+    pay a gcd and a Fraction per operation (Knuth, TAOCP vol. 2, 4.5.1).
     """
 
     is_field = True
@@ -528,32 +515,39 @@ class Rationals(Domain):
         # the only true division in the package: 1 / a on an int is a float
         return _rational(1 / Fraction(a))
 
-    def convolve(self, xs, ys):
-        """Domain.convolve with each sequence scaled to integers once: xs by
-        dx, the lcm of its denominators, and ys by dy. Entry s is then an
-        int sum of int products over dx*dy, an int when it divides evenly
-        and else one reduced Fraction. An int has a numerator and a
-        denominator too. The inputs must be rationals; nothing checks them
-        (as for ``PrimeField.convolve``)."""
-        x_dens = [x.denominator for x in xs]
-        y_dens = [y.denominator for y in ys]
-        dx, dy = math.lcm(*x_dens), math.lcm(*y_dens)
-        scaled_xs = [x.numerator * (dx // d) for x, d in zip(xs, x_dens)]
-        scaled_ys = [y.numerator * (dy // d) for y, d in zip(ys, y_dens)]
-        common = dx * dy
-        out = []
-        for s in range(len(scaled_ys)):
-            total = sum(map(operator.mul, scaled_xs[: s + 1], scaled_ys[s::-1]))
-            exact = total % common == 0
-            out.append(total // common if exact else Fraction(total, common))
-        return out
+    def horner(self, coeffs, ys):
+        """Domain.horner on integers: ``ys`` is scaled to integers once, by
+        dy, the lcm of its denominators, and acc is carried as int
+        numerators over one common denominator. Step j takes a_j in, its
+        numerators rescaled when the denominator must grow, forms the
+        m - j + 1 entries that reach x^m as int sums of int products over
+        that denominator times dy, and divides out one gcd of the
+        denominator and every entry. The rationals are built once, at the
+        end, each an int exactly when it is integral. An int has a
+        numerator and a denominator too. The inputs must be rationals;
+        nothing checks them (as for ``combine``)."""
+        m = len(ys)
+        dy = math.lcm(*[y.denominator for y in ys])
+        g = [y.numerator * (dy // y.denominator) for y in ys]
+        acc, den = [], 1
+        for j in range(m, 0, -1):
+            a = coeffs[j - 1]
+            common = math.lcm(den, a.denominator)
+            if common != den:
+                acc = [v * (common // den) for v in acc]
+            x = [a.numerator * (common // a.denominator), *acc]
+            acc = [sum(map(operator.mul, x[: s + 1], g[s::-1])) for s in range(len(x))]
+            d = math.gcd(common * dy, *acc)
+            acc = [v // d for v in acc]
+            den = common * dy // d
+        return [v // den if v % den == 0 else Fraction(v, den) for v in acc]
 
     def combine(self, xs, ys):
         """Domain.combine over one common denominator: each pair's
         numerator and denominator products, one lcm of the denominators, one
         int sum and one reduction, an int exactly when the sum is integral.
         The inputs must be rationals; nothing checks them (as for
-        ``convolve``)."""
+        ``horner``)."""
         nums, dens = [], []
         for x, y in zip(xs, ys):
             nums.append(x.numerator * y.numerator)
@@ -612,38 +606,24 @@ class PrimeField(Domain):
             raise ZeroDivisionError("inverse of zero")
         return FpElement(pow(a.value, -1, self.p), self.p)
 
-    def convolve(self, xs, ys):
-        """Domain.convolve by Kronecker substitution: one integer product of
-        the sequences packed a residue per ``nb``-byte slot, each slot wide
-        enough for an unreduced z_s <= m*(p-1)^2 and reduced once. The inputs
-        must be elements of this field; nothing checks them."""
-        p, m = self.p, len(xs)
-        nb = (m * (p - 1) ** 2).bit_length() // 8 + 1
-
-        def pack(seq):
-            slots = b"".join([e.value.to_bytes(nb, "little") for e in seq])
-            return int.from_bytes(slots, "little")
-
-        z = (pack(xs) * pack(ys)).to_bytes(2 * m * nb, "little")
-        return [
-            FpElement(int.from_bytes(z[i : i + nb], "little"), p)
-            for i in range(0, m * nb, nb)
-        ]
-
     def horner(self, coeffs, ys):
-        """Domain.horner on plain residues when m*(p-1)^2 < 2^64: ``ys`` is
-        packed once, a residue per 8-byte slot, and step j is one pack of
-        a_j and acc, one integer product with the low m - j + 1 slots of
-        ``ys`` and one unpack of the product's low m - j + 1 slots, reduced
-        mod p; the higher slots never reach x^m (see ``Domain.horner``), and
-        the low slots of a product depend only on its factors' low slots.
-        The elements are built once, at the end. Every entry of a step's
-        product is at most m*(p-1)^2, so no slot carries. Wider primes take
-        the base loop. The inputs must be elements of this field; nothing
-        checks them."""
+        """Domain.horner on plain residues, each entry of each step reduced
+        mod p, so that its products stay at most m*(p-1)^2; the elements
+        are built once, at the end. When m*(p-1)^2 < 2^64, ``ys`` is packed
+        once, a residue per 8-byte slot, and step j is one pack of a_j and
+        acc, one integer product with the low m - j + 1 slots of ``ys`` and
+        one unpack of the product's low m - j + 1 slots; the higher slots
+        never reach x^m (see ``Domain.horner``), the low slots of a product
+        depend only on its factors' low slots, and no slot carries. Wider
+        primes sum each entry's int products in turn. The inputs must be
+        elements of this field; nothing checks them."""
         p, m = self.p, len(ys)
         if m * (p - 1) ** 2 >= 1 << 64:
-            return super().horner(coeffs, ys)
+            g, acc = [y.value for y in ys], []
+            for j in range(m, 0, -1):
+                x = [coeffs[j - 1].value, *acc]
+                acc = [sum(map(operator.mul, x[: s + 1], g[s::-1])) % p for s in range(len(x))]
+            return [FpElement(v, p) for v in acc]
         # "<nQ" is n little-endian 64-bit unsigned slots
         g = int.from_bytes(struct.pack(f"<{m}Q", *[y.value for y in ys]), "little")
         acc = []
@@ -658,7 +638,7 @@ class PrimeField(Domain):
     def combine(self, xs, ys):
         """Domain.combine as one integer sum of the residues' products,
         reduced once. The inputs must be elements of this field; nothing
-        checks them (as for ``convolve``)."""
+        checks them (as for ``horner``)."""
         return FpElement(sum([x.value * y.value for x, y in zip(xs, ys)]), self.p)
 
     def from_int(self, m: int):
@@ -711,30 +691,35 @@ class PolynomialRing(Domain):
             self.num_vars, {1 << (_FIELD_BITS * (index - 1)): 1}
         )
 
-    def convolve(self, xs, ys):
-        """Domain.convolve with every term product of an entry's sum gathered
-        in one mapping, made canonical once per entry. The inputs must be
-        elements of this ring; nothing checks them (as for
-        ``PrimeField.convolve``)."""
-        out = []
-        for s in range(len(ys)):
-            sums: dict[int, int | Fraction] = {}
-            get = sums.get
-            for x, y in zip(xs[: s + 1], ys[s::-1]):
-                y_terms = y.terms.items()
-                for e1, c1 in x.terms.items():
-                    for e2, c2 in y_terms:
-                        key = e1 + e2
-                        sums[key] = get(key, 0) + c1 * c2
-            out.append(Polynomial._from_sums(self.num_vars, sums))
-        return out
+    def horner(self, coeffs, ys):
+        """Domain.horner with every term product of an entry's sum gathered
+        in one mapping, made canonical once per entry and step. A guard bit
+        set by any product raises, even where the sums cancel, so this
+        raises exactly where one of the products it sums would. The inputs
+        must be elements of this ring; nothing checks them (as for
+        ``combine``)."""
+        acc = []
+        for j in range(len(ys), 0, -1):
+            x = [coeffs[j - 1], *acc]
+            acc = []
+            for s in range(len(x)):
+                sums: dict[int, int | Fraction] = {}
+                get = sums.get
+                for a, y in zip(x[: s + 1], ys[s::-1]):
+                    y_terms = y.terms.items()
+                    for e1, c1 in a.terms.items():
+                        for e2, c2 in y_terms:
+                            key = e1 + e2
+                            sums[key] = get(key, 0) + c1 * c2
+                acc.append(Polynomial._from_sums(self.num_vars, sums))
+        return acc
 
     def combine(self, xs, ys):
         """Domain.combine with every term product of every pair gathered in
         one mapping, made canonical once per call. A guard bit set by any
         product raises, even where the sums cancel, so this raises exactly
         where the operator fold would. The inputs must be elements of this
-        ring; nothing checks them (as for ``convolve``)."""
+        ring; nothing checks them (as for ``horner``)."""
         sums: dict[int, int | Fraction] = {}
         get = sums.get
         for x, y in zip(xs, ys):

@@ -2,9 +2,9 @@
 
 A series is the coefficient vector a_1..a_K of f(x) = a_1 x + ... + a_K x^K.
 Multiplication, composition, and iteration are exact in the coefficient
-domain and stay at the same truncation order: a product is one
-``Domain.convolve``, a composition one ``Domain.horner``. Composition and
-iteration are deliberately naive so they can serve as the ground-truth
+domain and stay at the same truncation order: a product is the literal sum
+of the elements' products, a composition one ``Domain.horner``. Composition
+and iteration are deliberately naive so they can serve as the ground-truth
 oracle for every shortcut formula.
 """
 
@@ -66,12 +66,15 @@ class TruncatedSeries:
         """Cauchy product truncated at the common order.
 
         Both factors have zero constant term, so the product coefficient at
-        x^m is a_1*b_(m-1) + ... + a_(m-1)*b_1: one ``Domain.convolve`` of
-        (0, a_1, ..., a_(K-1)) with (b_1, ..., b_K).
+        x^m is a_1*b_(m-1) + ... + a_(m-1)*b_1, summed with the elements'
+        operators; it calls no kernel.
         """
         self._like(other)
-        dom = self.domain
-        out = dom.convolve((dom.zero,) + self.coeffs[:-1], other.coeffs)
+        dom, a, b = self.domain, self.coeffs, other.coeffs
+        out = [
+            sum([a[j - 1] * b[m - j - 1] for j in range(1, m)], dom.zero)
+            for m in range(1, self.order + 1)
+        ]
         return TruncatedSeries(dom, self.order, out)
 
     def compose(self, other: "TruncatedSeries") -> "TruncatedSeries":

@@ -60,6 +60,14 @@ def test_iterate_truncates(tmp_path, capsys):
     assert out == '{"domain": "rational", "order": 2, "coeffs": ["4", "6"]}\n'
 
 
+def test_without_order_the_parsed_series_is_used_as_is():
+    # from_json has checked every coefficient; a copy would check them again
+    f = TruncatedSeries.from_json({"coeffs": ["2", "1", "0"]})
+    assert cli._with_order(f, None) is f
+    assert cli._with_order(f, 2).coeffs == (2, 1)
+    assert cli._with_order(f, 4).coeffs == (2, 1, 0, 0)
+
+
 def test_coeff_muckenhoupt(tmp_path, capsys):
     path = write_series(tmp_path, "g.json", ["2", "1"])
     code, out, _ = run_cli(
@@ -180,10 +188,11 @@ def test_symbolic_output_golden(capsys, argv, digest):
 
 # `fps iterate` runs the composition oracle, the path that every other
 # route is checked against; these digests were taken before its Cauchy
-# product moved onto a per-domain kernel (now ``Domain.convolve``), and the
+# product moved onto a per-domain kernel (now ``Domain.horner``), and the
 # two order-16 ones before it moved onto a packed integer product over Z/p.
-# They pack one byte per slot (Z/2, every entry p - 1) and 16
-# (Z/(2^61 - 1)). The Z/2 answer is f^(16) = x, but f^(15) is not.
+# Over Z/2 (every entry p - 1) the kernel packs 8-byte slots, and over
+# Z/(2^61 - 1) it sums plain ints. The Z/2 answer is f^(16) = x, but
+# f^(15) is not.
 @pytest.mark.parametrize(
     "series, n, digest",
     [

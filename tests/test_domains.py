@@ -2,12 +2,15 @@
 
 import ast
 import random
+import struct
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import fps_iterate
+from fps_iterate import domains
 from fps_iterate.domains import (
     _MILLER_RABIN_WITNESSES,
     Domain,
@@ -289,17 +292,18 @@ _BIG_A2 = _RING2.variable(2) ** 2**30
 
 
 @pytest.mark.parametrize(
-    "xs, ys, raises",
+    "coeffs, ys, raises",
     [
         pytest.param([_BIG_A1], [_BIG_A1], True, id="overflow"),
         pytest.param(
             [_BIG_A1], [_RING2.variable(1) ** (2**30 - 1)], False, id="just-below"
         ),
-        # entry 1 is a1^(2^31) - a1^(2^31): the sum cancels, but each of its
-        # products alone overflows; entry 0 is a1^(2^30 + 1)
+        # the last step's entry 1 is a1*a1^(2^31 - 1) - a1^(2^30)*a1^(2^30):
+        # the sum cancels, but each of its products alone overflows; its
+        # entry 0 is a1^(2^30 + 1), and the first step's a_2*g_1 is -a1^(2^30)
         pytest.param(
-            [_BIG_A1, -_RING2.variable(1) ** (2**31 - 1)],
-            [_RING2.variable(1), _BIG_A1],
+            [_RING2.variable(1), -_RING2.one],
+            [_BIG_A1, _RING2.variable(1) ** (2**31 - 1)],
             True,
             id="cancelled",
         ),
@@ -324,17 +328,26 @@ _BIG_A2 = _RING2.variable(2) ** 2**30
         pytest.param([], [], False, id="empty"),
     ],
 )
-def test_polynomial_kernels_guard_exponents_like_mul(xs, ys, raises):
-    """Each entry of ``convolve`` sums the products of x_0..x_s with
-    y_s..y_0, and ``combine`` those of x_i with y_i; each kernel raises
-    exactly where one of the products it sums would."""
-    # the products one pair at a time: x_i*y_(s-i) per entry s, and x_i*y_i
-    assert _raises(
-        lambda: [xs[i] * ys[s - i] for s in range(len(ys)) for i in range(s + 1)]
-    ) is raises
-    assert _raises(lambda: _RING2.convolve(xs, ys)) is raises
-    assert _raises(lambda: _RING2.combine(xs, ys)) is _raises(
-        lambda: [x * y for x, y in zip(xs, ys)]
+def test_polynomial_kernels_guard_exponents_like_mul(coeffs, ys, raises):
+    """Each step of ``horner`` sums, per entry, the products of a_j and acc
+    with g_1, g_2, ..., and ``combine`` those of x_i with y_i; each kernel
+    raises exactly where one of the products it sums would."""
+
+    def products_one_at_a_time():
+        # the truncated Horner steps, each product formed alone
+        acc = []
+        for j in range(len(ys), 0, -1):
+            x = [coeffs[j - 1], *acc]
+            acc = [
+                sum([x[i] * ys[s - i] for i in range(s + 1)], _RING2.zero)
+                for s in range(len(x))
+            ]
+        return acc
+
+    assert _raises(products_one_at_a_time) is raises
+    assert _raises(lambda: _RING2.horner(coeffs, ys)) is raises
+    assert _raises(lambda: _RING2.combine(coeffs, ys)) is _raises(
+        lambda: [x * y for x, y in zip(coeffs, ys)]
     )
 
 
@@ -342,40 +355,48 @@ def test_polynomial_kernels_guard_exponents_like_mul(xs, ys, raises):
     "domain", [RATIONALS, PrimeField(7), PolynomialRing(2)], ids=repr
 )
 def test_dot_of_no_terms_and_one_term(domain):
-    # the one entry of a length-1 convolve is the one-term dot product
+    # the one entry of a length-1 horner is the one-term dot product a_1*g_1
     x, y = domain.from_fraction(Fraction(2, 3)), domain.from_int(6)
     if isinstance(domain, PolynomialRing):
         x = x + domain.variable(2)
-    assert domain.convolve([], []) == []
-    assert domain.convolve((x,), (y,)) == [x * y]
-    (z,) = domain.convolve([x], [y])
+    assert domain.horner([], []) == []
+    assert domain.horner((x,), (y,)) == [x * y]
+    (z,) = domain.horner([x], [y])
     assert domain.format(z) == domain.format(x * y)
 
 
 def test_the_base_domain_defines_no_kernel():
     # each domain implements both kernels; the base class has no fallback
-    for kernel in (Domain().convolve, Domain().combine):
+    for kernel in (Domain().horner, Domain().combine):
         with pytest.raises(NotImplementedError):
             kernel([], [])
-    # its horner is the loop on convolve, which it does not define
-    with pytest.raises(NotImplementedError):
-        Domain().horner([1], [1])
 
 
 @pytest.mark.parametrize("m, packed", [(1, True), (2, False)])
 def test_prime_field_horner_packs_residues_only_below_2_to_the_64(monkeypatch, m, packed):
     """Over the largest prime below 2^32, m*(p-1)^2 < 2^64 holds for m = 1
-    alone: m = 1 runs on 8-byte slots, m = 2 on the base ``convolve`` loop."""
+    alone: m = 1 runs on 8-byte slots, packing ``ys`` once and each step
+    once, and m = 2 on plain ints, packing nothing. Either way each step's
+    entries are reduced mod p, so the elements are built from residues."""
     field = PrimeField(4294967291)
-    calls = []
-    convolve = PrimeField.convolve
+    a = g = [field.from_int(-1)] * m
+    # f(g) to order m <= 2: a_1 g_1 x + (a_1 g_2 + a_2 g_1^2) x^2
+    expected = [a[0] * g[0]]
+    if m == 2:
+        expected.append(a[0] * g[1] + a[1] * g[0] * g[0])
+    packs, built = [], []
+    pack = struct.pack
     monkeypatch.setattr(
-        PrimeField, "convolve", lambda self, xs, ys: calls.append(1) or convolve(self, xs, ys)
+        domains,
+        "struct",
+        SimpleNamespace(pack=lambda *args: packs.append(1) or pack(*args), unpack=struct.unpack),
     )
-    top = [field.from_int(-1)] * m
-    got = field.horner(top, top)
-    assert len(calls) == (0 if packed else m)
-    assert got == Domain.horner(field, top, top)
+    monkeypatch.setattr(domains, "FpElement", lambda v, p: built.append(v) or FpElement(v, p))
+    got = field.horner(a, g)
+    monkeypatch.undo()
+    assert len(packs) == (m + 1 if packed else 0)
+    assert len(built) == m and all(0 <= v < field.p for v in built)
+    assert got == expected
 
 
 def test_polynomial_coefficients_canonical():

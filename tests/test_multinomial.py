@@ -169,8 +169,8 @@ def test_power_coefficient_table():
 
 def test_table_and_multinomial_walk_share_no_code():
     """The table and ``multinomial_coeff`` check each other, so neither
-    reads the other; the table sums on ``combine`` rather than the oracle's
-    ``mul``, ``convolve`` or ``horner``, and the walk keeps the element
+    reads the other; the table sums on ``combine`` rather than series
+    ``mul`` or the oracle's ``horner``, and the walk keeps the element
     operators."""
     tree = ast.parse(Path(multinomial.__file__).read_text(encoding="utf-8"))
 
@@ -183,8 +183,6 @@ def test_table_and_multinomial_walk_share_no_code():
         }
 
     assert not names("multinomial_coeff") & {
-        "PowerCoefficientTable", "get", "row", "combine", "convolve", "horner"
+        "PowerCoefficientTable", "get", "row", "combine", "horner"
     }
-    assert not names("PowerCoefficientTable") & {
-        "multinomial_coeff", "convolve", "horner", "mul"
-    }
+    assert not names("PowerCoefficientTable") & {"multinomial_coeff", "horner", "mul"}

@@ -106,77 +106,21 @@ def test_composition_is_associative(triple):
     assert f.compose(g.compose(h)).coeffs == f.compose(g).compose(h).coeffs
 
 
-@st.composite
-def convolve_inputs(draw):
-    """Two equally long lists of at most 5 elements of Q, Z/5, Z/97 or
-    Q[a1..a3], for ``convolve``."""
-    dom = draw(st.sampled_from((RATIONALS, PrimeField(5), PrimeField(97), _RING3)))
-    size = draw(st.integers(0, 5))
-    xs = draw(st.lists(_values(dom), min_size=size, max_size=size))
-    ys = draw(st.lists(_values(dom), min_size=size, max_size=size))
-    return dom, xs, ys
-
-
 def _all_top(p, size):
-    """``size`` copies of p - 1 on both sides: every convolution entry is
-    as large as it can be, the carry edge of a packed Z/p product."""
+    """``size`` copies of p - 1 on both sides: every product entry is as
+    large as it can be, the carry edge of a packed Z/p product."""
     dom = PrimeField(p)
     return dom, [dom.from_int(p - 1)] * size, [dom.from_int(p - 1)] * size
 
 
 _Z97 = PrimeField(97)
 
-# pairwise coprime denominators of 22 digits; the sum of products has an
-# 85-digit denominator
+# pairwise coprime denominators of 22 digits; the composition's entries
+# have denominators of 43, 84 and 128 digits
 _LARGE_DENOMINATORS = (
     [Fraction(1, 2**70), Fraction(-5, 3**45), 7],
     [Fraction(2**69 + 1, 5**31), 3, Fraction(1, 7**25)],
 )
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(convolve_inputs())
-@example((RATIONALS, [], []))
-@example((PrimeField(5), [], []))
-@example((_RING3, [], []))
-@example((RATIONALS, [Fraction(j, 7) for j in range(33)], list(range(-16, 17))))
-@example((_Z97, [_Z97.from_int(j * j) for j in range(33)], [_Z97.one] * 33))
-@example(
-    (_RING3, [_RING3.variable(j % 3 + 1) for j in range(33)], [_RING3.one] * 33)
-)
-@example(_all_top(2, 1))
-@example(_all_top(2, 33))
-@example(_all_top(3, 1))
-@example(_all_top(3, 33))
-@example(_all_top(1000003, 1))
-@example(_all_top(1000003, 33))
-@example(_all_top(2**61 - 1, 1))
-@example(_all_top(2**61 - 1, 33))
-@example((RATIONALS, [Fraction(2, 3)], [Fraction(-3, 4)]))
-@example((RATIONALS, [2, Fraction(1, 2)], [Fraction(1, 3), 3]))
-@example((RATIONALS, [Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(5, 2)]))
-@example((RATIONALS, [Fraction(1, 2), Fraction(1, 3)], [3, 2]))
-@example((RATIONALS, *_LARGE_DENOMINATORS))
-@example((PrimeField(97), [PrimeField(97).from_int(50)], [PrimeField(97).from_int(60)]))
-@example((_RING3, [_RING3.variable(1) + _RING3.one], [_RING3.variable(3)]))
-def test_convolve_equals_operator_fold(case):
-    dom, xs, ys = case
-    # entry s is the fold of x_i * y_(s-i) over i = 0..s
-    conv = dom.convolve(xs, ys)
-    assert len(conv) == len(xs)
-    for s, z in enumerate(conv):
-        expected = dom.zero
-        for i in range(s + 1):
-            expected = expected + xs[i] * ys[s - i]
-        assert z == expected
-        assert dom.contains(z)
-        assert dom.format(z) == dom.format(expected)
-        if dom is RATIONALS:  # an integral entry is an int
-            assert (type(z) is int) == (z.denominator == 1)
-        if isinstance(dom, PolynomialRing):  # ints stay ints, Fractions are reduced
-            assert {e: type(c) for e, c in z.terms.items()} == {
-                e: type(c) for e, c in expected.terms.items()
-            }
 
 
 @st.composite
@@ -192,6 +136,22 @@ def horner_inputs(draw):
     return dom, coeffs, ys
 
 
+def _horner_fold(dom, coeffs, ys):
+    """Horner's rule on the elements' operators, each step's product at full
+    length: entry s of (a_j + acc)*g is the fold of x_i*g_(s-i) over i = 0..s,
+    with x the list a_j, acc_1, ..., acc_(m-1)."""
+    acc = [dom.zero] * len(coeffs)
+    for a in reversed(coeffs):
+        x = [a, *acc[:-1]]
+        acc = []
+        for s in range(len(x)):
+            total = dom.zero
+            for i in range(s + 1):
+                total = total + x[i] * ys[s - i]
+            acc.append(total)
+    return acc
+
+
 # the largest prime below 2^32: m*(p-1)^2 < 2^64 holds for m = 1 alone
 _P32 = PrimeField(4294967291)
 
@@ -200,6 +160,7 @@ _P32 = PrimeField(4294967291)
 @given(horner_inputs())
 @example((RATIONALS, [], []))
 @example((PrimeField(5), [], []))
+@example((_RING3, [], []))
 @example(_all_top(2, 1))
 @example(_all_top(2, 33))
 @example(_all_top(3, 1))
@@ -213,11 +174,24 @@ _P32 = PrimeField(4294967291)
 # the first step leaves acc_0 = p - 1, so the second step's x^1 entry is
 # 2*(p-1)^2, above 2^64: it would carry out of an 8-byte slot
 @example((_P32, [_P32.from_int(-1), _P32.one], [_P32.from_int(-1)] * 2))
+# length 33 in each domain
+@example((RATIONALS, [Fraction(j, 7) for j in range(33)], list(range(-16, 17))))
+@example((_Z97, [_Z97.from_int(j * j) for j in range(33)], [_Z97.one] * 33))
+@example(
+    (_RING3, [_RING3.variable(j % 3 + 1) for j in range(33)], [_RING3.one] * 33)
+)
 @example((RATIONALS, [Fraction(1, 2), Fraction(-2, 3), 5], [Fraction(3, 4), 1, Fraction(-1, 6)]))
 @example((_RING3, [_RING3.variable(1), _RING3.variable(2)], [_RING3.one, _RING3.variable(3)]))
 # m = 1: one step, one entry
 @example((RATIONALS, [Fraction(2, 3)], [Fraction(-3, 4)]))
+@example((_Z97, [_Z97.from_int(50)], [_Z97.from_int(60)]))
 @example((_RING3, [_RING3.variable(1)], [_RING3.variable(2) + _RING3.one]))
+@example((_RING3, [_RING3.variable(1) + _RING3.one], [_RING3.variable(3)]))
+# m = 2 with a denominator in one operand only, or in both
+@example((RATIONALS, [2, Fraction(1, 2)], [Fraction(1, 3), 3]))
+@example((RATIONALS, [Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(5, 2)]))
+@example((RATIONALS, [Fraction(1, 2), Fraction(1, 3)], [3, 2]))
+@example((RATIONALS, *_LARGE_DENOMINATORS))
 # g_1 = 0: every step's product starts at x^2
 @example((RATIONALS, [Fraction(1, 2), 3, Fraction(-2, 5)], [0, Fraction(1, 3), 2]))
 @example((_Z97, [_Z97.from_int(5), _Z97.from_int(96), _Z97.one], [_Z97.zero, _Z97.from_int(3), _Z97.one]))
@@ -229,19 +203,21 @@ _P32 = PrimeField(4294967291)
 ))
 # fractions on both sides whose common denominator cancels: -4, -9, -14
 @example((RATIONALS, [2, Fraction(-3, 2), Fraction(3, 4)], [-2, Fraction(-3, 2), Fraction(1, 2)]))
-def test_horner_equals_the_convolve_loop(case):
+def test_horner_equals_the_operator_fold(case):
     dom, coeffs, ys = case
-    # Horner's rule with one full-length convolve per step: the kernels
-    # form fewer entries per step, and must still agree with it
-    expected = [dom.zero] * len(coeffs)
-    for a_m in reversed(coeffs):
-        expected = dom.convolve([a_m, *expected[:-1]], ys)
+    # the kernels form fewer entries per step, on their own arithmetic,
+    # and must still agree with the full-length fold
+    expected = _horner_fold(dom, coeffs, ys)
     got = dom.horner(coeffs, ys)
     assert got == expected
     assert [dom.format(z) for z in got] == [dom.format(z) for z in expected]
     assert all(dom.contains(z) for z in got)
-    if dom is RATIONALS:  # an int exactly where convolve gives one
-        assert [type(z) for z in got] == [type(z) for z in expected]
+    if dom is RATIONALS:  # an integral entry is an int
+        assert [type(z) is int for z in got] == [z.denominator == 1 for z in got]
+    if isinstance(dom, PolynomialRing):  # ints stay ints, Fractions are reduced
+        assert [{e: type(c) for e, c in z.terms.items()} for z in got] == [
+            {e: type(c) for e, c in z.terms.items()} for z in expected
+        ]
 
 
 @st.composite

@@ -106,60 +106,68 @@ def test_mul_is_the_truncated_convolution(dom):
         assert product.coeffs[m - 1] == expected
 
 
-def test_only_the_oracle_calls_convolve():
-    """``Domain.convolve`` is the oracle's arithmetic alone, and each
-    domain's only product kernel: no ``dot`` is defined or called. It is
-    called by ``mul`` and by the base ``Domain.horner``, which ``compose``
-    calls and ``PrimeField.horner`` falls back on. The routes sum on
+# what a domain may define besides its two kernels: element checks,
+# constants, conversions and descriptors, none of them a sum of products
+_ELEMENT_LEVEL = {
+    "__init__", "__repr__", "__eq__", "__hash__", "contains", "check", "inv",
+    "from_int", "from_fraction", "parse", "format", "to_json", "variable",
+    "substitute",
+}
+
+
+def test_only_the_oracle_calls_horner():
+    """``Domain.horner`` is the oracle's arithmetic alone: only series
+    ``compose`` calls it. Each of ``Rationals``, ``PrimeField`` and
+    ``PolynomialRing`` defines exactly two kernels, ``horner`` and
+    ``combine``; the base class declares both and raises in each, and no
+    module defines or names a ``convolve`` or ``dot``. The routes sum on
     ``Domain.combine`` and the elements' operators instead, so the
     cross-check covers both implementations."""
     package = Path(fps_iterate.__file__).parent
-    callers = {"dot": set(), "convolve": set(), "horner": set()}
-    defined = set()
+    callers, names, methods = set(), set(), {}
     for path in sorted(package.glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        if ".convolve(" in text:
-            assert path.name in ("domains.py", "series.py"), path.name
-        tree = ast.parse(text)
-        defined |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, (ast.Attribute, ast.FunctionDef)):
+                names.add(node.attr if isinstance(node, ast.Attribute) else node.name)
         # module functions by name, methods as Class.method
         functions = []
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 functions.append((node.name, node))
             elif isinstance(node, ast.ClassDef):
-                functions += [
-                    (f"{node.name}.{item.name}", item)
-                    for item in node.body
-                    if isinstance(item, ast.FunctionDef)
-                ]
-        for name, node in functions:
-            for call in ast.walk(node):
-                if (
-                    isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
-                    and call.func.attr in callers
-                ):
-                    callers[call.func.attr].add((path.name, name))
-    assert "dot" not in defined
-    assert callers == {
-        "dot": set(),
-        "convolve": {("series.py", "TruncatedSeries.mul"), ("domains.py", "Domain.horner")},
-        "horner": {
-            ("series.py", "TruncatedSeries.compose"),
-            ("domains.py", "PrimeField.horner"),
-        },
-    }
+                defs = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+                methods[path.name, node.name] = {item.name: item for item in defs}
+                functions += [(f"{node.name}.{item.name}", item) for item in defs]
+        callers |= {
+            (path.name, name)
+            for name, node in functions
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "horner"
+        }
+    assert not names & {"convolve", "dot"}
+    assert callers == {("series.py", "TruncatedSeries.compose")}
+    for cls in ("Domain", "Rationals", "PrimeField", "PolynomialRing"):
+        assert set(methods["domains.py", cls]) - _ELEMENT_LEVEL == {"horner", "combine"}, cls
+    for kernel in ("horner", "combine"):
+        # a docstring, then ``raise NotImplementedError``
+        body = methods["domains.py", "Domain"][kernel].body
+        assert len(body) == 2 and isinstance(body[1], ast.Raise), kernel
+        assert ast.unparse(body[1]) == "raise NotImplementedError", kernel
 
 
 def test_only_the_routes_call_combine():
     """``Domain.combine`` is the routes' sum of products, which the base
     class leaves to the ``Rationals``, ``PrimeField`` and ``PolynomialRing``
     kernels, named only by the power table's ``get``, ``coeff_recursive``
-    and ``coeff_closed``. It names no ``convolve`` or ``horner``, and only
-    ``compose`` and the kernel itself name ``horner``, so the oracle, the
-    partition walk, the chain walks and ``small``, which name no kernel,
-    check it on code it does not run."""
+    and ``coeff_closed``. It names no ``horner``, and only series
+    ``compose`` names ``horner``, so the oracle, the partition walk, the
+    chain walks and ``small``, which name no kernel, check it on code it
+    does not run; series ``mul`` names no kernel either."""
     package = Path(fps_iterate.__file__).parent
     defined, naming = [], {}
     for path in sorted(package.glob("*.py")):
@@ -179,7 +187,7 @@ def test_only_the_routes_call_combine():
                 }
                 key = (path.name, node.name)
                 naming[key] = naming.get(key, set()) | (
-                    names & {"combine", "convolve", "dot", "horner"}
+                    names & {"combine", "horner"}
                 )
     assert sorted(defined) == [
         ("domains.py", "Domain"),
@@ -195,7 +203,6 @@ def test_only_the_routes_call_combine():
     }
     assert {key for key, names in naming.items() if "horner" in names} == {
         ("series.py", "compose"),
-        ("domains.py", "horner"),
     }
     checks = [key for key in naming if key[0] == "series.py"] + [
         ("multinomial.py", "multinomial_coeff"),
@@ -205,7 +212,8 @@ def test_only_the_routes_call_combine():
         ("formulas.py", "coeff_schroder"),
         ("formulas.py", "coeff_explicit_small_k"),
     ]
-    oracle = {("series.py", "mul"): {"convolve"}, ("series.py", "compose"): {"horner"}}
+    oracle = {("series.py", "compose"): {"horner"}}
+    assert ("series.py", "mul") in checks
     for key in checks:
         assert naming[key] == oracle.get(key, set()), key
 
@@ -229,7 +237,7 @@ def _names_in_route(name):
 def test_small_route_shares_no_code_with_the_closed_form():
     """``coeff_explicit_small_k`` is cross-checked against the closed form
     and the oracle, so its body names none of the closed form's pieces,
-    neither of the oracle's kernels and not the routes' ``combine``."""
+    not the oracle's ``horner`` and not the routes' ``combine``."""
     names = _names_in_route("coeff_explicit_small_k")
     assert "_SMALL_K_TERMS" in names
     assert not names & {
@@ -239,7 +247,6 @@ def test_small_route_shares_no_code_with_the_closed_form():
         "enumerate_subsets",
         "closed_form_level",
         "coeff_closed",
-        "convolve",
         "horner",
         "combine",
     }

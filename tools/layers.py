@@ -86,9 +86,12 @@ def timed(fn, calls: int):
 
 
 def calibrate(fn) -> int:
-    """Calls of ``fn`` that take about ``KERNEL_RUN_S``, from the time of ten."""
-    fn()
-    seconds, _ = timed(fn, 10)
+    """Calls of ``fn`` that take about ``KERNEL_RUN_S``, from the time of ten
+    after one warm-up call; one, without the ten, when that call alone takes
+    longer."""
+    seconds, _ = timed(fn, 1)
+    if seconds < KERNEL_RUN_S:
+        seconds, _ = timed(fn, 10)
     return max(1, round(KERNEL_RUN_S / seconds))
 
 
@@ -139,17 +142,20 @@ def grid():
             total = total + x * y
         return total
 
-    def fold_convolve(dom, xs, ys):
-        return [fold(dom, xs[: s + 1], ys[s::-1]) for s in range(len(ys))]
+    def fold_horner(dom, coeffs, ys):
+        # Horner's rule, each step's product at full length and each of its
+        # entries an operator fold
+        acc = [dom.zero] * len(coeffs)
+        for a in reversed(coeffs):
+            x = [a, *acc[:-1]]
+            acc = [fold(dom, x[: s + 1], ys[s::-1]) for s in range(len(ys))]
+        return acc
 
     def fold_iterate(f, n):
-        # the oracle's Horner composition, each product an operator fold
-        dom, coeffs = f.domain, f.coeffs
+        # the oracle's composition on the operator fold
+        coeffs = f.coeffs
         for _ in range(n - 1):
-            acc = [dom.zero] * f.order
-            for a_m in reversed(coeffs):
-                acc = fold_convolve(dom, [a_m, *acc[:-1]], f.coeffs)
-            coeffs = acc
+            coeffs = fold_horner(f.domain, coeffs, f.coeffs)
         return list(coeffs)
 
     rows = []
@@ -163,11 +169,11 @@ def grid():
             rows.append((f"combine/{label}/m={m}", lambda d=dom, x=xs, y=ys: d.combine(x, y),
                          None, lambda got, w=want: got == w))
         for m in (8, 16, 32):
-            xs = [element(j) for j in range(m)]
+            coeffs = [element(j) for j in range(m)]
             ys = [element(j + m) for j in range(m)]
-            want = fold_convolve(dom, xs, ys)
-            rows.append((f"convolve/{label}/m={m}",
-                         lambda d=dom, x=xs, y=ys: d.convolve(x, y),
+            want = fold_horner(dom, coeffs, ys)
+            rows.append((f"horner/{label}/m={m}",
+                         lambda d=dom, c=coeffs, y=ys: d.horner(c, y),
                          None, lambda got, w=want: list(got) == w))
 
     big = residues(100)
@@ -201,7 +207,7 @@ def grid():
     rows.append((f"closed-sweep/Z/{P}/k,n<=24", closed_sweep, 1,
                  lambda got: got[-1] == sweep_series.iterate(24).coefficient(24)))
     # the Z/p oracle against coeff_recursive at every k, on one table and
-    # memo; over Z/(2^61 - 1) the oracle takes the base Horner loop
+    # memo; over Z/(2^61 - 1) the oracle takes its plain-int loop
     for dom, label, K, n in ((field, f"Z/{P}", 24, 48), (field, f"Z/{P}", 45, 90),
                              (PrimeField(2**61 - 1), "Z/(2^61-1)", 24, 48)):
         f = residues(K, dom)
