@@ -9,7 +9,10 @@ mutant (null for one first recorded in this file). The repository is
 copied once to a temporary directory, without ``.git`` and caches. The
 unmutated copy must pass tier-1, and its wall time sets each mutant's time
 limit: ``LIMIT_FACTOR`` times as long. Then each mutant in turn is applied
-to the copy, tier-1 runs there with ``-x -q``, and the file is restored. A
+to the copy, tier-1 runs there with ``-x -q``, and the file is restored.
+Tier-1's files run in name order, but ``tests/test_acceptance.py`` last:
+its preset sweeps are the slowest tests, so a mutant that makes a kernel
+slow fails a quicker file's test before it can run out of time. A
 mutant is caught when pytest exits 1, or when it runs out of time (printed
 ``TIMEOUT``): the unmutated suite finishes well inside the limit, so a
 mutant that makes it run longer has changed what the code does. Exits 1 if
@@ -33,6 +36,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                 "*.egg-info", ".perfbench-*")
+ACCEPTANCE = "tests/test_acceptance.py"  # run last
 # a mutant's tier-1 run may take this many times the unmutated run's wall time
 LIMIT_FACTOR = 3
 
@@ -43,8 +47,10 @@ def tier1(copy: Path, limit: float | None = None) -> tuple[int | None, str]:
     first, and pytest is killed."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    files = sorted((p.relative_to(copy).as_posix() for p in (copy / "tests").glob("test_*.py")),
+                   key=lambda name: (name == ACCEPTANCE, name))
     try:
-        done = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, text=True,
+        done = subprocess.run(TIER1 + files, cwd=copy, env=env, capture_output=True, text=True,
                               timeout=limit)
     except subprocess.TimeoutExpired:
         return None, f"no result within the {limit:.0f} s limit"

@@ -15,12 +15,7 @@ import math
 import sys
 
 from .domains import PolynomialRing
-from .formulas import (
-    coeff_closed,
-    coeff_schroder,
-    nested_sum_binomial,
-    rising_product_sum,
-)
+from .formulas import nested_sum_binomial, rising_product_sum
 from .series import TruncatedSeries
 from .verify import (
     METHODS,
@@ -94,10 +89,8 @@ def cmd_formula(args) -> int:
             "symbolic output grows quickly"
         )
     f = _generic_series(PolynomialRing(args.k), args.k, args.a1)
-    if args.a1 == "one":
-        value = coeff_schroder(f, args.k, args.n)
-    else:
-        value = coeff_closed(f, args.k, args.n)
+    route = REGISTRY["schroder" if args.a1 == "one" else "closed"]
+    value = route(f, args.k, args.n, None, None)
     if args.json:
         print(
             json.dumps(

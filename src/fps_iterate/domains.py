@@ -190,7 +190,9 @@ class Polynomial:
     after construction.
 
     The constructor takes exponent tuples (trailing zeros allowed) as
-    keys; packed keys stay internal.
+    keys; packed keys stay internal. It checks and packs every tuple, a
+    zero coefficient's too, and hands the per-key sums to ``_from_sums``,
+    which makes every polynomial canonical.
     """
 
     __slots__ = ("num_vars", "terms")
@@ -198,11 +200,9 @@ class Polynomial:
     def __init__(self, num_vars: int, terms=None):
         if num_vars < 1:
             raise ValueError("num_vars must be >= 1")
-        canon: dict[int, int | Fraction] = {}
+        sums: dict[int, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
             if any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError("exponents must be nonnegative integers")
             if any(exps[num_vars:]):
@@ -210,13 +210,9 @@ class Polynomial:
             if any(e >= _EXPONENT_LIMIT for e in exps):
                 raise ValueError("exponent too large")
             key = sum(e << (_FIELD_BITS * i) for i, e in enumerate(exps))
-            total = _rational(canon.get(key, 0) + coeff)
-            if total:
-                canon[key] = total
-            else:
-                canon.pop(key, None)
+            sums[key] = sums.get(key, 0) + coeff
         self.num_vars = num_vars
-        self.terms = canon
+        self.terms = Polynomial._from_sums(num_vars, sums).terms
 
     @classmethod
     def _raw(cls, num_vars: int, terms: dict) -> "Polynomial":
@@ -228,8 +224,10 @@ class Polynomial:
 
     @classmethod
     def _from_sums(cls, num_vars: int, sums: dict) -> "Polynomial":
-        """The polynomial of summed term products ``sums`` (packed key to
-        coefficient), with zeros dropped and integral Fractions demoted.
+        """The polynomial of the per-key sums ``sums`` (packed key to
+        coefficient), with zeros dropped and integral Fractions demoted: of
+        the constructor's terms, or of a product's or a kernel's term
+        products.
 
         Every key is checked for a guard bit, even one whose sum cancelled
         to zero: a product of nonzero polynomials also holds its
@@ -405,10 +403,7 @@ def _parse_polynomial(text: str, num_vars: int) -> Polynomial:
         for factor in chunk.split("*"):
             factor = factor.strip()
             if _RATIONAL_RE.fullmatch(factor):
-                try:
-                    coeff *= Fraction(factor)
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in {factor!r}") from None
+                coeff *= RATIONALS.parse(factor)
                 continue
             m = _VARIABLE_RE.fullmatch(factor)
             if m is None:

@@ -323,12 +323,9 @@ _SMALL_K_CHAIN_PRODUCTS = {
         (5, 4, 3, 2): "24*a1^6*a2^4",
     },
 }
-# k -> [(chain, its parsed chain product)], the chains sorted by length
+# k -> [(chain, its parsed chain product)], in the order of the table above
 _SMALL_K_TERMS = {
-    k: [
-        (chain, PolynomialRing(k).parse(text))
-        for chain, text in sorted(products.items(), key=lambda item: len(item[0]))
-    ]
+    k: [(chain, PolynomialRing(k).parse(text)) for chain, text in products.items()]
     for k, products in _SMALL_K_CHAIN_PRODUCTS.items()
 }
 
@@ -348,11 +345,11 @@ def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int, memo=None):
     routes are tested against each other.
 
     Neither the chain products nor the powers depend on n. A ``memo`` dict
-    keeps them per series: under k the substituted chain products, in the
-    order of _SMALL_K_TERMS[k], whose chains are sorted by length, so the
-    chains of length <= n are a prefix that grows with n; under
-    ("powers", j) the list of a_1^((j - 1) * i), extended as n grows. A
-    call without a memo forms only what its own cell needs.
+    keeps them per series in two kinds of entry: under k every chain
+    product of k, substituted once; under "powers" the one list a_1^0,
+    a_1^1, ..., extended by one product per entry as n grows, of which
+    chain j reads every (j - 1)-th entry. A call without a memo
+    substitutes every chain product of k.
     """
     _check_index(f, k, n)
     if k > 5:
@@ -363,27 +360,25 @@ def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int, memo=None):
         return a1 ** n
     if memo is None:
         memo = {}
-    terms, ring = _SMALL_K_TERMS[k], PolynomialRing(k)
-    values = memo.setdefault(k, [])
-    values += [
-        ring.substitute(product, f.coeffs[:k], dom)
-        for chain, product in terms[len(values) :]
-        if len(chain) <= n
-    ]
-    powers = {}
-    for j in range(2, k + 1):
-        row = powers[j] = memo.setdefault(("powers", j), [])
-        row += [a1 ** ((j - 1) * i) for i in range(len(row), n)]
+    terms = _SMALL_K_TERMS[k]
+    values = memo.get(k)
+    if values is None:
+        ring = PolynomialRing(k)
+        values = memo[k] = [ring.substitute(product, f.coeffs[:k], dom) for _, product in terms]
+    pw = memo.setdefault("powers", [dom.one])
+    for _ in range(len(pw), (k - 1) * (n - 1) + 1):
+        pw.append(pw[-1] * a1)
     total = dom.zero
     for (chain, _), value in zip(terms, values):
         alpha = len(chain)
         if n < alpha:
-            break
+            continue
         budget = n - alpha
-        s = list(accumulate(powers[chain[-1]][: budget + 1]))
+        s = list(accumulate(pw[:: chain[-1] - 1][: budget + 1]))
         for j in reversed(chain[:-1]):
+            powers = pw[:: j - 1]
             s = [
-                sum([p * t for p, t in zip(powers[j], s[b::-1])], dom.zero)
+                sum([p * t for p, t in zip(powers, s[b::-1])], dom.zero)
                 for b in range(budget if j == k else 0, budget + 1)
             ]
         total = total + a1 ** (n - alpha) * value * s[-1]

@@ -536,10 +536,7 @@ def run_sweep(spec: SweepSpec) -> DiscrepancyReport:
     lists cells and mismatches in sorted cell order.
     """
     spec.validate()
-    tasks = []
-    for domain in spec.domains:
-        for index, f in enumerate(_generate_series(spec, domain)):
-            tasks.append((domain, index, f))
+    tasks = [(d, i, f) for d in spec.domains for i, f in enumerate(_generate_series(spec, d))]
     methods = {m: REGISTRY[m] for m in spec.methods if m != "oracle"}
     cells: list[CellResult] = []
     mismatches: list[Mismatch] = []

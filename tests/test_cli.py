@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import fps_iterate.cli as cli
+import fps_iterate.verify as verify
 from fps_iterate.domains import PrimeField
 from fps_iterate.series import TruncatedSeries
 from fps_iterate.verify import (
@@ -117,6 +118,14 @@ def test_formula_outputs(capsys):
     code, out, _ = run_cli(capsys, "formula", "-k", "2", "-n", "3")
     assert code == 0
     assert out == "a1^4*a2 + a1^3*a2 + a1^2*a2\n"
+
+
+@pytest.mark.parametrize("a1, route", [("one", "coeff_schroder"), ("generic", "coeff_closed")])
+def test_formula_takes_its_route_from_the_registry(capsys, monkeypatch, a1, route):
+    # fps formula reaches its route through verify.REGISTRY, as fps coeff
+    # and the sweeps do, so a route rebound in verify is the one it prints
+    monkeypatch.setattr(verify, route, lambda f, k, n, table, memo: f.domain.from_int(7))
+    assert run_cli(capsys, "formula", "-k", "3", "-n", "2", "--a1", a1) == (0, "7\n", "")
 
 
 def test_formula_json(capsys):
@@ -337,6 +346,10 @@ def test_verify_preset(capsys):
     code, out, _ = run_cli(capsys, "verify", "--preset", "typo-adjudication")
     assert code == 0
     assert "result: PASS" in out
+    # the text summary byte for byte, as CI pins it with the five JSON reports
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "687a258ee911ca73e0fd25f3be8b8bf9fe1c3a7b879de67bc7e29ed78841ff9a"
+    )
 
 
 def test_verify_sweep_spec_file(tmp_path, capsys):

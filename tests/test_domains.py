@@ -162,6 +162,11 @@ def test_polynomial_canonicalization():
     # duplicate keys after stripping are merged
     merged = Polynomial(2, {(1, 0): Fraction(2)}) + Polynomial(2, {(1,): Fraction(3)})
     assert merged == Polynomial(2, {(1,): Fraction(5)})
+    # so are two exponent tuples of one constructor call that pack to one
+    # key, down to a zero sum and an integral one
+    assert Polynomial(2, {(1, 0): 2, (1,): 3}) == Polynomial(2, {(1,): 5})
+    assert Polynomial(2, {(1, 0): Fraction(1, 2), (1,): Fraction(-1, 2)}).is_zero
+    assert type(Polynomial(2, {(): Fraction(1, 2), (0, 0): Fraction(3, 2)}).terms[0]) is int
 
 
 def test_polynomial_validation():
@@ -171,6 +176,11 @@ def test_polynomial_validation():
         Polynomial(2, {(-1,): Fraction(1)})
     with pytest.raises(ValueError):
         Polynomial(2, {(1.0,): Fraction(1)})
+    # a zero coefficient does not excuse its exponents
+    with pytest.raises(ValueError, match="nonnegative"):
+        Polynomial(2, {(-1, 0): 0})
+    with pytest.raises(ValueError, match="longer than num_vars"):
+        Polynomial(2, {(0, 0, 1): 0})
 
 
 def test_polynomial_printing():

@@ -130,10 +130,14 @@ def grid():
     rational = TruncatedSeries(
         RATIONALS, 14, [Fraction((-1) ** j * (j + 1), j + 2) for j in range(14)]
     )
+    # label -> (domain, element j, the largest horner m). Over Q[a1..a4] the
+    # composition's entries reach 1,591 terms at m = 24; at m = 32 they
+    # reach 4,020, and one call took about 1.5 s and its operator-fold
+    # reference about 6 s (Python 3.11, 2 cores)
     samples = {
-        "Q": (RATIONALS, lambda j: Fraction(3 * j + 1, j % 5 + 2) if j % 2 else j - 7),
-        f"Z/{P}": (field, lambda j: field.from_int(7919 * j + 3)),
-        "Q[a1..a4]": (ring, lambda j: ring.variable(j % 4 + 1) + ring.from_int(j)),
+        "Q": (RATIONALS, lambda j: Fraction(3 * j + 1, j % 5 + 2) if j % 2 else j - 7, 32),
+        f"Z/{P}": (field, lambda j: field.from_int(7919 * j + 3), 32),
+        "Q[a1..a4]": (ring, lambda j: ring.variable(j % 4 + 1) + ring.from_int(j), 24),
     }
 
     def fold(dom, xs, ys):
@@ -159,7 +163,7 @@ def grid():
         return list(coeffs)
 
     rows = []
-    for label, (dom, element) in samples.items():
+    for label, (dom, element, top) in samples.items():
         for m in (8, 32, 100):
             xs = [element(j) for j in range(m)]
             ys = [element(j + m) for j in range(m)]
@@ -168,7 +172,7 @@ def grid():
                          None, lambda got, w=want: got == w))
             rows.append((f"combine/{label}/m={m}", lambda d=dom, x=xs, y=ys: d.combine(x, y),
                          None, lambda got, w=want: got == w))
-        for m in (8, 16, 32):
+        for m in (8, 16, top):
             coeffs = [element(j) for j in range(m)]
             ys = [element(j + m) for j in range(m)]
             want = fold_horner(dom, coeffs, ys)
