@@ -120,23 +120,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    # per alpha, the first identity at n = 0..n_max and the second at 1..n_max
+    checks = 2 * args.n_max + 1
     rows = []
-    all_ok = True
     for alpha in range(1, args.alpha_max + 1):
-        ok = True
-        checks = 0
-        for n in range(0, args.n_max + 1):
-            if nested_sum_binomial(n, alpha) != math.comb(n, alpha):
-                ok = False
-            checks += 1
-        for n in range(1, args.n_max + 1):
-            if rising_product_sum(n, alpha) * (alpha + 1) != math.prod(
-                range(n, n + alpha + 1)
-            ):
-                ok = False
-            checks += 1
+        ok = all(
+            nested_sum_binomial(n, alpha) == math.comb(n, alpha)
+            for n in range(0, args.n_max + 1)
+        ) and all(
+            rising_product_sum(n, alpha) * (alpha + 1) == math.prod(range(n, n + alpha + 1))
+            for n in range(1, args.n_max + 1)
+        )
         rows.append({"alpha": alpha, "checks": checks, "ok": ok})
-        all_ok = all_ok and ok
+    all_ok = all(row["ok"] for row in rows)
     if args.json:
         print(json.dumps({"n_max": args.n_max, "rows": rows, "ok": all_ok}))
     else:

@@ -14,16 +14,21 @@ tracked files differ from it) and, per row and per checkout, the best and
 median of the runs in seconds and their spread as the distance between the
 quartiles (0 for fewer than two runs); with two checkouts also
 ``best_ratio`` and ``median_ratio``, the second's best and median over the
-first's; the median ratio is the steadier reading for rows under 1 ms. A
-row counts as moved only if the times differ by more than both spreads.
-Each cold row builds a new table and memo per run; the last answers of
-every checkout are cross-checked, and a wrong one exits 1: the kernel rows
-and the rational and symbolic oracle rows against the elements' operator
-fold, the Z/p oracle rows against ``coeff_recursive`` at every k, the
-symbolic routes and the route sweeps against the oracle. A kernel
-or sweep row makes as many calls per run as take ``KERNEL_RUN_S`` on the
-first checkout, timed once before its runs, and every checkout makes that
-many; each row records its count as ``calls``. Standard library only.
+first's; the median ratio is the steadier reading for rows under 1 ms.
+By these a row moved only if the times differ by more than both spreads.
+Two checkouts also give the paired reading, which cancels most of the
+host's drift: ``paired_ratio``, the median of the per-run ratios (run i of
+the second over run i of the first), and ``paired_interval``, the sign
+test's interval for it, with its ``paired_coverage`` (see ``paired``);
+the stderr line prints both readings. Each cold row builds a new table
+and memo per run; the last answers of every checkout are cross-checked,
+and a wrong one exits 1: the kernel rows and the rational and symbolic
+oracle rows against the elements' operator fold, the Z/p oracle rows
+against ``coeff_recursive`` at every k, the symbolic routes and the route
+sweeps against the oracle. A kernel or sweep row makes as many calls per
+run as take ``KERNEL_RUN_S`` on the first checkout, timed once before its
+runs, and every checkout makes that many; each row records its count as
+``calls``. Standard library only.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import argparse
 import gc
 import importlib
 import json
+import math
 import os
 import platform
 import random
@@ -44,6 +50,7 @@ from pathlib import Path
 
 P = 1000003
 KERNEL_RUN_S = 0.005  # seconds per run of a kernel or sweep row
+PAIRED_COVERAGE = 0.95  # least coverage of a paired interval
 
 
 def parse_args(argv):
@@ -118,7 +125,7 @@ def grid():
     from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
     from fps_iterate.multinomial import PowerCoefficientTable, multinomial_coeff
     from fps_iterate.series import TruncatedSeries
-    from fps_iterate.verify import REGISTRY, A1_POOL, run_preset
+    from fps_iterate.verify import REGISTRY, A1_POOL, _generic_series, run_preset
 
     field, ring = PrimeField(P), PolynomialRing(4)
 
@@ -228,24 +235,18 @@ def grid():
         rows.append((f"{route}/Q/K=n=14", lambda fn=fn: fn(rational, 14, 14), 1,
                      lambda got: got == want_q))
 
-    def generic(K, a1_is_one=False):
-        # a_1 x + ... + a_K x^K over Q[a1..aK], or x + a_2 x^2 + ... + a_K x^K
-        sym = PolynomialRing(K)
-        first = sym.one if a1_is_one else sym.variable(1)
-        return TruncatedSeries(sym, K, [first] + [sym.variable(j) for j in range(2, K + 1)])
-
     for K in (8, 10):
-        f = generic(K)
+        f = _generic_series(PolynomialRing(K), K, "generic")
         want_sym = f.iterate(K).coefficient(K)
         for route in ("closed", "recursive"):
             fn = getattr(formulas, f"coeff_{route}")
             rows.append((f"{route}/Q[a1..a{K}]/K=n={K}", lambda fn=fn, f=f, K=K: fn(f, K, K),
                          1, lambda got, w=want_sym: got == w))
-    one = generic(11, a1_is_one=True)
+    one = _generic_series(PolynomialRing(11), 11, "one")
     want_one = one.iterate(11).coefficient(11)
     rows.append(("schroder/Q[a1..a11],a1=1/K=n=11", lambda: formulas.coeff_schroder(one, 11, 11),
                  1, lambda got: got == want_one))
-    sym8 = generic(8)
+    sym8 = _generic_series(PolynomialRing(8), 8, "generic")
     want_sym8 = fold_iterate(sym8, 8)
     rows.append(("oracle/Q[a1..a8]/K=n=8", lambda: sym8.iterate(8), 1,
                  lambda got: list(got.coeffs) == want_sym8))
@@ -294,6 +295,28 @@ def spread(times) -> dict:
             "iqr": quartiles[2] - quartiles[0]}
 
 
+def paired(first, second) -> dict:
+    """The median of the per-run ratios ``second[i] / first[i]`` and the sign
+    test's interval for it: the ratios of ranks j and n + 1 - j of the n
+    sorted ones, for the largest j whose coverage 1 - 2 P(Bin(n, 1/2) < j)
+    is at least ``PAIRED_COVERAGE``, and that coverage (for 21 runs, the
+    6th and 16th: 97.3%); the interval and its coverage are null below 6
+    runs, where no j reaches it."""
+    ratios = sorted(b / a for a, b in zip(first, second))
+    n = len(ratios)
+    out = {"paired_ratio": statistics.median(ratios), "paired_interval": None,
+           "paired_coverage": None}
+    below = 0  # runs drawn under rank j: 2^n P(Bin(n, 1/2) < j)
+    for j in range(1, (n + 1) // 2 + 1):
+        below += math.comb(n, j - 1)
+        coverage = 1 - 2 * below / 2**n
+        if coverage < PAIRED_COVERAGE:
+            break
+        out["paired_interval"] = [ratios[j - 1], ratios[n - j]]
+        out["paired_coverage"] = coverage
+    return out
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     grids = [load(src) for src in args.src]
@@ -321,14 +344,17 @@ def main(argv=None) -> int:
                "sides": [spread(t) for t in times]}
         best = [s["best"] for s in row["sides"]]
         median = [s["median"] for s in row["sides"]]
+        shown = "  ".join(f"best {b:.6f} s" for b in best)
         if len(best) == 2:
             row["best_ratio"] = best[1] / best[0]
             row["median_ratio"] = median[1] / median[0]
+            row.update(paired(*times))
+            shown += (f"  ratio {row['best_ratio']:.3f} (median {row['median_ratio']:.3f})"
+                      f"  paired {row['paired_ratio']:.3f}")
+            if row["paired_interval"]:
+                shown += " [{:.3f}, {:.3f}]".format(*row["paired_interval"])
         out["rows"].append(row)
-        shown = "  ".join(f"best {b:.6f} s" for b in best)
-        ratio = (f"  ratio {row['best_ratio']:.3f} (median {row['median_ratio']:.3f})"
-                 if len(best) == 2 else "")
-        print(f"{name:36} {shown}{ratio}", file=sys.stderr)
+        print(f"{name:36} {shown}", file=sys.stderr)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     if wrong:
         print(f"wrong answers: {', '.join(wrong)}", file=sys.stderr)
