@@ -17,15 +17,24 @@ and the oracle they are checked against run on different code:
   gathered sum of every pair's term products over Q[a1..aK]; one integer
   sum and one reduction over Z/p.
 
-A rational is an ``int`` or a ``Fraction``. Python keeps int with int as
-int, so integral inputs and their sums and products never become
-Fractions, but mixed arithmetic can still give an integral ``Fraction``
-(``Fraction(1, 2) * 2``). Equal rationals of either type compare equal,
-hash alike and print alike; they need not have identical representations.
-Prime-field residues and polynomials are canonical, so for them they do.
+A rational is an ``int`` or a ``Fraction``, and every rational the package
+makes is an ``int`` or a ``QFraction``: a slotted subclass of ``Fraction``
+whose ``+ - * ** ==`` read their operands' slots and build the result
+without ``Fraction.__new__``, an ``int`` exactly when it is integral.
+Stdlib ``Fraction``'s operators run in pure Python through its generic
+operand dispatch, and they took most of a rational sweep's time. The
+constructors, both kernels and QFraction's ``+ - * **`` and negation on
+rational operands give canonical values. The operators it inherits
+(``/``, ``abs``, ...) and arithmetic on stdlib Fractions passed in (as
+tests build them) and ints stay stdlib, and can give an integral
+``Fraction`` (``Fraction(1, 2) * 2``); the package's one division,
+``Rationals.inv``, canonicalises its result. Equal rationals of any of
+these types compare equal, hash alike and print alike; they need not have
+identical representations. Prime-field residues and polynomials are
+canonical, so for them they do.
 
 A polynomial stores each coefficient as an ``int`` when it is integral and
-as a ``Fraction`` only otherwise, and keys each monomial by one int that
+as a ``QFraction`` only otherwise, and keys each monomial by one int that
 packs its exponents into a 32-bit field per variable. The top bit of each
 field is a guard bit: an exponent that reaches 2^31 raises ``ValueError``
 rather than carrying into the next variable's field.
@@ -47,6 +56,7 @@ __all__ = [
     "PolynomialRing",
     "FpElement",
     "Polynomial",
+    "QFraction",
     "RATIONALS",
     "domain_from_json",
     "is_prime",
@@ -171,9 +181,146 @@ def _unpack(key: int) -> tuple[int, ...]:
     return struct.unpack(f"<{fields}I", key.to_bytes(4 * fields, "little"))
 
 
+_gcd = math.gcd
+_new = object.__new__
+
+
+def _from_coprime(n: int, d: int):
+    """The rational n/d of coprime ints n and d > 0: n itself when d = 1,
+    else a QFraction holding them, built without ``Fraction.__new__`` and
+    without a further gcd."""
+    if d == 1:
+        return n
+    q = _new(QFraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _reduced(n: int, d: int):
+    """The rational n/d for ints n and d > 0, reduced by one gcd."""
+    g = _gcd(n, d)
+    return _from_coprime(n // g, d // g)
+
+
+def _sum(na, da, nb, db):
+    # na/da + nb/db in lowest terms by CPython's steps: g = gcd(da, db),
+    # then one gcd of the numerator with g (Knuth, TAOCP vol. 2, 4.5.1)
+    g = _gcd(da, db)
+    if g == 1:
+        return _from_coprime(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = _gcd(t, g)
+    if g2 == 1:
+        return _from_coprime(t, s * db)
+    return _from_coprime(t // g2, s * (db // g2))
+
+
+def _product(na, da, nb, db):
+    # na/da * nb/db in lowest terms: each numerator cancelled against the
+    # other factor's denominator
+    g1 = _gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = _gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _from_coprime(na * nb, da * db)
+
+
+class QFraction(Fraction):
+    """A ``Fraction`` whose ``+ - * ** ==`` take integer fast paths.
+
+    An operand of exact class ``int``, ``Fraction`` or ``QFraction`` is read
+    through its slots, and the result is built by ``_from_coprime``: an
+    ``int`` when it is integral, else a QFraction. Any other operand (a
+    ``bool``, a ``float``, ...), a negative or non-int exponent, and every
+    operator not listed here take the inherited ``Fraction`` method, so they
+    behave as for a ``Fraction``. The reflected methods are overridden too,
+    so Python tries them first on ``int`` and ``Fraction`` left operands.
+    """
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        cls = b.__class__
+        if cls is int:
+            # gcd(na + b*da, da) = gcd(na, da) = 1
+            return _from_coprime(a._numerator + b * a._denominator, a._denominator)
+        if cls is QFraction or cls is Fraction:
+            return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
+        return Fraction.__add__(a, b)
+
+    def __radd__(a, b):
+        cls = b.__class__
+        if cls is int:
+            return _from_coprime(a._numerator + b * a._denominator, a._denominator)
+        if cls is Fraction:
+            return _sum(b._numerator, b._denominator, a._numerator, a._denominator)
+        return Fraction.__radd__(a, b)
+
+    def __sub__(a, b):
+        cls = b.__class__
+        if cls is int:
+            return _from_coprime(a._numerator - b * a._denominator, a._denominator)
+        if cls is QFraction or cls is Fraction:
+            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(a, b):
+        cls = b.__class__
+        if cls is int:
+            return _from_coprime(b * a._denominator - a._numerator, a._denominator)
+        if cls is Fraction:
+            return _sum(b._numerator, b._denominator, -a._numerator, a._denominator)
+        return Fraction.__rsub__(a, b)
+
+    def __mul__(a, b):
+        cls = b.__class__
+        if cls is int:
+            g = _gcd(b, a._denominator)
+            return _from_coprime(a._numerator * (b // g), a._denominator // g)
+        if cls is QFraction or cls is Fraction:
+            return _product(a._numerator, a._denominator, b._numerator, b._denominator)
+        return Fraction.__mul__(a, b)
+
+    def __rmul__(a, b):
+        cls = b.__class__
+        if cls is int:
+            g = _gcd(b, a._denominator)
+            return _from_coprime((b // g) * a._numerator, a._denominator // g)
+        if cls is Fraction:
+            return _product(b._numerator, b._denominator, a._numerator, a._denominator)
+        return Fraction.__rmul__(a, b)
+
+    def __neg__(a):
+        return _from_coprime(-a._numerator, a._denominator)
+
+    def __pow__(a, b):
+        if b.__class__ is int and b >= 0:
+            return _from_coprime(a._numerator ** b, a._denominator ** b)
+        return Fraction.__pow__(a, b)
+
+    def __eq__(a, b):
+        cls = b.__class__
+        if cls is int:
+            return a._denominator == 1 and a._numerator == b
+        if cls is QFraction or cls is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        return Fraction.__eq__(a, b)
+
+    __hash__ = Fraction.__hash__
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+
 def _rational(q):
-    """``q`` as an int when it is integral, else as a Fraction."""
-    return q.numerator if q.denominator == 1 else q
+    """``q``, a Fraction, as an int when it is integral, else as a QFraction."""
+    return _from_coprime(q._numerator, q._denominator)
 
 
 class Polynomial:
@@ -185,14 +332,15 @@ class Polynomial:
     keys. Every exponent stays below 2^31: the top bit of each field is a
     guard bit that a product sets instead of carrying into the next
     field, and a set guard bit raises ``ValueError``. A coefficient is an
-    ``int`` when it is integral and a ``Fraction`` otherwise, so equal
+    ``int`` when it is integral and a ``QFraction`` otherwise, so equal
     values have identical representations. The mapping is never mutated
     after construction.
 
     The constructor takes exponent tuples (trailing zeros allowed) as
     keys; packed keys stay internal. It checks and packs every tuple, a
-    zero coefficient's too, and hands the per-key sums to ``_from_sums``,
-    which makes every polynomial canonical.
+    zero coefficient's too, sums each key's coefficients as ints and
+    QFractions, and hands the sums to ``_from_sums``, which drops the
+    zeros.
     """
 
     __slots__ = ("num_vars", "terms")
@@ -200,9 +348,9 @@ class Polynomial:
     def __init__(self, num_vars: int, terms=None):
         if num_vars < 1:
             raise ValueError("num_vars must be >= 1")
-        sums: dict[int, Fraction] = {}
+        sums: dict[int, int | Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            coeff = _rational(Fraction(coeff))
             if any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ValueError("exponents must be nonnegative integers")
             if any(exps[num_vars:]):
@@ -225,9 +373,9 @@ class Polynomial:
     @classmethod
     def _from_sums(cls, num_vars: int, sums: dict) -> "Polynomial":
         """The polynomial of the per-key sums ``sums`` (packed key to
-        coefficient), with zeros dropped and integral Fractions demoted: of
-        the constructor's terms, or of a product's or a kernel's term
-        products.
+        coefficient), with zeros dropped: of the constructor's terms, or of
+        a product's or a kernel's term products. Each sum is an int or a
+        QFraction already, as every sum and product of them is.
 
         Every key is checked for a guard bit, even one whose sum cancelled
         to zero: a product of nonzero polynomials also holds its
@@ -239,8 +387,6 @@ class Polynomial:
             if key & guard:
                 raise ValueError("exponent too large")
             if coeff:
-                if coeff.__class__ is not int:
-                    coeff = _rational(coeff)
                 terms[key] = coeff
         return cls._raw(num_vars, terms)
 
@@ -255,7 +401,8 @@ class Polynomial:
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        # not via _from_sums, which re-walks the larger operand: 1.13-1.37x slower
+        # not via _from_sums, which re-walks the larger operand: 1.13-1.37x
+        # slower; canonical coefficients have canonical sums (see QFraction)
         big, small = self.terms, rhs.terms
         if len(big) < len(small):
             big, small = small, big
@@ -263,8 +410,6 @@ class Polynomial:
         get = out.get
         for key, coeff in small.items():
             total = get(key, 0) + coeff
-            if total.__class__ is not int:
-                total = _rational(total)
             if total:
                 out[key] = total
             else:
@@ -490,10 +635,11 @@ class Rationals(Domain):
 
     Operations on ints stay ints, so integral values skip the gcd and the
     object that each Fraction operation pays for. Constructors and both
-    kernels return an ``int`` for an integral value, but arithmetic may not
-    (see the module docstring). Each kernel sums in ints over one common
-    denominator and reduces each result once, where the operator fold would
-    pay a gcd and a Fraction per operation (Knuth, TAOCP vol. 2, 4.5.1).
+    kernels return an ``int`` for an integral value and a ``QFraction``
+    otherwise, and so does QFraction arithmetic (see the module docstring).
+    Each kernel sums in ints over one common denominator and reduces each
+    result once, where the operator fold would pay a gcd and an object per
+    operation (Knuth, TAOCP vol. 2, 4.5.1).
     """
 
     is_field = True
@@ -501,7 +647,8 @@ class Rationals(Domain):
     one = 1
 
     def contains(self, x) -> bool:
-        return type(x) is int or isinstance(x, Fraction)
+        cls = x.__class__
+        return cls is int or cls is QFraction or isinstance(x, Fraction)
 
     def inv(self, a):
         self.check(a)
@@ -535,21 +682,35 @@ class Rationals(Domain):
             d = math.gcd(common * dy, *acc)
             acc = [v // d for v in acc]
             den = common * dy // d
-        return [v // den if v % den == 0 else Fraction(v, den) for v in acc]
+        return [_reduced(v, den) for v in acc]
 
     def combine(self, xs, ys):
-        """Domain.combine over one common denominator: each pair's
-        numerator and denominator products, one lcm of the denominators, one
-        int sum and one reduction, an int exactly when the sum is integral.
-        The inputs must be rationals; nothing checks them (as for
-        ``horner``)."""
-        nums, dens = [], []
+        """Domain.combine as one int sum over one common denominator, each
+        pair's numerator and denominator products read from the slots. The
+        denominator grows to the lcm of the products' denominators so far
+        only when the next one does not divide it, and the sum is reduced
+        once, an int exactly when it is integral. The inputs must be
+        rationals; nothing checks them (as for ``horner``)."""
+        total, common = 0, 1
         for x, y in zip(xs, ys):
-            nums.append(x.numerator * y.numerator)
-            dens.append(x.denominator * y.denominator)
-        common = math.lcm(*dens)
-        total = sum([n * (common // d) for n, d in zip(nums, dens)])
-        return total // common if total % common == 0 else Fraction(total, common)
+            if x.__class__ is int:
+                n, d = x, 1
+            else:
+                n, d = x._numerator, x._denominator
+            if y.__class__ is int:
+                n *= y
+            else:
+                n *= y._numerator
+                d *= y._denominator
+            if d == 1:
+                total += n * common
+            elif common % d == 0:
+                total += n * (common // d)
+            else:
+                g = _gcd(common, d)
+                total = total * (d // g) + n * (common // g)
+                common = common // g * d
+        return _reduced(total, common)
 
     def from_int(self, m: int):
         return int(m)

@@ -89,24 +89,29 @@ def coeff_recursive(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
     for m >= 2, and a call extends rows 2..n in order to length k, so
     every f_j^(m) is formed at most once, O(K^2 N) domain operations in
     all. Each entry is one ``Domain.combine`` of row m-1 with the table's
-    row i, and each table row is read once per call. A ``memo`` dict may
-    be passed to reuse the rows across calls for the same series, with
-    cells visited in any order.
+    row i, and each table row is read once per call that forms entries. A
+    ``memo`` dict may be passed to reuse the rows across calls for the same
+    series, with cells visited in any order; rows 2..n are then each at
+    least as long as row n, so a call whose row n holds k entries reads its
+    value and forms nothing.
     """
     _check_index(f, k, n)
     if table is None:
         table = PowerCoefficientTable(f)
     if memo is None:
         memo = {}
-    combine = f.domain.combine
-    powers = [table.row(i) for i in range(1, k + 1)] if n > 1 else []
-    prev = f.coeffs
-    for m in range(2, n + 1):
-        row = memo.setdefault(m, [])
-        for i in range(len(row) + 1, k + 1):
-            row.append(combine(prev[:i], powers[i - 1]))
-        prev = row
-    return prev[k - 1]
+    if n == 1:
+        return f.coeffs[k - 1]
+    if len(memo.get(n, ())) < k:
+        combine = f.domain.combine
+        powers = [table.row(i) for i in range(1, k + 1)]
+        prev = f.coeffs
+        for m in range(2, n + 1):
+            row = memo.setdefault(m, [])
+            for i in range(len(row) + 1, k + 1):
+                row.append(combine(prev[:i], powers[i - 1]))
+            prev = row
+    return memo[n][k - 1]
 
 
 def muckenhoupt_f2(f: TruncatedSeries, n: int):
@@ -234,7 +239,11 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
     cell with k <= K, n <= N of one series, with the cells visited in any
     order. The cell's total is one more ``Domain.combine``: of each level's
     weight a_1^(n-alpha), repeated once per entry, with the entries
-    ``memo[(k, alpha)][:n-alpha+1]``.
+    ``memo[(k, alpha)][:n-alpha+1]``. The powers a_1^0, a_1^1, ... behind b_j
+    and these weights are one list per series, ``memo["powers"]``, extended
+    by one product per entry. A call skips column j after one length check:
+    the list at alpha = min(j-1, n) holds more than n-alpha entries only if
+    an earlier call with n' >= n filled every alpha of that column.
     """
     _check_index(f, k, n)
     a1 = f.coefficient(1)
@@ -245,13 +254,19 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
     if memo is None:
         memo = {}
     combine = f.domain.combine
+    pw = memo.setdefault("powers", [f.domain.one])
+    for _ in range(len(pw), max(k, n)):
+        pw.append(pw[-1] * a1)
     for j in range(2, k + 1):
-        for alpha in range(1, min(j - 1, n) + 1):
+        top = min(j - 1, n)
+        if len(memo.setdefault((j, top), [])) > n - top:
+            continue
+        row = table.row(j)
+        b = pw[j - 1]
+        for alpha in range(1, top + 1):
             u = memo.setdefault((j, alpha), [])
-            if len(u) > n - alpha:
-                continue
             below = range(alpha, j) if alpha > 1 else ()
-            weights = [a1 ** (j - 1)] + [table.get(j, i) for i in below]
+            weights = [b, *row[alpha - 1 : j - 1]] if below else [b]
             lower = [memo[i, alpha - 1] for i in below]
             for d in range(len(u), n - alpha + 1):
                 if d:
@@ -261,7 +276,7 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
                 else:
                     u.append(combine(weights[1:], [w[0] for w in lower]))
     levels = range(1, min(k - 1, n) + 1)
-    weights = [w for alpha in levels for w in [a1 ** (n - alpha)] * (n - alpha + 1)]
+    weights = [w for alpha in levels for w in [pw[n - alpha]] * (n - alpha + 1)]
     return combine(weights, [u for alpha in levels for u in memo[k, alpha][: n - alpha + 1]])
 
 
@@ -381,7 +396,7 @@ def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int, memo=None):
                 sum([p * t for p, t in zip(powers, s[b::-1])], dom.zero)
                 for b in range(budget if j == k else 0, budget + 1)
             ]
-        total = total + a1 ** (n - alpha) * value * s[-1]
+        total = total + pw[n - alpha] * value * s[-1]
     return total
 
 

@@ -77,7 +77,7 @@ def test_rationals_membership():
     for bad in (0.5, True, 1.0):
         with pytest.raises(ValueError):
             RATIONALS.check(bad)
-    for good in (1, Fraction(1, 2), Fraction(2)):
+    for good in (1, Fraction(1, 2), Fraction(2), RATIONALS.parse("1/2")):
         RATIONALS.check(good)
 
 

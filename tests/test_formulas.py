@@ -503,7 +503,8 @@ def test_closed_equals_the_literal_chain_sum():
     # the dynamic program against closed_form_level, which walks the chains
     # one by one; cells shuffled over one table and memo per series, so a
     # program that assumed k or n visited in increasing order would fail;
-    # then each entry U_alpha[j][d] is stored once per series, under no n
+    # then each entry U_alpha[j][d] is stored once per series, under no n,
+    # and a_1's powers once, as far as the cells reach
     rng = random.Random(61)
     cases = []
     for a1 in (0, 1, -1, 2, Fraction(1, 2)):
@@ -523,6 +524,9 @@ def test_closed_equals_the_literal_chain_sum():
             levels = [closed_form_level(f, k, n, alpha, table) for alpha in range(1, k)]
             want = sum(levels[1:], levels[0])
             assert coeff_closed(f, k, n, table, memo) == want, (f.domain, k, n)
+        powers = memo.pop("powers")
+        a1 = f.coefficient(1)
+        assert powers == [a1**e for e in range(max(k_max, n_max))], f.domain
         keys = [(j, a) for j in range(2, k_max + 1) for a in range(1, j) if a <= n_max]
         assert sorted(memo) == keys
         for (j, alpha), entries in memo.items():

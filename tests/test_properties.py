@@ -8,8 +8,11 @@ takes about as long each time.
 
 import io
 import json
+import math
+import operator
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -17,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fps_iterate import cli
-from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
+from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField, QFraction
 from fps_iterate.formulas import NotApplicable
 from fps_iterate.series import TruncatedSeries
 from fps_iterate.verify import GENERATOR_KINDS, METHODS, REGISTRY
@@ -297,6 +300,86 @@ def test_equal_values_format_alike(case):
     text = dom.format(x)
     assert dom.format(y) == text
     assert dom.format(dom.parse(text)) == text
+
+
+# numerators and denominators of about 1, 12 and 30 digits
+_HEIGHTS = st.one_of(
+    st.integers(-9, 9), st.integers(-10**12, 10**12), st.integers(-10**30, 10**30)
+)
+_OPERANDS = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    _HEIGHTS,
+    st.builds(Fraction, _HEIGHTS, _HEIGHTS.filter(bool)),
+    st.builds(lambda n, d: RATIONALS.from_fraction(Fraction(n, d)), _HEIGHTS, _HEIGHTS.filter(bool)),
+    st.builds(QFraction, _HEIGHTS),  # integral, as only the constructor makes one
+    st.booleans(),
+    st.floats(),
+    st.sampled_from([Decimal("1.5"), 1j]),
+)
+_RATIONAL_CLASSES = (int, Fraction, QFraction)
+
+
+def _stdlib(x):
+    """``x`` with a QFraction replaced by the equal stdlib Fraction."""
+    return Fraction(x) if x.__class__ is QFraction else x
+
+
+def _outcome(op, *args):
+    try:
+        return "value", op(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception's type is compared
+        return "raise", type(exc)
+
+
+def _assert_like_stdlib(op, *args, fast):
+    """``op(*args)`` as stdlib Fraction gives it on the same values: the same
+    exception type, or an equal result that hashes alike. On a fast path (all
+    operands int, Fraction or QFraction, one of them a QFraction) the result
+    is an int exactly when it is integral, and a QFraction in lowest terms
+    with a denominator above 1 otherwise; off it, it has stdlib's type."""
+    got_kind, got = _outcome(op, *args)
+    want_kind, want = _outcome(op, *map(_stdlib, args))
+    assert got_kind == want_kind, (args, got, want)
+    if got_kind == "raise":
+        assert got is want
+        return
+    if isinstance(want, complex) or isinstance(want, float) and math.isnan(want):
+        assert type(got) is type(want) and repr(got) == repr(want)
+        return
+    assert got == want and want == got and hash(got) == hash(want), (args, got, want)
+    if not fast:
+        assert type(got) is type(want)
+    elif type(got) is QFraction:
+        assert got._denominator > 1 and math.gcd(got._numerator, got._denominator) == 1
+    else:
+        assert type(got) is int
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_OPERANDS, _OPERANDS, st.one_of(st.integers(0, 6), st.sampled_from([-2, True, 0.5, Fraction(1, 2)])))
+@example(Fraction(1, 2), 2, 3)
+@example(RATIONALS.parse("1/2"), RATIONALS.parse("-3/2"), 0)
+@example(RATIONALS.parse("1/6"), RATIONALS.parse("1/3"), 2)  # the sum's second gcd
+@example(RATIONALS.parse("2/3"), RATIONALS.parse("3/4"), 1)  # cancelled on both sides
+@example(RATIONALS.parse("3/2"), 1, 1)  # equal numerators, unequal values
+@example(RATIONALS.parse("1/2"), True, -2)
+@example(RATIONALS.parse("1/2"), float("nan"), 0.5)
+@example(RATIONALS.parse("1/2"), Decimal("1.5"), Fraction(1, 2))
+@example(QFraction(0), 0, -2)
+def test_rational_element_operators_equal_stdlib_fraction(a, b, exponent):
+    rational = a.__class__ in _RATIONAL_CLASSES and b.__class__ in _RATIONAL_CLASSES
+    fast = rational and QFraction in (a.__class__, b.__class__)
+    for op in (operator.add, operator.sub, operator.mul):
+        _assert_like_stdlib(op, a, b, fast=fast)
+    assert (a == b) is (_stdlib(a) == _stdlib(b))
+    assert (a != b) is (_stdlib(a) != _stdlib(b))
+    for x in (a, b):
+        power_is_fast = x.__class__ is QFraction and exponent.__class__ is int and exponent >= 0
+        _assert_like_stdlib(operator.pow, x, exponent, fast=power_is_fast)
+        if x.__class__ is QFraction:
+            _assert_like_stdlib(operator.neg, x, fast=True)
+            assert hash(x) == hash(_stdlib(x))
+            assert repr(x) == f"Fraction({x.numerator}, {x.denominator})" == repr(_stdlib(x))
 
 
 @st.composite

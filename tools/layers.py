@@ -1,4 +1,4 @@
-"""Layer timings of fps-iterate: kernels, the power table, routes, oracle, presets.
+"""Layer timings of fps-iterate: Q arithmetic, kernels, table, routes, oracle, presets.
 
     python3 tools/layers.py --src src --out BENCH_<pr>.json [--repeat N]
     python3 tools/layers.py --src <parent>/src --src src --out BENCH_<pr>.json
@@ -22,10 +22,11 @@ the second over run i of the first), and ``paired_interval``, the sign
 test's interval for it, with its ``paired_coverage`` (see ``paired``);
 the stderr line prints both readings. Each cold row builds a new table
 and memo per run; the last answers of every checkout are cross-checked,
-and a wrong one exits 1: the kernel rows and the rational and symbolic
-oracle rows against the elements' operator fold, the Z/p oracle rows
-against ``coeff_recursive`` at every k, the symbolic routes and the route
-sweeps against the oracle. A kernel or sweep row makes as many calls per
+and a wrong one exits 1: the Q arithmetic rows against stdlib
+``Fraction``, the kernel rows and the rational and symbolic oracle rows
+against the elements' operator fold, the Z/p oracle rows against
+``coeff_recursive`` at every k, the symbolic routes and the route sweeps
+against the oracle. A kernel or sweep row makes as many calls per
 run as take ``KERNEL_RUN_S`` on the first checkout, timed once before its
 runs, and every checkout makes that many; each row records its count as
 ``calls``. Standard library only.
@@ -38,6 +39,7 @@ import gc
 import importlib
 import json
 import math
+import operator
 import os
 import platform
 import random
@@ -170,6 +172,27 @@ def grid():
         return list(coeffs)
 
     rows = []
+    # Q element arithmetic: 32 seeded pairs of rationals as the package makes
+    # them, numerators and denominators of about 1, 12 and 30 digits, each
+    # with a rational or an int right operand; checked against stdlib
+    # Fraction on the same values
+    rng = random.Random(34)
+    for digits in (1, 12, 30):
+        def height():
+            return rng.randint(1, 10**digits - 1) * rng.choice((1, -1))
+
+        def noninteger():
+            q = Fraction(height(), abs(height()) + 1)
+            return RATIONALS.from_fraction(q) if q.denominator > 1 else noninteger()
+
+        qs = [noninteger() for _ in range(64)]
+        for right, ys in (("q", qs[32:]), ("int", [height() for _ in range(32)])):
+            pairs = list(zip(qs[:32], ys))
+            for symbol, op in (("+", operator.add), ("*", operator.mul)):
+                want = [op(Fraction(x), Fraction(y)) for x, y in pairs]
+                rows.append((f"arith/Q/q{symbol}{right}/{digits}-digit",
+                             lambda op=op, pairs=pairs: [op(x, y) for x, y in pairs],
+                             None, lambda got, w=want: got == w))
     for label, (dom, element, top) in samples.items():
         for m in (8, 32, 100):
             xs = [element(j) for j in range(m)]
