@@ -145,8 +145,9 @@ def cmd_identities(args) -> int:
     return 0 if all_ok else 1
 
 
-@functools.cache  # parse_args leaves the parser as it found it
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # parse_args leaves the parsers as it found them
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``fps`` parser and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="fps",
         description="Exact coefficients of iterated formal power series.",
@@ -218,18 +219,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-max", type=_positive_int, default=8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_identities)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    parser, subcommands = _build_parser()
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names and
+    return its exit code.
+
+    When argv[0] names a subcommand, that subcommand's parser reads the
+    rest: the parser object the ``fps`` parser would hand it to, so the
+    namespace is the same. If it leaves an argument over, or argv[0] names
+    no subcommand, the ``fps`` parser reads all of argv, so every usage,
+    help and error text stays that parser's own.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
     # exact answers outgrow the 4300-digit int/str limit of Python >= 3.11;
     # lift it for this call only
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(list(argv))
         return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

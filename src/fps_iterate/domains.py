@@ -12,10 +12,10 @@ and the oracle they are checked against run on different code:
   Q[a1..aK], one gathered sum per entry; over Z/p, plain residues, and for
   primes with m*(p-1)^2 < 2^64 one integer product per step, the fixed
   operand packed once per call;
-- ``Domain.combine``, the routes' sum of products x_0*y_0 + x_1*y_1 + ...:
-  one integer sum over one common denominator, reduced once, over Q; one
-  gathered sum of every pair's term products over Q[a1..aK]; one integer
-  sum and one reduction over Z/p.
+- ``Domain.combine``, the routes' sum of products x_0*y_0 + x_1*y_1 + ...
+  up to the end of the shorter sequence: one integer sum over one common
+  denominator, reduced once, over Q; one gathered sum of every pair's term
+  products over Q[a1..aK]; one integer sum and one reduction over Z/p.
 
 A rational is an ``int`` or a ``Fraction``, and every rational the package
 makes is an ``int`` or a ``QFraction``: a slotted subclass of ``Fraction``
@@ -65,13 +65,19 @@ __all__ = [
 
 _MILLER_RABIN_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BOUND = 3317044064679887385961981
+# the least strong pseudoprime to the witnesses 2, 3, 5 and 7 together
+_FOUR_WITNESS_BOUND = 3215031751
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test with the prime witnesses 2 through 41.
+    """Miller-Rabin primality test with prime witnesses, after trial
+    division by each of them.
 
-    Exact for n below _PRIME_BOUND, about 3.3e24 (Sorenson and Webster,
-    Math. Comp. 86, 2017); at or above it, True means only "probable prime".
+    Below _FOUR_WITNESS_BOUND, about 3.2e9, the witnesses 2, 3, 5 and 7
+    alone are exact (Jaeschke, Math. Comp. 61, 1993); above it the test
+    takes all of 2 through 41, exact for n below _PRIME_BOUND, about 3.3e24
+    (Sorenson and Webster, Math. Comp. 86, 2017). At or above that bound,
+    True means only "probable prime".
     """
     if n < 2:
         return False
@@ -82,7 +88,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MILLER_RABIN_WITNESSES:
+    witnesses = _MILLER_RABIN_WITNESSES
+    if n < _FOUR_WITNESS_BOUND:
+        witnesses = witnesses[:4]
+    for a in witnesses:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -183,6 +192,21 @@ def _unpack(key: int) -> tuple[int, ...]:
 
 _gcd = math.gcd
 _new = object.__new__
+
+
+def _residue(v: int, p: int) -> FpElement:
+    """The element of Z/p holding v, already in [0, p), built without
+    ``FpElement.__init__``'s reduction."""
+    e = _new(FpElement)
+    e.value = v
+    e.p = p
+    return e
+
+
+@lru_cache(maxsize=256)
+def _slots(n: int) -> struct.Struct:
+    """The compiled layout of n little-endian 64-bit unsigned slots, "<nQ"."""
+    return struct.Struct(f"<{n}Q")
 
 
 def _from_coprime(n: int, d: int):
@@ -600,9 +624,10 @@ class Domain:
         raise NotImplementedError
 
     def combine(self, xs, ys):
-        """x_0*y_0 + x_1*y_1 + ... for two sequences of equal length, the sum
-        of products that the power table, ``coeff_recursive`` and
-        ``coeff_closed`` form; ``zero`` for empty sequences."""
+        """x_0*y_0 + x_1*y_1 + ..., summed up to the end of the shorter
+        sequence: the sum of products that the power table,
+        ``coeff_recursive`` and ``coeff_closed`` form; ``zero`` when either
+        sequence is empty."""
         raise NotImplementedError
 
     def from_int(self, m: int):
@@ -719,12 +744,19 @@ class Rationals(Domain):
         return _rational(Fraction(q))
 
     def parse(self, text: str):
-        if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text.strip()):
+        """The rational ``text`` denotes, ``n`` or ``n/d`` with an optional
+        sign and blanks around it: the value ``Fraction(text)`` has, read
+        from the digits the pattern checked, without ``Fraction``'s own
+        parser."""
+        if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(stripped := text.strip()):
             raise ValueError(f"bad rational literal {text!r}")
-        try:
-            return _rational(Fraction(text.strip()))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
+        num, _, den = stripped.partition("/")
+        if not den:
+            return int(num)
+        d = int(den)
+        if not d:
+            raise ValueError(f"zero denominator in {text!r}")
+        return _reduced(int(num), d)
 
     def to_json(self):
         return "rational"
@@ -771,7 +803,9 @@ class PrimeField(Domain):
         one unpack of the product's low m - j + 1 slots; the higher slots
         never reach x^m (see ``Domain.horner``), the low slots of a product
         depend only on its factors' low slots, and no slot carries. Wider
-        primes sum each entry's int products in turn. The inputs must be
+        primes sum each entry's int products in turn. Each slot count's
+        layout is compiled once per process (``_slots``), and the elements
+        are built on their residues (``_residue``). The inputs must be
         elements of this field; nothing checks them."""
         p, m = self.p, len(ys)
         if m * (p - 1) ** 2 >= 1 << 64:
@@ -779,23 +813,32 @@ class PrimeField(Domain):
             for j in range(m, 0, -1):
                 x = [coeffs[j - 1].value, *acc]
                 acc = [sum(map(operator.mul, x[: s + 1], g[s::-1])) % p for s in range(len(x))]
-            return [FpElement(v, p) for v in acc]
-        # "<nQ" is n little-endian 64-bit unsigned slots
-        g = int.from_bytes(struct.pack(f"<{m}Q", *[y.value for y in ys]), "little")
+            return [_residue(v, p) for v in acc]
+        g = int.from_bytes(_slots(m).pack(*[y.value for y in ys]), "little")
         acc = []
         for j in range(m, 0, -1):
             n = m - j + 1
             low = (1 << 64 * n) - 1
-            x = int.from_bytes(struct.pack(f"<{n}Q", coeffs[j - 1].value, *acc), "little")
+            slots = _slots(n)
+            x = int.from_bytes(slots.pack(coeffs[j - 1].value, *acc), "little")
             z = (x * (g & low) & low).to_bytes(8 * n, "little")
-            acc = [v % p for v in struct.unpack(f"<{n}Q", z)]
-        return [FpElement(v, p) for v in acc]
+            acc = [v % p for v in slots.unpack(z)]
+        return [_residue(v, p) for v in acc]
 
     def combine(self, xs, ys):
-        """Domain.combine as one integer sum of the residues' products,
-        reduced once. The inputs must be elements of this field; nothing
-        checks them (as for ``horner``)."""
-        return FpElement(sum([x.value * y.value for x, y in zip(xs, ys)]), self.p)
+        """Domain.combine as one integer sum of the residues' products in a
+        plain loop, reduced once and set on a new element. The inputs must
+        be elements of this field; nothing checks them (as for
+        ``horner``)."""
+        total = 0
+        for x, y in zip(xs, ys):
+            total += x.value * y.value
+        p = self.p
+        # _residue inlined: a call per entry is 5-10% of a short sum
+        e = _new(FpElement)
+        e.value = total % p
+        e.p = p
+        return e
 
     def from_int(self, m: int):
         return FpElement(m, self.p)
@@ -813,7 +856,7 @@ class PrimeField(Domain):
     def parse(self, text: str):
         if not isinstance(text, str) or not _INTEGER_RE.fullmatch(text.strip()):
             raise ValueError(f"bad integer literal {text!r}")
-        return FpElement(int(text), self.p)
+        return _residue(int(text) % self.p, self.p)
 
     def to_json(self):
         return {"prime": self.p}

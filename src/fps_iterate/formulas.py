@@ -17,7 +17,7 @@ they check the dynamic program against the literal chain sum.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 
 from .domains import PolynomialRing
 from .multinomial import PowerCoefficientTable
@@ -88,8 +88,10 @@ def coeff_recursive(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
     Rows are filled bottom-up: ``memo[m]`` holds [f_1^(m), ..., f_i^(m)]
     for m >= 2, and a call extends rows 2..n in order to length k, so
     every f_j^(m) is formed at most once, O(K^2 N) domain operations in
-    all. Each entry is one ``Domain.combine`` of row m-1 with the table's
-    row i, and each table row is read once per call that forms entries. A
+    all. Entry i of row m is one ``Domain.combine`` of the whole of row m-1
+    with the table's row i, which holds i entries, so the sum stops at
+    f_i^(m-1) without a copy of row m-1; the new entries of a row are one
+    ``map``. Each table row is read once per call that forms entries. A
     ``memo`` dict may be passed to reuse the rows across calls for the same
     series, with cells visited in any order; rows 2..n are then each at
     least as long as row n, so a call whose row n holds k entries reads its
@@ -108,8 +110,8 @@ def coeff_recursive(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
         prev = f.coeffs
         for m in range(2, n + 1):
             row = memo.setdefault(m, [])
-            for i in range(len(row) + 1, k + 1):
-                row.append(combine(prev[:i], powers[i - 1]))
+            if len(row) < k:
+                row += map(combine, repeat(prev), powers[len(row):])
             prev = row
     return memo[n][k - 1]
 

@@ -17,7 +17,15 @@ _SERIES_KEYS = frozenset(("domain", "order", "coeffs"))
 
 
 class TruncatedSeries:
-    """Immutable truncated series over an exact coefficient domain."""
+    """Immutable truncated series over an exact coefficient domain.
+
+    The constructor checks the order and every coefficient it is given, so
+    a caller's series holds elements of its domain. ``from_json`` and
+    ``compose`` build theirs through ``_trusted``, which checks nothing:
+    their coefficients come from ``Domain.parse`` and ``Domain.horner``,
+    which return elements. ``Domain.format`` still checks each coefficient
+    that ``to_json`` writes.
+    """
 
     __slots__ = ("domain", "order", "coeffs")
 
@@ -34,6 +42,15 @@ class TruncatedSeries:
         self.domain = domain
         self.order = order
         self.coeffs = coeffs
+
+    @classmethod
+    def _trusted(cls, domain: Domain, coeffs) -> "TruncatedSeries":
+        # coeffs: elements of domain that the package made, order len(coeffs)
+        f = object.__new__(cls)
+        f.domain = domain
+        f.coeffs = tuple(coeffs)
+        f.order = len(f.coeffs)
+        return f
 
     @classmethod
     def from_coefficients(cls, domain, coeffs, order=None) -> "TruncatedSeries":
@@ -84,8 +101,9 @@ class TruncatedSeries:
         step m is multiplied by it m - 1 more times and reaches x^K only
         through its entries up to x^(K-m+1); the kernel forms just those."""
         self._like(other)
-        acc = self.domain.horner(self.coeffs, other.coeffs)
-        return TruncatedSeries(self.domain, self.order, acc)
+        return TruncatedSeries._trusted(
+            self.domain, self.domain.horner(self.coeffs, other.coeffs)
+        )
 
     def iterate(self, n: int) -> "TruncatedSeries":
         """The n-fold self-composition, folding f^(n) = f^(n-1) o f."""
@@ -118,7 +136,7 @@ class TruncatedSeries:
             raise ValueError(
                 f"'order' {order} does not match {len(coeffs)} coefficients"
             )
-        return cls(domain, order, coeffs)
+        return cls._trusted(domain, coeffs)
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):

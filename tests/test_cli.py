@@ -690,6 +690,55 @@ def test_argparse_errors(tmp_path, capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
 
+def test_subcommand_parser_answers_as_the_full_parse(tmp_path, capsys, monkeypatch):
+    """``main`` hands argv[1:] to the parser of the subcommand that argv[0]
+    names; every argv below gives the same exit code and the same stdout
+    and stderr bytes when the full parser reads all of it instead."""
+    path = write_series(tmp_path, "s.json", ["2", "1", "-1/3"])
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "k_max": 2, "n_max": 2, "domains": ["rational"], "methods": ["oracle", "recursive"],
+        "generator": {"kind": "random-rational", "seed": 5, "count": 1, "order": 2},
+    }))
+    corpus = [
+        [], ["-h"], ["--help"], ["--version"], ["cofe", path], ["Coeff", path], ["--", "coeff"],
+        ["iterate", path, "-n", "2"], ["iterate", "-h"], ["iterate", path, "-n", "0"],
+        ["iterate", path, "-n", "2", "--order=5"], ["iterate", path, "-n", "2", "--ord", "2"],
+        ["iterate", path + ".missing", "-n", "2"], ["iterate", path],
+        ["coeff", path, "-k", "3", "-n", "2"], ["coeff", "--help"], ["coeff", path, "-n", "2"],
+        ["coeff", path, "-k", "2", "-n", "2", "--method", "bogus"],
+        ["coeff", path, "-k", "2", "-n", "2", "--meth", "closed", "--ord", "4"],
+        ["coeff", path, "-k3", "-n2"], ["coeff", path, "-k", "3", "-n", "2", "--order=5"],
+        ["coeff", "-k", "2", "-n", "2", "--", path], ["coeff", "--", path, "-k", "2", "-n", "2"],
+        ["coeff", path, "-k", "2", "-n", "2", "--bogus"], ["coeff", path, "-k", "2", "-n", "2", "extra"],
+        ["coeff", path, "-k", "2", "-n", "2", "--method"], ["coeff", path, "-k", "9", "-n", "2"],
+        ["coeff", path, "-k", "x", "-n", "2"], ["coeff", path, path, "-k", "1", "-n", "1"],
+        ["formula", "-k", "3", "-n", "2"], ["formula", "-k", "2", "-n", "2", "--json", "--a1", "one"],
+        ["formula", "-k", "9", "-n", "2"], ["formula", "-h"], ["formula", "-k", "2"],
+        ["verify", "--preset", "symbolic"], ["verify", "--preset", "nope"],
+        ["verify", "--sweep-spec", str(spec), "--json"],
+        ["verify", "--preset", "symbolic", "--sweep-spec", str(spec)],
+        ["identities", "--n-max", "3", "--alpha-max", "2"], ["identities", "--n-max", "0"],
+        ["identities", "--json", "--al", "2", "--n-m", "4"], ["identities", "extra"],
+    ]
+    parser, subcommands = cli._build_parser()
+    shortcut = []
+    for argv in corpus:
+        full_parses = []
+        monkeypatch.setattr(parser, "parse_args",
+                            lambda args, parse=parser.parse_args: full_parses.append(1) or parse(args))
+        got = run_cli(capsys, *argv)
+        if not full_parses:
+            shortcut.append(argv)
+        monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+        assert run_cli(capsys, *argv) == got, argv
+        monkeypatch.undo()
+    # the subcommand's parser alone answers each argv it reads to the end
+    assert ["coeff", path, "-k", "3", "-n", "2"] in shortcut
+    assert ["coeff", path, "-n", "2"] in shortcut
+    assert not [argv for argv in shortcut if argv[-1] in ("--bogus", "extra")]
+
+
 def test_successive_calls_share_no_state(tmp_path, capsys):
     # the parser is built once per process and reused by every call
     path = write_series(tmp_path, "s.json", ["1", "1"])
@@ -708,9 +757,10 @@ def test_successive_calls_share_no_state(tmp_path, capsys):
 
 
 def test_coeff_method_choices_are_the_registry():
-    parser = cli._build_parser()
+    parser, subcommands = cli._build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    method = sub.choices["coeff"]._option_string_actions["--method"]
+    assert sub.choices is subcommands
+    method = subcommands["coeff"]._option_string_actions["--method"]
     assert tuple(method.choices) == METHODS
 
 

@@ -1,8 +1,8 @@
 """Domain layer: rationals, prime fields, polynomial rings."""
 
 import ast
+import math
 import random
-import struct
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,6 +18,7 @@ from fps_iterate.domains import (
     Polynomial,
     PolynomialRing,
     PrimeField,
+    QFraction,
     RATIONALS,
     Rationals,
     domain_from_json,
@@ -47,6 +48,25 @@ def test_is_prime_spot_checks():
     assert is_prime(318665857834031151167461) is False
 
 
+def test_is_prime_agrees_with_a_sieve_below_two_million():
+    # every n here is below the bound where the witnesses 2, 3, 5, 7 suffice
+    limit = 2 * 10**6
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    assert [n for n in range(limit) if is_prime(n)] == [
+        n for n in range(limit) if sieve[n]
+    ]
+
+
+def test_is_prime_refuses_the_least_strong_pseudoprimes():
+    # to the bases 2, 3, 5 (Jaeschke's psi_3); to 2, 3, 5, 7 (psi_4, the
+    # least n that takes all the witnesses); to every prime through 17
+    for n in (25326001, 3215031751, 341550071728321):
+        assert not is_prime(n), n
+
+
 def test_rationals_basic():
     dom = RATIONALS
     a = dom.parse("1/2")
@@ -70,6 +90,36 @@ def test_rationals_parse_errors():
         RATIONALS.parse("1/0")
     with pytest.raises(ZeroDivisionError):
         RATIONALS.inv(Fraction(0))
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-0", "+0", "7", "-7", "+7", "007", "-007/014", "0/7", "-0/7",
+    "+3/4", "6/4", "-6/4", "10/5", "1/1", " 5/10 ", "\t-12\n",
+    "9" * 400 + "/" + "6" * 400, "-" + "1" * 400 + "/" + "7" * 399, "2" * 400,
+])
+def test_rationals_parse_gives_what_fraction_reads(text):
+    # the value Fraction(text) has, an int exactly when it is integral
+    got, want = RATIONALS.parse(text), Fraction(text)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else QFraction)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3/0", "zero denominator in '3/0'"),
+    ("-3/000", "zero denominator in '-3/000'"),
+    (" 0/0", "zero denominator in ' 0/0'"),
+    ("1.5", "bad rational literal '1.5'"),
+    ("1/-2", "bad rational literal '1/-2'"),
+    ("1_000", "bad rational literal '1_000'"),
+    ("+-1", "bad rational literal '+-1'"),
+    ("", "bad rational literal ''"),
+    ("\u0661", "bad rational literal '\u0661'"),
+])
+def test_rationals_parse_errors_name_the_text(text, message):
+    with pytest.raises(ValueError) as info:
+        RATIONALS.parse(text)
+    assert str(info.value) == message
 
 
 def test_rationals_membership():
@@ -375,6 +425,25 @@ def test_dot_of_no_terms_and_one_term(domain):
     assert domain.format(z) == domain.format(x * y)
 
 
+@pytest.mark.parametrize(
+    "domain", [RATIONALS, PrimeField(1000003), PolynomialRing(2)], ids=repr
+)
+def test_combine_sums_up_to_the_shorter_sequence(domain):
+    # the table and coeff_recursive pass a longer sequence beside a shorter one
+    rng = random.Random(35)
+
+    def draw():
+        x = domain.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        return x + domain.variable(rng.randint(1, 2)) if isinstance(domain, PolynomialRing) else x
+
+    for length in range(6):
+        xs, ys, extra = [draw() for _ in range(length)], [draw() for _ in range(length)], [draw(), draw()]
+        want = sum((x * y for x, y in zip(xs, ys)), domain.zero)
+        assert domain.combine(xs, ys) == want
+        assert domain.combine(xs + extra, ys) == want
+        assert domain.combine(xs, ys + extra) == want
+
+
 def test_the_base_domain_defines_no_kernel():
     # each domain implements both kernels; the base class has no fallback
     for kernel in (Domain().horner, Domain().combine):
@@ -395,13 +464,15 @@ def test_prime_field_horner_packs_residues_only_below_2_to_the_64(monkeypatch, m
     if m == 2:
         expected.append(a[0] * g[1] + a[1] * g[0] * g[0])
     packs, built = [], []
-    pack = struct.pack
-    monkeypatch.setattr(
-        domains,
-        "struct",
-        SimpleNamespace(pack=lambda *args: packs.append(1) or pack(*args), unpack=struct.unpack),
-    )
-    monkeypatch.setattr(domains, "FpElement", lambda v, p: built.append(v) or FpElement(v, p))
+    slots, residue = domains._slots, domains._residue
+
+    def counted(n):
+        layout = slots(n)
+        return SimpleNamespace(pack=lambda *args: packs.append(1) or layout.pack(*args),
+                               unpack=layout.unpack)
+
+    monkeypatch.setattr(domains, "_slots", counted)
+    monkeypatch.setattr(domains, "_residue", lambda v, p: built.append(v) or residue(v, p))
     got = field.horner(a, g)
     monkeypatch.undo()
     assert len(packs) == (m + 1 if packed else 0)

@@ -167,6 +167,27 @@ def test_power_coefficient_table():
                 bad()
 
 
+def test_table_filled_by_powers_matches_the_walk_through_k_12():
+    """Every a_k^[i] with i <= k <= 12, the table filled up to row 12 in one
+    lookup and, in a second table, row by row, against the multinomial
+    walk: over Q, Z/1000003 and Q[a1..a12], with a_1 = 0 and with a_1 a
+    unit or a variable."""
+    rng = random.Random(35)
+    ring = PolynomialRing(12)
+    variables = [ring.variable(j) for j in range(1, 13)]
+    cases = [(ring, [ring.zero] + variables[1:]), (ring, variables)]
+    for dom in (RATIONALS, PrimeField(1000003)):
+        higher = [dom.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for _ in range(11)]
+        cases += [(dom, [dom.zero] + higher), (dom, [dom.from_int(-2)] + higher)]
+    for dom, coeffs in cases:
+        f = TruncatedSeries(dom, 12, coeffs)
+        whole, stepwise = PowerCoefficientTable(f), PowerCoefficientTable(f)
+        whole.row(12)
+        for k in range(1, 13):
+            assert stepwise.row(k) == [multinomial_coeff(f, k, i) for i in range(1, k + 1)], (f.domain, k)
+            assert whole.row(k) == stepwise.row(k), (f.domain, k)
+
+
 def test_table_and_multinomial_walk_share_no_code():
     """The table and ``multinomial_coeff`` check each other, so neither
     reads the other; the table sums on ``combine`` rather than series

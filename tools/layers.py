@@ -1,7 +1,8 @@
-"""Layer timings of fps-iterate: Q arithmetic, kernels, table, routes, oracle, presets.
+"""Layer timings of fps-iterate: Q arithmetic, kernels, table, routes, oracle, CLI, presets.
 
     python3 tools/layers.py --src src --out BENCH_<pr>.json [--repeat N]
     python3 tools/layers.py --src <parent>/src --src src --out BENCH_<pr>.json
+    python3 tools/layers.py --src src --src src --out <A/A file>.json
 
 Imports the package from each ``--src`` (the ``src`` directory of a
 checkout; give it twice to compare two checkouts) into this one process:
@@ -16,27 +17,31 @@ quartiles (0 for fewer than two runs); with two checkouts also
 ``best_ratio`` and ``median_ratio``, the second's best and median over the
 first's; the median ratio is the steadier reading for rows under 1 ms.
 By these a row moved only if the times differ by more than both spreads.
-Two checkouts also give the paired reading, which cancels most of the
-host's drift: ``paired_ratio``, the median of the per-run ratios (run i of
-the second over run i of the first), and ``paired_interval``, the sign
-test's interval for it, with its ``paired_coverage`` (see ``paired``);
-the stderr line prints both readings. Each cold row builds a new table
-and memo per run; the last answers of every checkout are cross-checked,
-and a wrong one exits 1: the Q arithmetic rows against stdlib
-``Fraction``, the kernel rows and the rational and symbolic oracle rows
-against the elements' operator fold, the Z/p oracle rows against
+The same checkout given twice is an A/A run: its paired readings show how
+far rows that cannot have moved still read. Two checkouts also give the
+paired reading, which cancels most of the host's drift: ``paired_ratio``,
+the median of the per-run ratios (run i of the second over run i of the
+first), and ``paired_interval``, the sign test's interval for it, with its
+``paired_coverage`` (see ``paired``); the stderr line prints both readings.
+Each cold row builds a new table and memo per run; the last answers of
+every checkout are cross-checked, and a wrong one exits 1: the Q arithmetic
+rows against stdlib ``Fraction``, the kernel and series ``compose`` rows
+and the rational and symbolic oracle rows against the elements' operator
+fold, the CLI row against the Z/p oracle, the Z/p oracle rows against
 ``coeff_recursive`` at every k, the symbolic routes and the route sweeps
-against the oracle. A kernel or sweep row makes as many calls per
-run as take ``KERNEL_RUN_S`` on the first checkout, timed once before its
-runs, and every checkout makes that many; each row records its count as
+against the oracle. A kernel, compose, CLI or sweep row makes as many
+calls per run as take ``KERNEL_RUN_S`` on the first checkout, timed once before its runs,
+and every checkout makes that many; each row records its count as
 ``calls``. Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
+import io
 import json
 import math
 import operator
@@ -46,6 +51,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -104,8 +110,9 @@ def calibrate(fn) -> int:
     return max(1, round(KERNEL_RUN_S / seconds))
 
 
-def load(src: Path):
-    """The grid of the package imported afresh from ``src``."""
+def load(src: Path, tmp: str):
+    """The grid of the package imported afresh from ``src``; its series
+    files go to the directory ``tmp``."""
     for name in [m for m in sys.modules if m.split(".")[0] == "fps_iterate"]:
         del sys.modules[name]
     path = str(src.resolve())
@@ -114,16 +121,16 @@ def load(src: Path):
         pkg = importlib.import_module("fps_iterate")
         if not Path(pkg.__file__).resolve().is_relative_to(src.resolve()):
             raise SystemExit(f"fps_iterate imported from {pkg.__file__}, not from {src}")
-        return grid()
+        return grid(tmp)
     finally:
         sys.path.remove(path)
 
 
-def grid():
+def grid(tmp: str):
     """(name, fn, calls, check) per row; ``check`` takes the last result and
-    says whether it is right. ``calls`` is None for a kernel or sweep row,
-    whose count is calibrated."""
-    from fps_iterate import formulas
+    says whether it is right. ``calls`` is None for a kernel, compose, CLI
+    or sweep row, whose count is calibrated."""
+    from fps_iterate import cli, formulas
     from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
     from fps_iterate.multinomial import PowerCoefficientTable, multinomial_coeff
     from fps_iterate.series import TruncatedSeries
@@ -202,13 +209,21 @@ def grid():
                          None, lambda got, w=want: got == w))
             rows.append((f"combine/{label}/m={m}", lambda d=dom, x=xs, y=ys: d.combine(x, y),
                          None, lambda got, w=want: got == w))
+        folds = {}  # m -> fold_horner of the elements 0..m-1 and m..2m-1
         for m in (8, 16, top):
             coeffs = [element(j) for j in range(m)]
             ys = [element(j + m) for j in range(m)]
-            want = fold_horner(dom, coeffs, ys)
+            want = folds[m] = fold_horner(dom, coeffs, ys)
             rows.append((f"horner/{label}/m={m}",
                          lambda d=dom, c=coeffs, y=ys: d.horner(c, y),
                          None, lambda got, w=want: list(got) == w))
+        # series compose: the horner kernel plus the series built around it
+        for m in (8, 16, 24):
+            f = TruncatedSeries(dom, m, [element(j) for j in range(m)])
+            g = TruncatedSeries(dom, m, [element(j + m) for j in range(m)])
+            want = folds.get(m) or fold_horner(dom, f.coeffs, g.coeffs)
+            rows.append((f"compose/{label}/order={m}", lambda f=f, g=g: f.compose(g),
+                         None, lambda got, w=want: list(got.coeffs) == w))
 
     big = residues(100)
 
@@ -237,6 +252,23 @@ def grid():
             for n in range(1, 25)
             for k in range(1, 25)
         ]
+
+    # one cold `fps coeff` through cli.main, output captured: argv parse,
+    # JSON read, series parse, table, recursive route and formatting
+    cli_series = residues(24)
+    path = os.path.join(tmp, "z.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(cli_series.to_json(), handle)
+    want_cli = cli_series.domain.format(cli_series.iterate(32).coefficient(10))
+
+    def cli_coeff():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["coeff", path, "-k", "10", "-n", "32"])
+        return code, out.getvalue()
+
+    rows.append((f"cli/coeff/Z/{P}/order=24,k=10,n=32", cli_coeff, None,
+                 lambda got: got[0] == 0 and json.loads(got[1])["value"] == want_cli))
 
     rows.append((f"closed-sweep/Z/{P}/k,n<=24", closed_sweep, 1,
                  lambda got: got[-1] == sweep_series.iterate(24).coefficient(24)))
@@ -342,7 +374,13 @@ def paired(first, second) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    grids = [load(src) for src in args.src]
+    with tempfile.TemporaryDirectory() as tmp:
+        return measure(args, [load(src, tmp) for src in args.src])
+
+
+def measure(args, grids) -> int:
+    """Time the rows of ``grids``, one grid per checkout, and write
+    ``args.out``; 1 if a checkout answered a row wrong."""
     sides = range(len(grids))
     out = {
         "python": platform.python_version(),
