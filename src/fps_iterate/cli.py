@@ -54,10 +54,11 @@ def _read_json(path: str):
 
 
 def _with_order(f: TruncatedSeries, order: int | None) -> TruncatedSeries:
-    # from_coefficients zero-pads; the slice truncates; None keeps f as parsed
+    # sliced or zero-padded, unchecked since from_json checked each coefficient
     if order is None:
         return f
-    return TruncatedSeries.from_coefficients(f.domain, f.coeffs[:order], order)
+    pad = [f.domain.zero] * (order - f.order)
+    return TruncatedSeries._trusted(f.domain, [*f.coeffs[:order], *pad])
 
 
 def cmd_iterate(args) -> int:
@@ -66,9 +67,14 @@ def cmd_iterate(args) -> int:
     return 0
 
 
+def _cell(method: str, f: TruncatedSeries, k: int, n: int):
+    """f_k^(n) by ``REGISTRY[method]``, asked for that cell alone."""
+    return REGISTRY[method](f, range(k, k + 1), range(n, n + 1))[k, n]
+
+
 def cmd_coeff(args) -> int:
     f = _with_order(TruncatedSeries.from_json(_read_json(args.series)), args.order)
-    value = REGISTRY[args.method](f, args.k, args.n, None, None)
+    value = _cell(args.method, f, args.k, args.n)
     print(
         json.dumps(
             {
@@ -89,8 +95,7 @@ def cmd_formula(args) -> int:
             "symbolic output grows quickly"
         )
     f = _generic_series(PolynomialRing(args.k), args.k, args.a1)
-    route = REGISTRY["schroder" if args.a1 == "one" else "closed"]
-    value = route(f, args.k, args.n, None, None)
+    value = _cell("schroder" if args.a1 == "one" else "closed", f, args.k, args.n)
     if args.json:
         print(
             json.dumps(

@@ -7,11 +7,13 @@ chain, Schroeder's classical binomial form for a_1 = 1, and Muckenhoupt's
 quotient formula for f_2. The brute-force oracle lives in ``series``; every
 route must agree with it exactly, in every coefficient domain.
 
-``coeff_closed`` sums the chains by a dynamic program over their leading
-index, one list of entries per (j, alpha) kept per series and filled on
-demand: O(K^3 * N) domain operations for every cell with k <= K, n <= N.
-``closed_form_level`` and ``coeff_schroder`` walk the chains one by one, so
-they check the dynamic program against the literal chain sum.
+Each route takes the series and two ranges ``ks`` and ``ns`` of step 1
+and returns {(k, n): f_k^(n)} for every cell of ks x ns it applies to; it
+raises ``NotApplicable`` if it applies to none. ``coeff_closed`` sums the
+chains by a dynamic program over their leading index, one list of entries
+per (j, alpha): O(K^3 * N) domain operations for all cells with k <= K,
+n <= N. ``closed_form_level`` and ``coeff_schroder`` walk the chains one
+by one, so they check the dynamic program against the literal chain sum.
 """
 
 from __future__ import annotations
@@ -47,12 +49,15 @@ class NotApplicable(ValueError):
     """
 
 
-def _check_index(f: TruncatedSeries, k: int, n: int) -> None:
-    if k < 1:
+def _check_cells(f: TruncatedSeries, ks: range, ns: range) -> None:
+    # ks and ns are ranges of step 1, so their ends are their extremes
+    if not ks or not ns:
+        raise ValueError("the k and n ranges must not be empty")
+    if ks[0] < 1:
         raise ValueError("k must be >= 1")
-    if k > f.order:
-        raise ValueError(f"k={k} exceeds the truncation order {f.order}")
-    if n < 1:
+    if ks[-1] > f.order:
+        raise ValueError(f"k={ks[-1]} exceeds the truncation order {f.order}")
+    if ns[0] < 1:
         raise ValueError("n must be >= 1")
 
 
@@ -70,8 +75,9 @@ def geometric_factor(f: TruncatedSeries, k: int, n: int):
     return f.coefficient(1) ** (n - 1) * nested_geometric_sum(f, n, (k,))
 
 
-def coeff_recursive(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
-    """f_k^(n) by the one-step recurrence over the iteration count.
+def coeff_recursive(f: TruncatedSeries, ks: range, ns: range) -> dict:
+    """f_k^(n) for every k in ``ks`` and n in ``ns`` by the one-step
+    recurrence over the iteration count.
 
     Writing f^(n) = f^(n-1) o f, the multinomial theorem under composition
     gives
@@ -85,35 +91,24 @@ def coeff_recursive(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
     the grouped form f_k^(n) = a_k * C_{k,n} + sum_{i=0}^{n-2} a_1^(k*i) *
     sum_{j=2}^{k-1} f_j^(n-i-1) * a_k^[j], C_{k,n} the geometric factor.
 
-    Rows are filled bottom-up: ``memo[m]`` holds [f_1^(m), ..., f_i^(m)]
-    for m >= 2, and a call extends rows 2..n in order to length k, so
-    every f_j^(m) is formed at most once, O(K^2 N) domain operations in
-    all. Entry i of row m is one ``Domain.combine`` of the whole of row m-1
-    with the table's row i, which holds i entries, so the sum stops at
-    f_i^(m-1) without a copy of row m-1; the new entries of a row are one
-    ``map``. Each table row is read once per call that forms entries. A
-    ``memo`` dict may be passed to reuse the rows across calls for the same
-    series, with cells visited in any order; rows 2..n are then each at
-    least as long as row n, so a call whose row n holds k entries reads its
-    value and forms nothing.
+    Rows 2..max(ns) are formed bottom-up, each to length max(ks), so every
+    f_j^(m) is formed once, O(K^2 N) domain operations in all. Entry i of
+    row m is one ``Domain.combine`` of the whole of row m-1 with the
+    table's row i, which holds i entries, so the sum stops at f_i^(m-1)
+    without a copy of row m-1; a row is one ``map``.
     """
-    _check_index(f, k, n)
-    if table is None:
-        table = PowerCoefficientTable(f)
-    if memo is None:
-        memo = {}
-    if n == 1:
-        return f.coeffs[k - 1]
-    if len(memo.get(n, ())) < k:
-        combine = f.domain.combine
-        powers = [table.row(i) for i in range(1, k + 1)]
-        prev = f.coeffs
-        for m in range(2, n + 1):
-            row = memo.setdefault(m, [])
-            if len(row) < k:
-                row += map(combine, repeat(prev), powers[len(row):])
-            prev = row
-    return memo[n][k - 1]
+    _check_cells(f, ks, ns)
+    combine = f.domain.combine
+    table = PowerCoefficientTable(f)
+    powers = [table.row(i) for i in range(1, ks[-1] + 1)]
+    row = f.coeffs
+    out = {}
+    for n in range(1, ns[-1] + 1):
+        if n > 1:
+            row = list(map(combine, repeat(row), powers))
+        if n in ns:
+            out.update(((k, n), row[k - 1]) for k in ks)
+    return out
 
 
 def muckenhoupt_f2(f: TruncatedSeries, n: int):
@@ -123,7 +118,7 @@ def muckenhoupt_f2(f: TruncatedSeries, n: int):
     vanishes, this raises ``NotApplicable`` and the recurrence applies
     instead.
     """
-    _check_index(f, 2, n)
+    _check_cells(f, range(2, 3), range(n, n + 1))
     dom = f.domain
     if not dom.is_field:
         raise NotApplicable("muckenhoupt formula needs a field domain")
@@ -198,7 +193,7 @@ def closed_form_level(f: TruncatedSeries, k: int, n: int, alpha: int, table=None
     one chain (k,) and equals a_k * C_{k,n}, C_{k,n} the geometric factor.
     Zero when n < alpha: then every nested sum is an empty sum.
     """
-    _check_index(f, k, n)
+    _check_cells(f, range(k, k + 1), range(n, n + 1))
     if not 1 <= alpha <= k - 1:
         raise ValueError(f"alpha must lie in [1, {k - 1}]")
     dom = f.domain
@@ -213,8 +208,9 @@ def closed_form_level(f: TruncatedSeries, k: int, n: int, alpha: int, table=None
     return f.coefficient(1) ** (n - alpha) * total
 
 
-def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
-    """f_k^(n) by the closed form, its chains summed by a dynamic program.
+def coeff_closed(f: TruncatedSeries, ks: range, ns: range) -> dict:
+    """f_k^(n) for every k in ``ks`` and n in ``ns`` by the closed form, its
+    chains summed by a dynamic program.
 
     k = 1 gives a_1^n. For k >= 2 the value is the sum of the levels
     alpha = 1..k-1, each a sum over the strictly decreasing index chains
@@ -235,86 +231,77 @@ def coeff_closed(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
 
     and f_k^(n) = sum_{alpha <= min(k-1, n)} a_1^(n-alpha) *
     sum_{d <= n-alpha} U_alpha[k][d]. Each entry is one ``Domain.combine``
-    of the weights b_j, a_j^[alpha..j-1] with the entries they multiply. No
-    entry depends on n: a call appends the entries d <= n-alpha that the
-    list ``memo[(j, alpha)]`` lacks, O(K^3 * N) domain operations for every
-    cell with k <= K, n <= N of one series, with the cells visited in any
-    order. The cell's total is one more ``Domain.combine``: of each level's
-    weight a_1^(n-alpha), repeated once per entry, with the entries
-    ``memo[(k, alpha)][:n-alpha+1]``. The powers a_1^0, a_1^1, ... behind b_j
-    and these weights are one list per series, ``memo["powers"]``, extended
-    by one product per entry. A call skips column j after one length check:
-    the list at alpha = min(j-1, n) holds more than n-alpha entries only if
-    an earlier call with n' >= n filled every alpha of that column.
+    of the weights b_j, a_j^[alpha..j-1] with the entries they multiply.
+    No entry depends on n: the program runs once, for j <= max(ks) and
+    d <= max(ns) - alpha, O(K^3 * N) domain operations. Each cell's total is
+    one more ``Domain.combine``: of each level's weight a_1^(n-alpha),
+    repeated once per entry, with the entries U_alpha[k][:n-alpha+1].
     """
-    _check_index(f, k, n)
+    _check_cells(f, ks, ns)
     a1 = f.coefficient(1)
-    if k == 1:
-        return a1 ** n
-    if table is None:
-        table = PowerCoefficientTable(f)
-    if memo is None:
-        memo = {}
+    out = {(1, n): a1 ** n for n in ns} if ks[0] == 1 else {}
+    if ks[-1] == 1:
+        return out
+    n_max = ns[-1]
     combine = f.domain.combine
-    pw = memo.setdefault("powers", [f.domain.one])
-    for _ in range(len(pw), max(k, n)):
+    table = PowerCoefficientTable(f)
+    pw = [f.domain.one]  # a_1^0, a_1^1, ...
+    for _ in range(1, max(ks[-1], n_max)):
         pw.append(pw[-1] * a1)
-    for j in range(2, k + 1):
-        top = min(j - 1, n)
-        if len(memo.setdefault((j, top), [])) > n - top:
-            continue
+    entries = {}  # (j, alpha) -> [U_alpha[j][d] for d <= n_max - alpha]
+    for j in range(2, ks[-1] + 1):
         row = table.row(j)
         b = pw[j - 1]
-        for alpha in range(1, top + 1):
-            u = memo.setdefault((j, alpha), [])
+        for alpha in range(1, min(j - 1, n_max) + 1):
+            u = entries[j, alpha] = []
             below = range(alpha, j) if alpha > 1 else ()
             weights = [b, *row[alpha - 1 : j - 1]] if below else [b]
-            lower = [memo[i, alpha - 1] for i in below]
-            for d in range(len(u), n - alpha + 1):
+            lower = [entries[i, alpha - 1] for i in below]
+            for d in range(n_max - alpha + 1):
                 if d:
                     u.append(combine(weights, [u[d - 1]] + [w[d] for w in lower]))
                 elif alpha == 1:
                     u.append(f.coefficient(j))
                 else:
                     u.append(combine(weights[1:], [w[0] for w in lower]))
-    levels = range(1, min(k - 1, n) + 1)
-    weights = [w for alpha in levels for w in [pw[n - alpha]] * (n - alpha + 1)]
-    return combine(weights, [u for alpha in levels for u in memo[k, alpha][: n - alpha + 1]])
+    for k in range(max(ks[0], 2), ks[-1] + 1):
+        for n in ns:
+            levels = range(1, min(k - 1, n) + 1)
+            weights = [w for alpha in levels for w in [pw[n - alpha]] * (n - alpha + 1)]
+            terms = [u for alpha in levels for u in entries[k, alpha][: n - alpha + 1]]
+            out[k, n] = combine(weights, terms)
+    return out
 
 
-def coeff_schroder(f: TruncatedSeries, k: int, n: int, table=None, memo=None):
-    """f_k^(n) for a_1 = 1: binomials times chain products.
+def coeff_schroder(f: TruncatedSeries, ks: range, ns: range) -> dict:
+    """f_k^(n) for every k in ``ks`` and n in ``ns`` when a_1 = 1:
+    binomials times chain products.
 
     Schroeder's classical form: f_k^(n) is the sum over levels
     alpha = 1..min(k-1, n) of C(n, alpha) times the level sum L_alpha(k)
     over decreasing chains of a_k^[j_1] * a_(j_1)^[j_2] * ... *
     a_(j_(alpha-1)); level 1 is a_k * n. Binomials are exact integers
-    mapped into the domain. No L_alpha(k) depends on n: each is walked
-    chain by chain on the element operators once per ``memo`` dict, under
-    the key (k, alpha), so a sweep over n sharing one ``memo`` per series
-    walks each chain once, and a call without one walks the chains of its
-    own levels once.
+    mapped into the domain. No L_alpha(k) depends on n, so the chains of
+    each asked k, up to level max(ns), are walked once each on the element
+    operators, and each n takes its own binomial total of them.
     """
-    _check_index(f, k, n)
+    _check_cells(f, ks, ns)
     dom = f.domain
     if f.coefficient(1) != dom.one:
         raise NotApplicable("schroder formula requires a_1 = 1")
-    if k == 1:
-        return dom.one
-    if table is None:
-        table = PowerCoefficientTable(f)
-    if memo is None:
-        memo = {}
-    total = dom.zero
-    for alpha in range(1, min(k - 1, n) + 1):
-        key = (k, alpha)
-        if key not in memo:
-            level = dom.zero
-            for chain in enumerate_subsets(k, alpha):
-                level = level + _chain_product(f, chain, table)
-            memo[key] = level
-        total = total + dom.from_int(math.comb(n, alpha)) * memo[key]
-    return total
+    table = PowerCoefficientTable(f)
+    out = {}
+    for k in ks:
+        levels = []
+        for alpha in range(1, min(k - 1, ns[-1]) + 1):
+            chains = enumerate_subsets(k, alpha)
+            levels.append(sum([_chain_product(f, chain, table) for chain in chains], dom.zero))
+        for n in ns:
+            total = dom.zero if k > 1 else dom.one
+            for alpha, level in enumerate(levels[:n], 1):
+                total = total + dom.from_int(math.comb(n, alpha)) * level
+            out[k, n] = total
+    return out
 
 
 # k -> {chain (k, j_1, ..., j_last): its chain product a_k^[j_1] *
@@ -347,59 +334,56 @@ _SMALL_K_TERMS = {
 }
 
 
-def coeff_explicit_small_k(f: TruncatedSeries, k: int, n: int, memo=None):
-    """f_k^(n) for k <= 5 from the fixed explicit formulas.
+def coeff_explicit_small_k(f: TruncatedSeries, ks: range, ns: range) -> dict:
+    """f_k^(n) for every k <= 5 in ``ks`` and n in ``ns`` from the fixed
+    explicit formulas.
 
     One term per decreasing chain (k, j_1, ..., j_last) of length alpha <=
     n: a_1^(n-alpha) times the chain product, expanded by hand in
     _SMALL_K_CHAIN_PRODUCTS, times the chain's nested sum of
     a_1^((j - 1) * i_j) over all i_j >= 0 with sum <= n - alpha. The sum is
     taken one level at a time from the innermost out: the innermost level
-    is the prefix sums s[b] = sum_{i <= b} a_1^((j - 1) * i), each level
-    out sets s[b] = sum_{i <= b} a_1^((j - 1) * i) * s[b - i], and the
-    outermost level forms only s[n - alpha]. That is O(alpha * n^2) domain
-    operations per chain. It shares no code with ``coeff_closed``; the two
-    routes are tested against each other.
+    is the prefix sums s[b] = sum_{i <= b} a_1^((j - 1) * i), and each level
+    out sets s[b] = sum_{i <= b} a_1^((j - 1) * i) * s[b - i]. That is
+    O(alpha * n^2) domain operations per chain. It shares no code with
+    ``coeff_closed``; the two routes are tested against each other.
 
-    Neither the chain products nor the powers depend on n. A ``memo`` dict
-    keeps them per series in two kinds of entry: under k every chain
-    product of k, substituted once; under "powers" the one list a_1^0,
-    a_1^1, ..., extended by one product per entry as n grows, of which
-    chain j reads every (j - 1)-th entry. A call without a memo
-    substitutes every chain product of k.
+    Neither the chain products nor the nested sums depend on n: each chain
+    product of each asked k is substituted once, each chain's sums are
+    formed once for the budget max(ns) - alpha, and n reads entry
+    n - alpha. The powers a_1^0, a_1^1, ... are one list, of which chain j
+    reads every (j - 1)-th entry.
     """
-    _check_index(f, k, n)
-    if k > 5:
+    _check_cells(f, ks, ns)
+    if ks[0] > 5:
         raise NotApplicable("k > 5 not covered here, use coeff_closed")
     dom = f.domain
     a1 = f.coefficient(1)
-    if k == 1:
-        return a1 ** n
-    if memo is None:
-        memo = {}
-    terms = _SMALL_K_TERMS[k]
-    values = memo.get(k)
-    if values is None:
-        ring = PolynomialRing(k)
-        values = memo[k] = [ring.substitute(product, f.coeffs[:k], dom) for _, product in terms]
-    pw = memo.setdefault("powers", [dom.one])
-    for _ in range(len(pw), (k - 1) * (n - 1) + 1):
+    top, n_max = min(ks[-1], 5), ns[-1]
+    pw = [dom.one]
+    for _ in range((top - 1) * (n_max - 1)):
         pw.append(pw[-1] * a1)
-    total = dom.zero
-    for (chain, _), value in zip(terms, values):
-        alpha = len(chain)
-        if n < alpha:
-            continue
-        budget = n - alpha
-        s = list(accumulate(pw[:: chain[-1] - 1][: budget + 1]))
-        for j in reversed(chain[:-1]):
-            powers = pw[:: j - 1]
-            s = [
-                sum([p * t for p, t in zip(powers, s[b::-1])], dom.zero)
-                for b in range(budget if j == k else 0, budget + 1)
-            ]
-        total = total + pw[n - alpha] * value * s[-1]
-    return total
+    out = {(1, n): a1 ** n for n in ns} if ks[0] == 1 else {}
+    for k in range(max(ks[0], 2), top + 1):
+        totals = dict.fromkeys(ns, dom.zero)
+        ring = PolynomialRing(k)
+        for chain, product in _SMALL_K_TERMS[k]:
+            alpha = len(chain)
+            if n_max < alpha:
+                continue
+            value = ring.substitute(product, f.coeffs[:k], dom)
+            budget = n_max - alpha
+            s = list(accumulate(pw[:: chain[-1] - 1][: budget + 1]))
+            for j in reversed(chain[:-1]):
+                powers = pw[:: j - 1]
+                s = [
+                    sum([p * t for p, t in zip(powers, s[b::-1])], dom.zero)
+                    for b in range(budget + 1)
+                ]
+            for n in range(max(alpha, ns[0]), n_max + 1):
+                totals[n] = totals[n] + pw[n - alpha] * value * s[n - alpha]
+        out.update(((k, n), total) for n, total in totals.items())
+    return out
 
 
 def nested_sum_binomial(n: int, alpha: int) -> int:

@@ -1,10 +1,10 @@
 """Cross-method equivalence sweeps with structured discrepancy reports.
 
-A sweep evaluates every requested method on every (series, k, n) cell and
-compares each one against the brute-force oracle. A method that raises
-``NotApplicable`` on a cell is skipped there, and a cell no method applies
-to is marked n/a, never failed; any other error stops the sweep. Reports
-are deterministic for a fixed seed and sorted cell order.
+A sweep calls every requested method once per series over the k and n
+ranges and compares each cell it returns against the brute-force oracle.
+A method skips the cells it does not apply to, and a cell no method
+applies to is marked n/a, never failed; any other error stops the sweep.
+Reports are deterministic for a fixed seed and sorted cell order.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from .domains import (
 )
 from .formulas import (
     NotApplicable,
-    _check_index,
+    _check_cells,
     coeff_closed,
     coeff_explicit_small_k,
     coeff_recursive,
     coeff_schroder,
     muckenhoupt_f2,
 )
-from .multinomial import PowerCoefficientTable
 from .series import TruncatedSeries
 
 __all__ = [
@@ -53,32 +52,34 @@ __all__ = [
 ]
 
 
-def _oracle(f, k, n, table, memo):
-    _check_index(f, k, n)  # before the whole iterate is computed
-    return f.iterate(n).coefficient(k)
+def _oracle(f, ks, ns):
+    _check_cells(f, ks, ns)  # before any iterate is computed
+    g, out = f.iterate(ns[0]), {}
+    for n in ns:
+        if n > ns[0]:
+            g = g.compose(f)
+        out.update(((k, n), g.coefficient(k)) for k in ks)
+    return out
 
 
-def _muckenhoupt(f, k, n, table, memo):
-    _check_index(f, k, n)
-    if k != 2:
+def _muckenhoupt(f, ks, ns):
+    _check_cells(f, ks, ns)
+    if 2 not in ks:
         raise NotApplicable("muckenhoupt computes only k = 2")
-    return muckenhoupt_f2(f, n)
+    return {(2, n): muckenhoupt_f2(f, n) for n in ns}
 
 
-# name -> evaluate(f, k, n, table, memo), in report order; a sweep hands
-# each method its own memo dict per series, which every route but the
-# oracle and muckenhoupt keeps its n-free parts in. evaluate raises
-# NotApplicable where its route's precondition fails, and a plain ValueError
-# on input no route can take. Each evaluate calls one route, named in its
-# body so that the name is looked up in this module at call time
-# (perfbench/tracing.py rebinds it to count and time the route). The oracle
-# ignores the table, keeping it independent.
+# name -> route(f, ks, ns), in report order: {(k, n): f_k^(n)} for every
+# cell of the ranges ks x ns that the route applies to. A route raises
+# NotApplicable where it applies to none of them, and a plain ValueError on
+# input no route can take. The oracle builds no power table, keeping it
+# independent.
 REGISTRY = {
     "oracle": _oracle,
-    "recursive": lambda f, k, n, table, memo: coeff_recursive(f, k, n, table, memo),
-    "closed": lambda f, k, n, table, memo: coeff_closed(f, k, n, table, memo),
-    "small": lambda f, k, n, table, memo: coeff_explicit_small_k(f, k, n, memo),
-    "schroder": lambda f, k, n, table, memo: coeff_schroder(f, k, n, table, memo),
+    "recursive": coeff_recursive,
+    "closed": coeff_closed,
+    "small": coeff_explicit_small_k,
+    "schroder": coeff_schroder,
     "muckenhoupt": _muckenhoupt,
 }
 METHODS = tuple(REGISTRY)
@@ -484,8 +485,9 @@ def _generate_series(spec: SweepSpec, domain: Domain) -> list[TruncatedSeries]:
 
 def _sweep_one(label: str, index: int, f: TruncatedSeries, k_range, n_range, methods):
     """Every (k, n) cell of one series: each entry of ``methods`` (shaped
-    like ``REGISTRY``, without the oracle) that does not raise
-    ``NotApplicable``, against the oracle.
+    like ``REGISTRY``, without the oracle), called once over the whole
+    ranges, on each cell it returns, against the oracle. A method that
+    raises ``NotApplicable`` applies to no cell.
 
     A cell prints the oracle's value once and reports each method value
     equal to it with that text, since every domain prints equal values alike
@@ -494,26 +496,25 @@ def _sweep_one(label: str, index: int, f: TruncatedSeries, k_range, n_range, met
     prints a differing one.
     """
     dom = f.domain
-    k_lo, k_hi = k_range
-    n_lo, n_hi = n_range
-    table = PowerCoefficientTable(f)
-    memos = {method: {} for method in methods}
-    iterates = [f]  # iterates[n - 1] is f composed n times
-    for _ in range(1, n_hi):
-        iterates.append(iterates[-1].compose(f))
+    ks = range(k_range[0], k_range[1] + 1)
+    ns = range(n_range[0], n_range[1] + 1)
+    oracle = _oracle(f, ks, ns)
+    found = {}
+    for method, route in methods.items():
+        try:
+            found[method] = route(f, ks, ns)
+        except NotApplicable:
+            continue
     cells = []
     mismatches = []
-    for k in range(k_lo, k_hi + 1):
-        for n in range(n_lo, n_hi + 1):
-            want = iterates[n - 1].coefficient(k)
+    for k in ks:
+        for n in ns:
+            want = oracle[k, n]
             text = dom.format(want)
             values = {"oracle": text}
             bad = []
-            for method, evaluate in methods.items():
-                try:
-                    got = evaluate(f, k, n, table, memos[method])
-                except NotApplicable:
-                    continue
+            applied = [(method, out[k, n]) for method, out in found.items() if (k, n) in out]
+            for method, got in applied:
                 if got == want:
                     dom.check(got)
                     values[method] = text
@@ -573,22 +574,23 @@ _PRINTED = {
 
 
 def _printed(name: str):
-    """An evaluate shaped like REGISTRY's for the printed formula ``name``:
+    """A route shaped like REGISTRY's for the printed formula ``name``:
     its _PRINTED terms, parsed once here, evaluated at the series' a1..a5 in
     the series' own domain."""
     ring = PolynomialRing(5)
     terms = [ring.parse(text) for text in _PRINTED[name]]
     only = len(terms) + 1
 
-    def evaluate(f, k, n, table, memo):
-        if k != only:
+    def evaluate(f, ks, ns):
+        if only not in ks:
             raise NotApplicable(f"{name} computes only k = {only}")
         dom = f.domain
-        total = dom.zero
-        for alpha, term in enumerate(terms, 1):
-            value = ring.substitute(term, f.coeffs[:5], dom)
-            total = total + dom.from_int(math.comb(n, alpha)) * value
-        return total
+        values = [ring.substitute(term, f.coeffs[:5], dom) for term in terms]
+        out = {}
+        for n in ns:
+            binomials = [dom.from_int(math.comb(n, alpha)) for alpha in range(1, only)]
+            out[only, n] = sum([b * v for b, v in zip(binomials, values)], dom.zero)
+        return out
 
     return evaluate
 

@@ -69,6 +69,24 @@ def test_without_order_the_parsed_series_is_used_as_is():
     assert cli._with_order(f, 4).coeffs == (2, 1, 0, 0)
 
 
+@pytest.mark.parametrize("order", [[], ["--order", "24"], ["--order", "30"]],
+                         ids=["as-parsed", "same-order", "padded"])
+def test_coeff_checks_only_its_answer(tmp_path, capsys, monkeypatch, order):
+    # from_json checks each coefficient as it parses it, and --order copies
+    # them without a second check, so Domain.check runs once: on the answer
+    # that fps coeff formats
+    field = PrimeField(1000003)
+    path = write_series(tmp_path, "z.json", [str(37 * j * j + 11 * j + 5) for j in range(1, 25)],
+                        domain={"prime": 1000003})
+    checked = []
+    check = PrimeField.check
+    monkeypatch.setattr(PrimeField, "check", lambda self, x: checked.append(x) or check(self, x))
+    code, out, _ = run_cli(capsys, "coeff", path, "-k", "10", "-n", "32", *order)
+    assert code == 0
+    assert len(checked) == 1
+    assert field.format(checked[0]) == json.loads(out)["value"]
+
+
 def test_coeff_muckenhoupt(tmp_path, capsys):
     path = write_series(tmp_path, "g.json", ["2", "1"])
     code, out, _ = run_cli(
@@ -123,8 +141,14 @@ def test_formula_outputs(capsys):
 @pytest.mark.parametrize("a1, route", [("one", "coeff_schroder"), ("generic", "coeff_closed")])
 def test_formula_takes_its_route_from_the_registry(capsys, monkeypatch, a1, route):
     # fps formula reaches its route through verify.REGISTRY, as fps coeff
-    # and the sweeps do, so a route rebound in verify is the one it prints
-    monkeypatch.setattr(verify, route, lambda f, k, n, table, memo: f.domain.from_int(7))
+    # and the sweeps do, so a route set there is the one it prints
+    method = route.removeprefix("coeff_")
+    assert verify.REGISTRY[method] is getattr(verify, route)
+
+    def sevens(f, ks, ns):
+        return {(k, n): f.domain.from_int(7) for k in ks for n in ns}
+
+    monkeypatch.setitem(verify.REGISTRY, method, sevens)
     assert run_cli(capsys, "formula", "-k", "3", "-n", "2", "--a1", a1) == (0, "7\n", "")
 
 

@@ -3,13 +3,14 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import pytest
 
 from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
 from fps_iterate.formulas import (
     _SMALL_K_CHAIN_PRODUCTS,
+    NotApplicable,
     _chain_product,
     coeff_closed,
     coeff_explicit_small_k,
@@ -26,11 +27,17 @@ from fps_iterate.formulas import (
 )
 from fps_iterate.multinomial import PowerCoefficientTable
 from fps_iterate.series import TruncatedSeries
+from fps_iterate.verify import A1_POOL, METHODS, REGISTRY
 
 
 def series(*values, order=None):
     coeffs = [Fraction(v) for v in values]
     return TruncatedSeries.from_coefficients(RATIONALS, coeffs, order)
+
+
+def cell(route, f, k, n):
+    """f_k^(n) from ``route`` asked for that cell alone."""
+    return route(f, range(k, k + 1), range(n, n + 1))[k, n]
 
 
 def generic_series(order, a1_is_one=False):
@@ -80,29 +87,29 @@ def test_geometric_factor_is_literal_sum():
 
 def test_recursive_frozen_examples():
     g = series(2, 1, 0, 0)
-    assert coeff_recursive(g, 1, 2) == 4
-    assert coeff_recursive(g, 2, 2) == 6
-    assert coeff_recursive(g, 3, 2) == 4
-    assert coeff_recursive(g, 4, 2) == 1
+    assert cell(coeff_recursive, g, 1, 2) == 4
+    assert cell(coeff_recursive, g, 2, 2) == 6
+    assert cell(coeff_recursive, g, 3, 2) == 4
+    assert cell(coeff_recursive, g, 4, 2) == 1
     quartic = series(1, 1, 1, 1)
-    assert coeff_recursive(quartic, 4, 2) == 8
+    assert cell(coeff_recursive, quartic, 4, 2) == 8
     saw = series(1, 1, 0, 0, 0)
-    assert coeff_recursive(saw, 5, 3) == 10
+    assert cell(coeff_recursive, saw, 5, 3) == 10
 
 
 def test_recursive_base_cases():
     f = series(2, 3, 5)
-    assert coeff_recursive(f, 1, 5) == 32
+    assert cell(coeff_recursive, f, 1, 5) == 32
     for k in range(1, 4):
-        assert coeff_recursive(f, k, 1) == f.coefficient(k)
+        assert cell(coeff_recursive, f, k, 1) == f.coefficient(k)
     ident = series(1, 0, 0)
     for k in (2, 3):
         for n in (1, 2, 5):
-            assert coeff_recursive(ident, k, n) == 0
+            assert cell(coeff_recursive, ident, k, n) == 0
     with pytest.raises(ValueError):
-        coeff_recursive(f, 4, 1)
+        cell(coeff_recursive, f, 4, 1)
     with pytest.raises(ValueError):
-        coeff_recursive(f, 2, 0)
+        cell(coeff_recursive, f, 2, 0)
 
 
 def test_recursive_matches_oracle_random():
@@ -114,78 +121,59 @@ def test_recursive_matches_oracle_random():
             if n > 1:
                 current = current.compose(f)
             for k in range(1, 8):
-                assert coeff_recursive(f, k, n) == current.coefficient(k)
+                assert cell(coeff_recursive, f, k, n) == current.coefficient(k)
 
 
-def test_recursive_shared_memo_matches_oracle():
-    # one memo and one table per series across every cell, visited out of
-    # order as a sweep visits them: a call must extend each row m from row
-    # m - 1 up to its own k, whatever shorter rows earlier calls have left
-    rng = random.Random(53)
-    field = PrimeField(1000003)
-    units = (-3, -2, -1, 1, 2, 3)
-    cases = [
-        (TruncatedSeries(field, 12, [field.from_int(rng.randint(2, 1000002))
-                                     for _ in range(12)]), 20),
-        (series(*(Fraction(rng.choice(units), rng.randint(1, 3))
-                  for _ in range(8))), 8),
-        (generic_series(5), 5),
-    ]
-    for f, n_max in cases:
-        iterates = [f]
-        for _ in range(n_max - 1):
-            iterates.append(iterates[-1].compose(f))
-        cells = list(product(range(1, f.order + 1), range(1, n_max + 1)))
-        rng.shuffle(cells)
-        table = PowerCoefficientTable(f)
-        memo = {}
-        for k, n in cells:
-            got = coeff_recursive(f, k, n, table, memo)
-            assert got == iterates[n - 1].coefficient(k), (f.domain, k, n)
-
-
-@pytest.mark.parametrize(
-    "route", [coeff_explicit_small_k, coeff_schroder, coeff_closed], ids=lambda r: r.__name__
-)
-def test_shared_memo_matches_oracle_and_cold_calls(route):
-    # one table and one memo per series across every cell, visited in a
-    # shuffled order: small keeps its substituted chain products and a_1
-    # powers there, schroder its level sums and closed its DP entries, so a
-    # key that misses k or alpha, or a list cut to an earlier cell's n, would
-    # hand one cell another's part; each answer must equal the oracle's and
-    # the same route's without a memo
+def _contract_series():
+    """Over Q, Z/1000003 and Q[a1..a5], a series with a generic a_1 and one
+    with a_1 = 1, so that each route applies to some cells of each."""
     rng = random.Random(89)
     field = PrimeField(1000003)
-    units = (-3, -2, -1, 1, 2, 3)
-    a1_is_one = route is coeff_schroder
-    q_a1 = 1 if a1_is_one else Fraction(rng.choice(units), rng.randint(1, 3))
-    p_a1 = 1 if a1_is_one else rng.randint(2, 1000002)
-    cases = [
-        (series(q_a1, *(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(7))), 8),
-        (TruncatedSeries(field, 8, [field.from_int(p_a1)]
-                         + [field.from_int(rng.randrange(1000003)) for _ in range(7)]), 10),
-        (generic_series(5, a1_is_one), 5),
-    ]
-    k_max = 5 if route is coeff_explicit_small_k else None
-    for f, n_max in cases:
+    out = []
+    for q_a1, p_a1, ring_a1_is_one in ((Fraction(-3, 2), 5, False), (1, 1, True)):
+        out.append(series(q_a1, *(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                  for _ in range(6))))
+        out.append(TruncatedSeries(field, 7, [field.from_int(p_a1)]
+                                   + [field.from_int(rng.randrange(1000003)) for _ in range(6)]))
+        out.append(generic_series(5, ring_a1_is_one))
+    return out
+
+
+@pytest.mark.parametrize("name", METHODS)
+def test_route_returns_exactly_the_asked_cells_it_applies_to(name):
+    # one call over ranges of k and n, some starting above 1, returns each
+    # cell that the route, asked for that cell alone, does not refuse, and
+    # no other; each value is the single-cell answer and the oracle's
+    route = REGISTRY[name]
+    for f in _contract_series():
         iterates = [f]
-        for _ in range(n_max - 1):
+        for _ in range(7):
             iterates.append(iterates[-1].compose(f))
-        cells = list(product(range(1, (k_max or f.order) + 1), range(1, n_max + 1)))
-        rng.shuffle(cells)
-        table, memo = PowerCoefficientTable(f), {}
-        shared = {} if route is coeff_explicit_small_k else {"table": table}
-        for k, n in cells:
-            got = route(f, k, n, memo=memo, **shared)
-            assert got == iterates[n - 1].coefficient(k), (f.domain, k, n)
-            assert got == route(f, k, n, **shared), (f.domain, k, n)
+        for ks, ns in (
+            (range(1, f.order + 1), range(1, 7)),
+            (range(3, f.order + 1), range(4, 9)),
+            (range(2, 3), range(5, 7)),
+            (range(f.order - 1, f.order + 1), range(2, 4)),
+        ):
+            single = {}
+            for k, n in product(ks, ns):
+                try:
+                    single[k, n] = cell(route, f, k, n)
+                except NotApplicable:
+                    pass
+            try:
+                got = route(f, ks, ns)
+            except NotApplicable:
+                got = {}
+            assert got == single, (f.domain, ks, ns)
+            for (k, n), value in got.items():
+                assert value == iterates[n - 1].coefficient(k), (f.domain, k, n)
 
 
 def test_recursive_matches_oracle_at_scale():
     # every k at orders 32 and 60 over Z/1000003, where a wrong index bound,
     # truncation or row length would show that k <= 9 can hide; at order 32
-    # the closed route shares the table with the recursive one, and each
-    # keeps its own memo
+    # each route is called on an n window from 1 and one from 31
     p = 1000003
     field = PrimeField(p)
     rng = random.Random(59)
@@ -198,23 +186,21 @@ def test_recursive_matches_oracle_at_scale():
         f = draw(32, a1)
         iterates = {1: f, 2: f.compose(f), 31: f.iterate(31)}
         iterates[32] = iterates[31].compose(f)
-        table, rows, entries = PowerCoefficientTable(f), {}, {}
-        for n, g in iterates.items():
-            for k in range(1, 33):
-                want = g.coefficient(k)
-                assert coeff_recursive(f, k, n, table, rows) == want, (a1, k, n)
-                assert coeff_closed(f, k, n, table, entries) == want, (a1, k, n)
+        for route, ns in product((coeff_recursive, coeff_closed), (range(1, 3), range(31, 33))):
+            got = route(f, range(1, 33), ns)
+            for k, n in product(range(1, 33), ns):
+                assert got[k, n] == iterates[n].coefficient(k), (a1, route.__name__, k, n)
     f = draw(60, rng.randrange(p))
-    table = PowerCoefficientTable(f)
+    got = coeff_recursive(f, range(1, 61), range(1, 3))
     for n, g in ((1, f), (2, f.compose(f))):
         for k in range(1, 61):
-            assert coeff_recursive(f, k, n, table) == g.coefficient(k), (k, n)
+            assert got[k, n] == g.coefficient(k), (k, n)
 
 
 def test_recursive_and_closed_match_oracle_at_scale_over_q():
     # every k at order 16 over Q, where coefficients grow to over a hundred
-    # digits and int and Fraction elements mix; one table per series and
-    # one memo per route
+    # digits and int and Fraction elements mix; each route is called on an
+    # n window from 1 and one from 15
     rng = random.Random(61)
     for a1 in (1, -1, Fraction(1, 2)):
         rest = [
@@ -226,12 +212,10 @@ def test_recursive_and_closed_match_oracle_at_scale_over_q():
         )
         iterates = {1: f, 2: f.compose(f), 15: f.iterate(15)}
         iterates[16] = iterates[15].compose(f)
-        table, rows, entries = PowerCoefficientTable(f), {}, {}
-        for n, g in iterates.items():
-            for k in range(1, 17):
-                want = g.coefficient(k)
-                assert coeff_recursive(f, k, n, table, rows) == want, (a1, k, n)
-                assert coeff_closed(f, k, n, table, entries) == want, (a1, k, n)
+        for route, ns in product((coeff_recursive, coeff_closed), (range(1, 3), range(15, 17))):
+            got = route(f, range(1, 17), ns)
+            for k, n in product(range(1, 17), ns):
+                assert got[k, n] == iterates[n].coefficient(k), (a1, route.__name__, k, n)
 
 
 def _top_series(p, order=48, below_top=lambda j: 0):
@@ -258,10 +242,10 @@ def test_recursive_and_closed_match_oracle_on_top_residues(f):
     # n-fold iterate is x/(1 - n*x), over Z/2, so the 96-fold iterate is x;
     # the near-top series has nonzero answers
     want = f.iterate(96)
-    table, rows, entries = PowerCoefficientTable(f), {}, {}
-    for k in range(1, 49):
-        assert coeff_recursive(f, k, 96, table, rows) == want.coefficient(k), k
-        assert coeff_closed(f, k, 96, table, entries) == want.coefficient(k), k
+    for route in (coeff_recursive, coeff_closed):
+        got = route(f, range(1, 49), range(96, 97))
+        for k in range(1, 49):
+            assert got[k, 96] == want.coefficient(k), (route.__name__, k)
 
 
 def test_routes_over_q_reduce_mod_p_to_the_field_oracle():
@@ -271,14 +255,15 @@ def test_routes_over_q_reduce_mod_p_to_the_field_oracle():
     # hundreds of digits, checked without the Q oracle
     rng = random.Random(79)
     fields = [PrimeField(1000003), PrimeField(2**61 - 1)]
-    cells = {
-        coeff_recursive: [(k, n) for n in (1, 2, 31, 32) for k in range(1, 33)],
-        coeff_closed: [(k, n) for n in (2, 16) for k in range(1, 33)],
-    }
+    windows = [
+        (coeff_recursive, range(1, 3)),
+        (coeff_recursive, range(31, 33)),
+        (coeff_closed, range(2, 3)),
+        (coeff_closed, range(16, 17)),
+    ]
     for a1 in (Fraction(1, 2), Fraction(-3, 2), 7):
         rest = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(31)]
         f = series(a1, *rest)
-        table = PowerCoefficientTable(f)
         oracles = []
         for field in fields:
             g = TruncatedSeries(field, 32, [field.from_fraction(c) for c in f.coeffs])
@@ -286,10 +271,8 @@ def test_routes_over_q_reduce_mod_p_to_the_field_oracle():
             for _ in range(31):
                 iterates.append(iterates[-1].compose(g))
             oracles.append((field, iterates))
-        for route, route_cells in cells.items():
-            memo = {}
-            for k, n in route_cells:
-                got = route(f, k, n, table, memo)
+        for route, ns in windows:
+            for (k, n), got in route(f, range(1, 33), ns).items():
                 for field, iterates in oracles:
                     want = iterates[n - 1].coefficient(k)
                     assert field.from_fraction(got) == want, (a1, route, k, n)
@@ -306,15 +289,90 @@ def test_symbolic_routes_substitute_to_the_rational_routes():
         [-1, 0, Fraction(1, 3), -2, Fraction(7, 5), Fraction(-1, 9)],
         [0, 1, 1, 1, 1, 1],
     ]
+    ks, ns = range(1, 7), range(1, 6)
     for route in (coeff_closed, coeff_recursive):
-        table, memo = PowerCoefficientTable(f), {}
-        rational = [series(*point) for point in points]
-        for k in range(1, 7):
-            for n in range(1, 6):
-                answer = route(f, k, n, table, memo)
-                for point, g in zip(points, rational):
-                    got = ring.substitute(answer, point, target=RATIONALS)
-                    assert got == route(g, k, n), (route, point, k, n)
+        rational = [route(series(*point), ks, ns) for point in points]
+        for (k, n), answer in route(f, ks, ns).items():
+            for point, want in zip(points, rational):
+                got = ring.substitute(answer, point, target=RATIONALS)
+                assert got == want[k, n], (route, point, k, n)
+
+
+def _char_poly(dom, a1, k):
+    """c_0..c_k, lowest first, of chi_k(x) = prod_{m <= k} (x - a_1^m), on
+    the element operators."""
+    c = [dom.one]
+    for m in range(1, k + 1):
+        root = a1 ** m
+        c = [
+            (c[j - 1] if j else dom.zero) - (root * c[j] if j < len(c) else dom.zero)
+            for j in range(len(c) + 1)
+        ]
+    return c
+
+
+def _assert_cayley_hamilton(f, cells):
+    """sum_j c_j * f_k^(n+j) = 0 for the c_j of chi_k, over the cells
+    {(k, n): f_k^(n)} of one call on a range of n, at each k and each n
+    whose n..n+k they hold.
+
+    The coefficients of f's n-th iterate are row 1 of M^n, M the upper
+    triangular iteration matrix of f with diagonal a_1, a_1^2, ...;
+    f_k^(n) reads only its leading k x k block, whose characteristic
+    polynomial is chi_k, so the sum is row 1 of M^n chi_k(M), which is zero
+    (Cayley-Hamilton). It holds over every commutative ring and needs no
+    oracle."""
+    dom, a1 = f.domain, f.coefficient(1)
+    ks = sorted({k for k, _ in cells})
+    ns = sorted({n for _, n in cells})
+    assert len(ns) > ks[-1]
+    for k in ks:
+        c = _char_poly(dom, a1, k)
+        for n in ns[: len(ns) - k]:
+            total = dom.zero
+            for j, cj in enumerate(c):
+                total = total + cj * cells[k, n + j]
+            assert total == dom.zero, (dom, a1, k, n)
+
+
+# p -> the primes that divide p - 1
+_PRIME_FACTORS = {
+    1000003: (2, 3, 166667),
+    2**61 - 1: (2, 3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321),
+}
+
+
+@pytest.mark.parametrize("p", list(_PRIME_FACTORS), ids=["prime-1000003", "prime-2^61-1"])
+def test_routes_satisfy_the_cayley_hamilton_recurrence_over_z_p(p):
+    # at K = 24, recursive on n windows from 1 and from 1,000 and closed
+    # from 1, with a_1 in {0, 1, -1, a primitive root, an element of order
+    # 3, a random residue}
+    rest = p - 1
+    for q in _PRIME_FACTORS[p]:
+        while rest % q == 0:
+            rest //= q
+    assert rest == 1
+    root = next(g for g in count(2) if all(pow(g, (p - 1) // q, p) != 1 for q in _PRIME_FACTORS[p]))
+    rng = random.Random(p)
+    field = PrimeField(p)
+    ks = range(1, 25)
+    for a1 in (0, 1, p - 1, root, pow(root, (p - 1) // 3, p), rng.randrange(2, p - 1)):
+        f = TruncatedSeries(field, 24, [field.from_int(a1)]
+                            + [field.from_int(rng.randrange(p)) for _ in range(23)])
+        for route, start in ((coeff_recursive, 1), (coeff_recursive, 1000), (coeff_closed, 1)):
+            _assert_cayley_hamilton(f, route(f, ks, range(start, start + 32)))
+
+
+def test_routes_satisfy_the_cayley_hamilton_recurrence_over_q():
+    # at K = 8 for each a_1 a rational sweep draws, n from 1 to 16
+    rng = random.Random(83)
+    for a1 in A1_POOL:
+        f = series(a1, *(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(7)))
+        routes = [coeff_recursive, coeff_closed, coeff_explicit_small_k]
+        if a1 == 1:
+            routes.append(coeff_schroder)
+        for route in routes:
+            _assert_cayley_hamilton(f, route(f, range(1, 9), range(1, 17)))
 
 
 def test_muckenhoupt():
@@ -480,11 +538,11 @@ def test_closed_form_level_sums_terms():
 
 def test_closed_frozen_examples():
     g = series(2, 1, 0, 0)
-    assert coeff_closed(g, 3, 2) == 4
+    assert cell(coeff_closed, g, 3, 2) == 4
     quartic = series(1, 1, 1, 1)
-    assert coeff_closed(quartic, 4, 2) == 8
+    assert cell(coeff_closed, quartic, 4, 2) == 8
     saw = series(1, 1, 0, 0, 0)
-    assert coeff_closed(saw, 5, 3) == 10
+    assert cell(coeff_closed, saw, 5, 3) == 10
 
 
 def test_closed_matches_oracle_random():
@@ -496,15 +554,12 @@ def test_closed_matches_oracle_random():
             if n > 1:
                 current = current.compose(f)
             for k in range(1, 8):
-                assert coeff_closed(f, k, n) == current.coefficient(k)
+                assert cell(coeff_closed, f, k, n) == current.coefficient(k)
 
 
 def test_closed_equals_the_literal_chain_sum():
-    # the dynamic program against closed_form_level, which walks the chains
-    # one by one; cells shuffled over one table and memo per series, so a
-    # program that assumed k or n visited in increasing order would fail;
-    # then each entry U_alpha[j][d] is stored once per series, under no n,
-    # and a_1's powers once, as far as the cells reach
+    # the dynamic program, called once per series over k from 2, against
+    # closed_form_level, which walks the chains one by one
     rng = random.Random(61)
     cases = []
     for a1 in (0, 1, -1, 2, Fraction(1, 2)):
@@ -517,50 +572,41 @@ def test_closed_equals_the_literal_chain_sum():
             cases.append((TruncatedSeries(field, 9, [field.from_int(a1)] + rest), 9, 7))
     cases.append((generic_series(8), 8, 5))
     for f, k_max, n_max in cases:
-        table, memo = PowerCoefficientTable(f), {}
-        cells = list(product(range(2, k_max + 1), range(1, n_max + 1)))
-        rng.shuffle(cells)
-        for k, n in cells:
+        table = PowerCoefficientTable(f)
+        got = coeff_closed(f, range(2, k_max + 1), range(1, n_max + 1))
+        for k, n in product(range(2, k_max + 1), range(1, n_max + 1)):
             levels = [closed_form_level(f, k, n, alpha, table) for alpha in range(1, k)]
             want = sum(levels[1:], levels[0])
-            assert coeff_closed(f, k, n, table, memo) == want, (f.domain, k, n)
-        powers = memo.pop("powers")
-        a1 = f.coefficient(1)
-        assert powers == [a1**e for e in range(max(k_max, n_max))], f.domain
-        keys = [(j, a) for j in range(2, k_max + 1) for a in range(1, j) if a <= n_max]
-        assert sorted(memo) == keys
-        for (j, alpha), entries in memo.items():
-            assert len(entries) == n_max - alpha + 1, (f.domain, j, alpha)
+            assert got[k, n] == want, (f.domain, k, n)
 
 
 def test_closed_cold_rational_cell_at_k_and_n_20():
     # 2^18 chains if summed one by one; the dynamic program takes a fraction
-    # of a second with a fresh table and memo
+    # of a second
     rng = random.Random(67)
     f = series(*(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(20)))
-    assert coeff_closed(f, 20, 20) == coeff_recursive(f, 20, 20)
+    assert cell(coeff_closed, f, 20, 20) == cell(coeff_recursive, f, 20, 20)
 
 
 def test_closed_equals_recursive_symbolically():
     f = generic_series(5)
-    table = PowerCoefficientTable(f)
-    for n in range(1, 5):
-        for k in range(1, 6):
-            assert coeff_closed(f, k, n, table) == coeff_recursive(f, k, n, table)
+    ks, ns = range(1, 6), range(1, 5)
+    assert coeff_closed(f, ks, ns) == coeff_recursive(f, ks, ns)
 
 
 def test_small_k_equals_closed_symbolically():
     # polynomial identity in a_1..a_5, not just numeric agreement
     f = generic_series(5)
-    table = PowerCoefficientTable(f)
-    for k in range(1, 6):
-        for n in range(1, 6):
-            assert coeff_explicit_small_k(f, k, n) == coeff_closed(f, k, n, table)
+    ks, ns = range(1, 6), range(1, 6)
+    want = coeff_closed(f, ks, ns)
+    assert coeff_explicit_small_k(f, ks, ns) == want
+    for k, n in product(ks, ns):
+        assert cell(coeff_explicit_small_k, f, k, n) == want[k, n], (k, n)
 
 
 def test_small_k_equals_closed_at_large_n():
-    # the nested sums at n up to 64, over Q with a_1 in {1/2, -3/2} and over
-    # Z/1000003 with a_1 in {0, 1, random}
+    # the nested sums at n from 16 to 64, over Q with a_1 in {1/2, -3/2} and
+    # over Z/1000003 with a_1 in {0, 1, random}
     rng = random.Random(73)
     field = PrimeField(1000003)
 
@@ -575,12 +621,12 @@ def test_small_k_equals_closed_at_large_n():
         TruncatedSeries(field, 5, [a1] + [draw() for _ in range(4)])
         for a1 in (field.zero, field.one, draw())
     ]
+    ks, ns = range(1, 6), range(16, 65)
     for f in cases:
-        table, memo = PowerCoefficientTable(f), {}
-        for k in range(1, 6):
-            for n in (16, 33, 64):
-                want = coeff_closed(f, k, n, table, memo)
-                assert coeff_explicit_small_k(f, k, n) == want, (f.domain, k, n)
+        want = coeff_closed(f, ks, ns)
+        assert coeff_explicit_small_k(f, ks, ns) == want, f.domain
+        for k in ks:
+            assert cell(coeff_explicit_small_k, f, k, 33) == want[k, 33], (f.domain, k)
 
 
 def test_small_k_chain_products_are_the_multinomial_chain_products():
@@ -598,28 +644,28 @@ def test_small_k_chain_products_are_the_multinomial_chain_products():
 
 def test_small_k_frozen_examples():
     g = series(2, 1, 0)
-    assert coeff_explicit_small_k(g, 1, 5) == 32
+    assert cell(coeff_explicit_small_k, g, 1, 5) == 32
     quartic = series(1, 1, 1, 1)
-    assert coeff_explicit_small_k(quartic, 4, 2) == 8
+    assert cell(coeff_explicit_small_k, quartic, 4, 2) == 8
     saw = series(1, 1, 0, 0, 0)
-    assert coeff_explicit_small_k(saw, 5, 3) == 10
+    assert cell(coeff_explicit_small_k, saw, 5, 3) == 10
 
 
 def test_small_k_rejects_large_k():
     f = series(1, 1, 1, 1, 1, 1)
     with pytest.raises(ValueError, match="coeff_closed"):
-        coeff_explicit_small_k(f, 6, 2)
+        cell(coeff_explicit_small_k, f, 6, 2)
     with pytest.raises(ValueError):
-        coeff_explicit_small_k(f, 2, 0)
+        cell(coeff_explicit_small_k, f, 2, 0)
 
 
 def test_schroder_frozen_example():
     saw = series(1, 1, 0, 0, 0)
-    assert coeff_schroder(saw, 5, 3) == 10
+    assert cell(coeff_schroder, saw, 5, 3) == 10
     with pytest.raises(ValueError, match="a_1 = 1"):
-        coeff_schroder(series(2, 1, 0), 3, 2)
+        cell(coeff_schroder, series(2, 1, 0), 3, 2)
     with pytest.raises(ValueError):
-        coeff_schroder(series(1, 1, 0), 3, 0)
+        cell(coeff_schroder, series(1, 1, 0), 3, 0)
 
 
 def test_schroder_reference_k4():
@@ -634,7 +680,7 @@ def test_schroder_reference_k4():
             * ring.from_int(math.comb(n, 2))
             + ring.from_int(6) * a2 ** 3 * ring.from_int(math.comb(n, 3))
         )
-        assert coeff_schroder(f, 4, n) == expected
+        assert cell(coeff_schroder, f, 4, n) == expected
 
 
 def test_schroder_matches_oracle_symbolically():
@@ -644,7 +690,7 @@ def test_schroder_matches_oracle_symbolically():
         if n > 1:
             current = current.compose(f)
         for k in range(1, 7):
-            assert coeff_schroder(f, k, n) == current.coefficient(k)
+            assert cell(coeff_schroder, f, k, n) == current.coefficient(k)
 
 
 def test_schroder_forward_differences_in_n():
@@ -668,11 +714,10 @@ def test_schroder_forward_differences_in_n():
         ),
     ):
         dom = f.domain
-        table = PowerCoefficientTable(f)
         for route in routes:
-            memo = {}  # one per route
+            cells = route(f, range(1, f.order + 1), range(1, 2 * f.order + 1))
             for k in range(1, f.order + 1):
-                values = [route(f, k, n, table, memo) for n in range(1, 2 * k + 1)]
+                values = [cells[k, n] for n in range(1, 2 * k + 1)]
                 for _ in range(k - 1):
                     values = [b - a for a, b in zip(values, values[1:])]
                 top = dom.from_int(math.factorial(k - 1)) * f.coefficient(2) ** (k - 1)
@@ -685,7 +730,7 @@ def test_residual_vanishes_without_middle_coefficients():
         f = generic_series(k)
         ring = f.domain
         for n in range(1, 5):
-            residual = coeff_closed(f, k, n) - f.coefficient(k) * geometric_factor(
+            residual = cell(coeff_closed, f, k, n) - f.coefficient(k) * geometric_factor(
                 f, k, n
             )
             assert residual.degree_in(k) == 0
@@ -703,9 +748,9 @@ def test_prime_field_methods_agree():
             current = current.compose(f)
         for k in range(1, 6):
             want = current.coefficient(k)
-            assert coeff_recursive(f, k, n) == want
-            assert coeff_closed(f, k, n) == want
-            assert coeff_explicit_small_k(f, k, n) == want
+            assert cell(coeff_recursive, f, k, n) == want
+            assert cell(coeff_closed, f, k, n) == want
+            assert cell(coeff_explicit_small_k, f, k, n) == want
     assert muckenhoupt_f2(f, 3) == f.iterate(3).coefficient(2)
 
 

@@ -369,10 +369,12 @@ def _applies(name, f, k):
 
 
 def test_registry_preconditions_match_routes():
-    """Each route raises NotApplicable exactly where the README says it does
-    not apply, and no other error on a valid index."""
+    """Asked for one cell, each route raises NotApplicable exactly where the
+    README says it does not apply, and no other error on a valid index;
+    asked for all of them, it returns exactly the cells it applies to."""
     assert METHODS == tuple(REGISTRY)
     ring = PolynomialRing(6)
+    ks, ns = range(1, 7), range(1, 4)
     for dom in (RATIONALS, PrimeField(5), ring):
         for a1 in (0, 1, 2):
             if dom is ring:
@@ -380,20 +382,24 @@ def test_registry_preconditions_match_routes():
             else:
                 rest = [dom.from_fraction(Fraction(q)) for q in (3, -1, 2, 1, -2)]
             f = TruncatedSeries(dom, 6, [dom.from_int(a1)] + rest)
-            for (name, evaluate), k, n in product(
-                REGISTRY.items(), range(1, 7), range(1, 4)
-            ):
+            for name, route in REGISTRY.items():
+                applied = set()
+                for k, n in product(ks, ns):
+                    try:
+                        route(f, range(k, k + 1), range(n, n + 1))
+                        applied.add((k, n))
+                    except NotApplicable:
+                        pass
+                    assert _applies(name, f, k) is ((k, n) in applied), (dom, a1, name, k, n)
                 try:
-                    evaluate(f, k, n, None, None)
-                    raised = False
+                    assert set(route(f, ks, ns)) == applied, (dom, a1, name)
                 except NotApplicable:
-                    raised = True
-                assert _applies(name, f, k) is not raised, (dom, a1, name, k, n)
-    for name, evaluate in REGISTRY.items():  # a bad k or n is no route's to skip
+                    assert not applied, (dom, a1, name)
+    for name, route in REGISTRY.items():  # a bad k or n is no route's to skip
         with pytest.raises(ValueError, match="n must be >= 1"):
-            evaluate(f, 2, 0, None, None)
+            route(f, range(2, 3), range(0, 1))
         with pytest.raises(ValueError, match="k must be >= 1"):
-            evaluate(f, 0, 2, None, None)
+            route(f, range(0, 1), range(2, 3))
 
 
 def test_sweep_stops_on_a_plain_value_error(monkeypatch):
@@ -406,10 +412,10 @@ def test_sweep_stops_on_a_plain_value_error(monkeypatch):
 
         return route
 
-    monkeypatch.setattr(verify, "coeff_closed", refuse(ValueError))
+    monkeypatch.setitem(verify.REGISTRY, "closed", refuse(ValueError))
     with pytest.raises(ValueError, match="refused"):
         run_sweep(spec)
-    monkeypatch.setattr(verify, "coeff_closed", refuse(NotApplicable))
+    monkeypatch.setitem(verify.REGISTRY, "closed", refuse(NotApplicable))
     report = run_sweep(spec)
     assert report.passed
     assert len(report.cells) == 2 * 5 * 4
@@ -421,13 +427,13 @@ def test_sweep_stops_on_a_value_outside_the_domain_equal_to_the_oracle(monkeypat
     it must still be an element of the domain: a float over Q stops the
     sweep even where it compares equal."""
 
-    def as_float(f, k, n, table, memo):
-        return float(f.iterate(n).coefficient(k))
+    def as_float(f, ks, ns):
+        return {(k, n): float(f.iterate(n).coefficient(k)) for k in ks for n in ns}
 
     spec = small_spec(methods=("oracle", "closed"), count=2)
     # the first cell is k = n = 1 of a series with a_1 = -1, where -1.0 == -1
     assert verify._generate_series(spec, RATIONALS)[0].coefficient(1) == -1
-    monkeypatch.setattr(verify, "coeff_closed", as_float)
+    monkeypatch.setitem(verify.REGISTRY, "closed", as_float)
     with pytest.raises(ValueError, match=r"^-1\.0 is not an element of Rationals\(\)$"):
         run_sweep(spec)
 
@@ -490,9 +496,11 @@ def test_printed_candidates_on_numeric_series(domain):
             evaluate = verify._printed(name)
             k = len(verify._PRINTED[name]) + 1
             with pytest.raises(NotApplicable):
-                evaluate(f, 9 - k, 2, None, {})  # the other k of 4 and 5
+                evaluate(f, range(9 - k, 10 - k), range(2, 3))  # the other k of 4 and 5
+            got_cells = evaluate(f, range(4, 6), range(1, 7))
+            assert set(got_cells) == {(k, n) for n in range(1, 7)}
             for n in range(1, 7):
-                got = evaluate(f, k, n, None, {})
+                got = got_cells[k, n]
                 want = f.iterate(n).coefficient(k)
                 if name == "f5:5*a2^2" and n >= 2:
                     assert got != want, (n, coeffs)

@@ -23,12 +23,17 @@ paired reading, which cancels most of the host's drift: ``paired_ratio``,
 the median of the per-run ratios (run i of the second over run i of the
 first), and ``paired_interval``, the sign test's interval for it, with its
 ``paired_coverage`` (see ``paired``); the stderr line prints both readings.
-Each cold row builds a new table and memo per run; the last answers of
-every checkout are cross-checked, and a wrong one exits 1: the Q arithmetic
+Each route row calls the route as ``REGISTRY`` holds it, ``route(f, ks,
+ns)``, which returns {(k, n): f_k^(n)}: a cold row asks for one cell, a
+sweep row for all of one series' cells at once. A checkout whose routes
+still take ``(f, k, n, table, memo)`` (the parent of the change that gave
+them ranges) is called cell by cell on one new table and memo per call, as
+its sweep called it. The last answers of every checkout are cross-checked,
+and a wrong one exits 1: the Q arithmetic
 rows against stdlib ``Fraction``, the kernel and series ``compose`` rows
 and the rational and symbolic oracle rows against the elements' operator
 fold, the CLI row against the Z/p oracle, the Z/p oracle rows against
-``coeff_recursive`` at every k, the symbolic routes and the route sweeps
+``recursive`` at every k, the symbolic routes and the route sweeps
 against the oracle. A kernel, compose, CLI or sweep row makes as many
 calls per run as take ``KERNEL_RUN_S`` on the first checkout, timed once before its runs,
 and every checkout makes that many; each row records its count as
@@ -41,6 +46,7 @@ import argparse
 import contextlib
 import gc
 import importlib
+import inspect
 import io
 import json
 import math
@@ -130,13 +136,37 @@ def grid(tmp: str):
     """(name, fn, calls, check) per row; ``check`` takes the last result and
     says whether it is right. ``calls`` is None for a kernel, compose, CLI
     or sweep row, whose count is calibrated."""
-    from fps_iterate import cli, formulas
+    from fps_iterate import cli
     from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
+    from fps_iterate.formulas import NotApplicable
     from fps_iterate.multinomial import PowerCoefficientTable, multinomial_coeff
     from fps_iterate.series import TruncatedSeries
     from fps_iterate.verify import REGISTRY, A1_POOL, _generic_series, run_preset
 
     field, ring = PrimeField(P), PolynomialRing(4)
+
+    def ranged(fn):
+        """``fn`` as ``route(f, ks, ns)``; one that takes ``(f, k, n, table,
+        memo)`` is called cell by cell."""
+        if "ks" in inspect.signature(fn).parameters:
+            return fn
+
+        def cells(f, ks, ns):
+            table, memo, out = PowerCoefficientTable(f), {}, {}
+            for k in ks:
+                for n in ns:
+                    try:
+                        out[k, n] = fn(f, k, n, table, memo)
+                    except NotApplicable:
+                        pass
+            return out
+
+        return cells
+
+    routes = {name: ranged(fn) for name, fn in REGISTRY.items()}
+
+    def cell(name, f, k, n):
+        return routes[name](f, range(k, k + 1), range(n, n + 1))[k, n]
 
     def residues(order, dom=field):
         return TruncatedSeries(
@@ -240,18 +270,13 @@ def grid(tmp: str):
         f = residues(k)
         want = f.iterate(n).coefficient(k)
         rows.append((f"recursive/Z/{P}/k={k},n={n}",
-                     lambda f=f, k=k, n=n: formulas.coeff_recursive(f, k, n),
+                     lambda f=f, k=k, n=n: cell("recursive", f, k, n),
                      1, lambda got, w=want: got == w))
 
     sweep_series = residues(24)
 
     def closed_sweep():
-        t, memo = PowerCoefficientTable(sweep_series), {}
-        return [
-            formulas.coeff_closed(sweep_series, k, n, t, memo)
-            for n in range(1, 25)
-            for k in range(1, 25)
-        ]
+        return routes["closed"](sweep_series, range(1, 25), range(1, 25))
 
     # one cold `fps coeff` through cli.main, output captured: argv parse,
     # JSON read, series parse, table, recursive route and formatting
@@ -271,35 +296,34 @@ def grid(tmp: str):
                  lambda got: got[0] == 0 and json.loads(got[1])["value"] == want_cli))
 
     rows.append((f"closed-sweep/Z/{P}/k,n<=24", closed_sweep, 1,
-                 lambda got: got[-1] == sweep_series.iterate(24).coefficient(24)))
-    # the Z/p oracle against coeff_recursive at every k, on one table and
-    # memo; over Z/(2^61 - 1) the oracle takes its plain-int loop
+                 lambda got: got[24, 24] == sweep_series.iterate(24).coefficient(24)))
+    # the Z/p oracle against recursive at every k, in one call; over
+    # Z/(2^61 - 1) the oracle takes its plain-int loop
     for dom, label, K, n in ((field, f"Z/{P}", 24, 48), (field, f"Z/{P}", 45, 90),
                              (PrimeField(2**61 - 1), "Z/(2^61-1)", 24, 48)):
         f = residues(K, dom)
-        t, memo = PowerCoefficientTable(f), {}
-        want = [formulas.coeff_recursive(f, k, n, t, memo) for k in range(1, K + 1)]
+        got = routes["recursive"](f, range(1, K + 1), range(n, n + 1))
+        want = [got[k, n] for k in range(1, K + 1)]
         rows.append((f"oracle/{label}/K={K},n={n}", lambda f=f, n=n: f.iterate(n), 1,
                      lambda got, w=want: list(got.coeffs) == w))
     want_oracle = fold_iterate(rational, 14)
     rows.append(("oracle/Q/K=n=14", lambda: rational.iterate(14), 1,
                  lambda got: list(got.coeffs) == want_oracle))
     want_q = want_oracle[13]
-    for route in ("closed", "recursive"):
-        fn = getattr(formulas, f"coeff_{route}")
-        rows.append((f"{route}/Q/K=n=14", lambda fn=fn: fn(rational, 14, 14), 1,
+    for name in ("closed", "recursive"):
+        rows.append((f"{name}/Q/K=n=14", lambda name=name: cell(name, rational, 14, 14), 1,
                      lambda got: got == want_q))
 
     for K in (8, 10):
         f = _generic_series(PolynomialRing(K), K, "generic")
         want_sym = f.iterate(K).coefficient(K)
-        for route in ("closed", "recursive"):
-            fn = getattr(formulas, f"coeff_{route}")
-            rows.append((f"{route}/Q[a1..a{K}]/K=n={K}", lambda fn=fn, f=f, K=K: fn(f, K, K),
+        for name in ("closed", "recursive"):
+            rows.append((f"{name}/Q[a1..a{K}]/K=n={K}",
+                         lambda name=name, f=f, K=K: cell(name, f, K, K),
                          1, lambda got, w=want_sym: got == w))
     one = _generic_series(PolynomialRing(11), 11, "one")
     want_one = one.iterate(11).coefficient(11)
-    rows.append(("schroder/Q[a1..a11],a1=1/K=n=11", lambda: formulas.coeff_schroder(one, 11, 11),
+    rows.append(("schroder/Q[a1..a11],a1=1/K=n=11", lambda: cell("schroder", one, 11, 11),
                  1, lambda got: got == want_one))
     sym8 = _generic_series(PolynomialRing(8), 8, "generic")
     want_sym8 = fold_iterate(sym8, 8)
@@ -307,13 +331,12 @@ def grid(tmp: str):
                  lambda got: list(got.coeffs) == want_sym8))
     # every cell k <= 8, n <= 6 (small: k <= 5) of one seeded rational
     # series, drawn as `acceptance` draws them, with a_1 = 1 for schroder;
-    # one table and memo per run, each route called as a sweep calls it;
-    # and the oracle's iterates 2..6 of the first series, checked against
-    # the operator fold
+    # each route called once per run, as a sweep calls it; and the oracle's
+    # iterates 2..6 of the first series, checked against the operator fold
     rng = random.Random(27)
     digits = [d for d in range(-9, 10) if d]
     higher = [Fraction(rng.randint(-9, 9), rng.choice(digits)) for _ in range(7)]
-    for a1, routes in ((rng.choice(A1_POOL), ("small", "closed", "recursive")), (1, ("schroder",))):
+    for a1, names in ((rng.choice(A1_POOL), ("small", "closed", "recursive")), (1, ("schroder",))):
         f = TruncatedSeries(RATIONALS, 8, [RATIONALS.from_fraction(q) for q in [a1] + higher])
 
         def oracle_sweep(f=f):
@@ -324,19 +347,19 @@ def grid(tmp: str):
             return iterates
 
         iterates = oracle_sweep()
-        if "small" in routes:
+        if "small" in names:
             want_iterates = [fold_iterate(f, n) for n in range(2, 7)]
             rows.append(("oracle/Q/sweep-like/K=8,n=6", oracle_sweep, None,
                          lambda got, w=want_iterates: [list(g.coeffs) for g in got[1:]] == w))
-        for route in routes:
-            cells = [(k, n) for k in range(1, 6 if route == "small" else 9) for n in range(1, 7)]
-            want = [iterates[n - 1].coefficient(k) for k, n in cells]
+        for name in names:
+            ks, ns = range(1, 9), range(1, 7)
+            top = 5 if name == "small" else 8
+            want = {(k, n): iterates[n - 1].coefficient(k) for k in range(1, top + 1) for n in ns}
 
-            def sweep(f=f, evaluate=REGISTRY[route], cells=cells):
-                table, memo = PowerCoefficientTable(f), {}
-                return [evaluate(f, k, n, table, memo) for k, n in cells]
+            def sweep(f=f, fn=routes[name], ks=ks, ns=ns):
+                return fn(f, ks, ns)
 
-            rows.append((f"sweep/{route}/Q/k<={cells[-1][0]},n<=6", sweep, None,
+            rows.append((f"sweep/{name}/Q/k<={top},n<=6", sweep, None,
                          lambda got, w=want: got == w))
     for preset in ("symbolic", "acceptance"):
         rows.append((f"preset/{preset}", lambda p=preset: run_preset(p), 1,
