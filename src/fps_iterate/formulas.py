@@ -99,8 +99,7 @@ def coeff_recursive(f: TruncatedSeries, ks: range, ns: range) -> dict:
     """
     _check_cells(f, ks, ns)
     combine = f.domain.combine
-    table = PowerCoefficientTable(f)
-    powers = [table.row(i) for i in range(1, ks[-1] + 1)]
+    powers = PowerCoefficientTable(f, ks[-1]).rows[1:]
     row = f.coeffs
     out = {}
     for n in range(1, ns[-1] + 1):
@@ -111,14 +110,17 @@ def coeff_recursive(f: TruncatedSeries, ks: range, ns: range) -> dict:
     return out
 
 
-def muckenhoupt_f2(f: TruncatedSeries, n: int):
-    """f_2^(n) as the quotient a_2 * (a_1^(2n) - a_1^n) / (a_1^2 - a_1).
+def muckenhoupt_f2(f: TruncatedSeries, ks: range, ns: range) -> dict:
+    """f_2^(n) for every n in ``ns``, if ``ks`` holds 2, as the quotient
+    a_2 * (a_1^(2n) - a_1^n) / (a_1^2 - a_1).
 
-    Needs a field domain and a_1 outside {0, 1}; otherwise the denominator
-    vanishes, this raises ``NotApplicable`` and the recurrence applies
-    instead.
+    Needs k = 2, a field domain and a_1 outside {0, 1}; otherwise the
+    denominator vanishes, this raises ``NotApplicable`` and the recurrence
+    applies instead. a_2 / (a_1^2 - a_1) is formed once per call.
     """
-    _check_cells(f, range(2, 3), range(n, n + 1))
+    _check_cells(f, ks, ns)
+    if 2 not in ks:
+        raise NotApplicable("muckenhoupt computes only k = 2")
     dom = f.domain
     if not dom.is_field:
         raise NotApplicable("muckenhoupt formula needs a field domain")
@@ -127,8 +129,8 @@ def muckenhoupt_f2(f: TruncatedSeries, n: int):
         raise NotApplicable(
             "formula undefined for a_1 in {0, 1}, use coeff_recursive"
         )
-    numerator = f.coefficient(2) * (a1 ** (2 * n) - a1 ** n)
-    return numerator * dom.inv(a1 * a1 - a1)
+    scale = f.coefficient(2) * dom.inv(a1 * a1 - a1)
+    return {(2, n): scale * (a1 ** (2 * n) - a1 ** n) for n in ns}
 
 
 def enumerate_subsets(k: int, alpha: int) -> list[tuple[int, ...]]:
@@ -185,7 +187,7 @@ def _chain_product(f: TruncatedSeries, chain: tuple[int, ...], table):
     return value
 
 
-def closed_form_level(f: TruncatedSeries, k: int, n: int, alpha: int, table=None):
+def closed_form_level(f: TruncatedSeries, k: int, n: int, alpha: int):
     """A_(alpha,k): the total closed-form contribution at one level alpha.
 
     a_1^(n-alpha) times the sum, over the decreasing chains of length alpha,
@@ -199,8 +201,7 @@ def closed_form_level(f: TruncatedSeries, k: int, n: int, alpha: int, table=None
     dom = f.domain
     if n < alpha:
         return dom.zero
-    if table is None:
-        table = PowerCoefficientTable(f)
+    table = PowerCoefficientTable(f, k)
     total = dom.zero
     for chain in enumerate_subsets(k, alpha):
         product = _chain_product(f, chain, table)
@@ -244,13 +245,13 @@ def coeff_closed(f: TruncatedSeries, ks: range, ns: range) -> dict:
         return out
     n_max = ns[-1]
     combine = f.domain.combine
-    table = PowerCoefficientTable(f)
+    rows = PowerCoefficientTable(f, ks[-1]).rows
     pw = [f.domain.one]  # a_1^0, a_1^1, ...
     for _ in range(1, max(ks[-1], n_max)):
         pw.append(pw[-1] * a1)
     entries = {}  # (j, alpha) -> [U_alpha[j][d] for d <= n_max - alpha]
     for j in range(2, ks[-1] + 1):
-        row = table.row(j)
+        row = rows[j]
         b = pw[j - 1]
         for alpha in range(1, min(j - 1, n_max) + 1):
             u = entries[j, alpha] = []
@@ -289,7 +290,7 @@ def coeff_schroder(f: TruncatedSeries, ks: range, ns: range) -> dict:
     dom = f.domain
     if f.coefficient(1) != dom.one:
         raise NotApplicable("schroder formula requires a_1 = 1")
-    table = PowerCoefficientTable(f)
+    table = PowerCoefficientTable(f, ks[-1])
     out = {}
     for k in ks:
         levels = []
@@ -349,10 +350,11 @@ def coeff_explicit_small_k(f: TruncatedSeries, ks: range, ns: range) -> dict:
     ``coeff_closed``; the two routes are tested against each other.
 
     Neither the chain products nor the nested sums depend on n: each chain
-    product of each asked k is substituted once, each chain's sums are
-    formed once for the budget max(ns) - alpha, and n reads entry
-    n - alpha. The powers a_1^0, a_1^1, ... are one list, of which chain j
-    reads every (j - 1)-th entry.
+    product of each asked k is substituted once, each chain's inner levels
+    are formed once, at every budget up to max(ns) - alpha, and its
+    outermost level only at the budgets n - alpha that the asked n read.
+    The powers a_1^0, a_1^1, ... are one list, of which chain j reads every
+    (j - 1)-th entry.
     """
     _check_cells(f, ks, ns)
     if ks[0] > 5:
@@ -373,15 +375,17 @@ def coeff_explicit_small_k(f: TruncatedSeries, ks: range, ns: range) -> dict:
                 continue
             value = ring.substitute(product, f.coeffs[:k], dom)
             budget = n_max - alpha
+            low = max(alpha, ns[0]) - alpha  # the least budget n - alpha of an asked n
             s = list(accumulate(pw[:: chain[-1] - 1][: budget + 1]))
             for j in reversed(chain[:-1]):
                 powers = pw[:: j - 1]
                 s = [
                     sum([p * t for p, t in zip(powers, s[b::-1])], dom.zero)
-                    for b in range(budget + 1)
+                    for b in range(low if j == k else 0, budget + 1)
                 ]
-            for n in range(max(alpha, ns[0]), n_max + 1):
-                totals[n] = totals[n] + pw[n - alpha] * value * s[n - alpha]
+            # the outermost level from budget low on; s holds every budget when alpha = 1
+            for b, level in enumerate(s[low:] if alpha == 1 else s, low):
+                totals[b + alpha] = totals[b + alpha] + pw[b] * value * level
         out.update(((k, n), total) for n, total in totals.items())
     return out
 

@@ -7,11 +7,11 @@ Combinatorics, 1974, sec. 3.3). It enumerates exponent patterns instead of
 multiplying series, so it cross-checks series powering without touching the
 brute-force oracle.
 
-``PowerCoefficientTable`` feeds the coefficient routes. It fills f's
-powers, since f^j = f * f^(j-1): each entry is one ``Domain.combine`` of
-f's coefficients with the reversed coefficients of f^(j-1), O(k^2)
-products per row and no division, so it holds over every domain and for
-a_1 = 0.
+``PowerCoefficientTable`` feeds the coefficient routes. It is filled once,
+up to the top row its caller names, by f's powers, since f^j = f * f^(j-1):
+each entry is one ``Domain.combine`` of f's coefficients with the reversed
+coefficients of f^(j-1), O(k^2) products per row and no division, so it
+holds over every domain and for a_1 = 0.
 """
 
 from __future__ import annotations
@@ -61,43 +61,38 @@ def multinomial_coeff(f: TruncatedSeries, k: int, i: int):
 
 
 class PowerCoefficientTable:
-    """Memoized a_k^[i] values bound to one series.
+    """The a_k^[i] values of one series, every row up to ``top`` filled once.
 
-    A lookup at k fills the rows up to k in increasing order. Row m is
-    [a_m^[1], ..., a_m^[m]], with a_m^[1] = a_m and
+    Row m is [a_m^[1], ..., a_m^[m]], with a_m^[1] = a_m and
     a_m^[j] = sum_{t=1}^{m-j+1} a_t * a_(m-t)^[j-1], the x^m coefficient of
-    f * f^(j-1). The table also keeps f's powers as columns: column j is
-    [a_j^[j], a_(j+1)^[j], ...], the coefficients of f^j from x^j up, and
-    column 1 is f's own. So entry (m, j) is one ``Domain.combine`` of f's
-    coefficients with column j-1 reversed from a_(m-1)^[j-1] down, which
-    stops the sum at t = m-j+1. k < i short-circuits to zero when k is
-    within the truncation order.
+    f * f^(j-1); ``rows[m]`` holds it for m = 1..top. The fill keeps f's
+    powers as columns: column j is [a_j^[j], a_(j+1)^[j], ...], the
+    coefficients of f^j from x^j up, and column 1 is f's own. So entry
+    (m, j) is one ``Domain.combine`` of f's coefficients with column j-1
+    reversed from a_(m-1)^[j-1] down, which stops the sum at t = m-j+1.
+    ``get(k, i)`` reads an entry; k < i gives zero when k is within the
+    truncation order.
     """
 
-    def __init__(self, series: TruncatedSeries):
+    def __init__(self, series: TruncatedSeries, top: int):
+        _check_power_index(series, top, 1)
         self.series = series
-        self._rows: list[list] = [[]]  # row 0 is never read
-        self._cols: list = []  # column j at index j-1, added with row j
+        coeffs, combine = series.coeffs, series.domain.combine
+        self.rows: list[list] = [[]]  # row 0 is never read
+        cols: list = []  # column j at index j-1, added with row j
+        for m in range(1, top + 1):
+            # entry j = 2..m from column j-1, the m-1 columns so far
+            row = [coeffs[m - 1]]
+            row += [combine(coeffs, col[m - j::-1]) for j, col in enumerate(cols, 2)]
+            for col, entry in zip(cols[1:], row[1:]):
+                col.append(entry)
+            cols.append([row[-1]] if cols else coeffs)
+            self.rows.append(row)
 
     def get(self, k: int, i: int):
         if k < i and 1 <= k <= self.series.order:
             return self.series.domain.zero
-        rows = self._rows
-        if i < 1 or not 0 < k < len(rows):
+        if i < 1 or not 0 < k < len(self.rows):
             _check_power_index(self.series, k, i)
-            coeffs, combine, cols = self.series.coeffs, self.series.domain.combine, self._cols
-            for m in range(len(rows), k + 1):
-                # entry j = 2..m from column j-1, the m-1 columns so far
-                row = [coeffs[m - 1]]
-                row += [combine(coeffs, col[m - j::-1]) for j, col in enumerate(cols, 2)]
-                for col, entry in zip(cols[1:], row[1:]):
-                    col.append(entry)
-                cols.append([row[-1]] if cols else coeffs)
-                rows.append(row)
-        return rows[k][i - 1]
-
-    def row(self, k: int) -> list:
-        """[a_k^[1], ..., a_k^[k]], the list that ``get(k, i)`` reads; it is
-        the table's own, so the caller must not change it."""
-        self.get(k, k)
-        return self._rows[k]
+            raise ValueError(f"row k={k} is past the table's top row {len(self.rows) - 1}")
+        return self.rows[k][i - 1]

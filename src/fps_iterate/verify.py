@@ -62,13 +62,6 @@ def _oracle(f, ks, ns):
     return out
 
 
-def _muckenhoupt(f, ks, ns):
-    _check_cells(f, ks, ns)
-    if 2 not in ks:
-        raise NotApplicable("muckenhoupt computes only k = 2")
-    return {(2, n): muckenhoupt_f2(f, n) for n in ns}
-
-
 # name -> route(f, ks, ns), in report order: {(k, n): f_k^(n)} for every
 # cell of the ranges ks x ns that the route applies to. A route raises
 # NotApplicable where it applies to none of them, and a plain ValueError on
@@ -80,7 +73,7 @@ REGISTRY = {
     "closed": coeff_closed,
     "small": coeff_explicit_small_k,
     "schroder": coeff_schroder,
-    "muckenhoupt": _muckenhoupt,
+    "muckenhoupt": muckenhoupt_f2,
 }
 METHODS = tuple(REGISTRY)
 GENERATOR_KINDS = (

@@ -28,7 +28,6 @@ from fps_iterate.formulas import (
     nested_sum_binomial,
     rising_product_sum,
 )
-from fps_iterate.multinomial import PowerCoefficientTable
 from fps_iterate.series import TruncatedSeries
 from fps_iterate.verify import DiscrepancyReport, Mismatch, run_preset
 
@@ -169,9 +168,8 @@ def test_criterion_07_chain_enumeration():
         # level alpha never involves a_j beyond k - alpha + 1
         for k in range(3, 7):
             f = generic_series(k)
-            table = PowerCoefficientTable(f)
             for alpha in range(2, k):
-                level = closed_form_level(f, k, 5, alpha, table)
+                level = closed_form_level(f, k, 5, alpha)
                 for j in range(k - alpha + 2, k + 1):
                     assert level.degree_in(j) == 0
 

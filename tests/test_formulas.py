@@ -342,17 +342,22 @@ _PRIME_FACTORS = {
 }
 
 
-@pytest.mark.parametrize("p", list(_PRIME_FACTORS), ids=["prime-1000003", "prime-2^61-1"])
-def test_routes_satisfy_the_cayley_hamilton_recurrence_over_z_p(p):
-    # at K = 24, recursive on n windows from 1 and from 1,000 and closed
-    # from 1, with a_1 in {0, 1, -1, a primitive root, an element of order
-    # 3, a random residue}
+def _primitive_root(p):
+    # the least one, found from the prime factors of p - 1
     rest = p - 1
     for q in _PRIME_FACTORS[p]:
         while rest % q == 0:
             rest //= q
     assert rest == 1
-    root = next(g for g in count(2) if all(pow(g, (p - 1) // q, p) != 1 for q in _PRIME_FACTORS[p]))
+    return next(g for g in count(2) if all(pow(g, (p - 1) // q, p) != 1 for q in _PRIME_FACTORS[p]))
+
+
+@pytest.mark.parametrize("p", list(_PRIME_FACTORS), ids=["prime-1000003", "prime-2^61-1"])
+def test_routes_satisfy_the_cayley_hamilton_recurrence_over_z_p(p):
+    # at K = 24, recursive on n windows from 1 and from 1,000 and closed
+    # from 1, with a_1 in {0, 1, -1, a primitive root, an element of order
+    # 3, a random residue}
+    root = _primitive_root(p)
     rng = random.Random(p)
     field = PrimeField(p)
     ks = range(1, 25)
@@ -361,6 +366,30 @@ def test_routes_satisfy_the_cayley_hamilton_recurrence_over_z_p(p):
                             + [field.from_int(rng.randrange(p)) for _ in range(23)])
         for route, start in ((coeff_recursive, 1), (coeff_recursive, 1000), (coeff_closed, 1)):
             _assert_cayley_hamilton(f, route(f, ks, range(start, start + 32)))
+
+
+def test_closed_satisfies_the_cayley_hamilton_recurrence_from_n_1000():
+    # closed's dynamic program at budgets up to 1,024, at K = 24 over
+    # Z/1000003 with a_1 a primitive root; kept apart from the test above,
+    # since it takes about as long as all of that test's cases
+    p = 1000003
+    field = PrimeField(p)
+    rng = random.Random(1000)
+    f = TruncatedSeries(field, 24, [field.from_int(_primitive_root(p))]
+                        + [field.from_int(rng.randrange(p)) for _ in range(23)])
+    _assert_cayley_hamilton(f, coeff_closed(f, range(1, 25), range(1000, 1025)))
+
+
+@pytest.mark.parametrize("p", list(_PRIME_FACTORS), ids=["prime-1000003", "prime-2^61-1"])
+def test_recursive_matches_oracle_past_row_100(p):
+    # every k at K = 24 and n = 150: a step of the recurrence skipped or
+    # repeated past row 100 shifts n, which the Cayley-Hamilton identity
+    # cannot see
+    field = PrimeField(p)
+    rng = random.Random(p + 150)
+    f = TruncatedSeries(field, 24, [field.from_int(rng.randrange(2, p - 1)) for _ in range(24)])
+    got = coeff_recursive(f, range(1, 25), range(150, 151))
+    assert [got[k, 150] for k in range(1, 25)] == list(f.iterate(150).coeffs)
 
 
 def test_routes_satisfy_the_cayley_hamilton_recurrence_over_q():
@@ -377,31 +406,38 @@ def test_routes_satisfy_the_cayley_hamilton_recurrence_over_q():
 
 def test_muckenhoupt():
     g = series(2, 1)
-    assert muckenhoupt_f2(g, 2) == 6
-    assert muckenhoupt_f2(series(3, 0), 4) == 0
+    assert cell(muckenhoupt_f2, g, 2, 2) == 6
+    assert cell(muckenhoupt_f2, series(3, 0), 2, 4) == 0
     rng = random.Random(43)
     for _ in range(20):
         f = random_series(rng, 2)
         if f.coefficient(1) in (0, 1):
             continue
+        got = muckenhoupt_f2(f, range(1, 3), range(1, 7))
+        assert sorted(got) == [(2, n) for n in range(1, 7)]
         current = f
         for n in range(1, 7):
             if n > 1:
                 current = current.compose(f)
-            assert muckenhoupt_f2(f, n) == current.coefficient(2)
+            assert got[2, n] == current.coefficient(2)
 
 
 def test_muckenhoupt_errors():
-    with pytest.raises(ValueError, match="a_1 in .0, 1."):
-        muckenhoupt_f2(series(1, 1), 2)
-    with pytest.raises(ValueError, match="coeff_recursive"):
-        muckenhoupt_f2(series(0, 1), 2)
-    ring = PolynomialRing(2)
-    sym = TruncatedSeries(ring, 2, [ring.variable(1), ring.variable(2)])
-    with pytest.raises(ValueError, match="field"):
-        muckenhoupt_f2(sym, 2)
-    with pytest.raises(ValueError):
-        muckenhoupt_f2(series(2, 1), 0)
+    # the three refusals in this order: no k = 2 asked, no field, a_1 in {0, 1}
+    ring = PolynomialRing(3)
+    sym = TruncatedSeries(ring, 3, [ring.zero, ring.variable(2), ring.variable(3)])
+    with pytest.raises(NotApplicable, match="only k = 2"):
+        muckenhoupt_f2(sym, range(3, 4), range(1, 3))
+    with pytest.raises(NotApplicable, match="field"):
+        muckenhoupt_f2(sym, range(1, 4), range(2, 3))
+    with pytest.raises(NotApplicable, match="a_1 in .0, 1."):
+        cell(muckenhoupt_f2, series(1, 1), 2, 2)
+    with pytest.raises(NotApplicable, match="coeff_recursive"):
+        cell(muckenhoupt_f2, series(0, 1), 2, 2)
+    for k, n in ((2, 0), (0, 2), (3, 2)):  # a bad index is no route's to skip
+        with pytest.raises(ValueError) as caught:
+            cell(muckenhoupt_f2, series(0, 1), k, n)
+        assert not isinstance(caught.value, NotApplicable), (k, n)
 
 
 def test_enumerate_subsets_examples():
@@ -495,7 +531,6 @@ def test_closed_form_terms_structure():
     # is a_k times the geometric factor, and alpha outside [1, k - 1] is
     # refused
     f = generic_series(5)
-    table = PowerCoefficientTable(f)
     for alpha in range(2, 5):
         chains = enumerate_subsets(5, alpha)
         assert len(chains) == math.comb(3, alpha - 1)
@@ -503,10 +538,10 @@ def test_closed_form_terms_structure():
             assert len(chain) == alpha and chain[0] == 5 and chain[-1] >= 2
             assert all(a > b for a, b in zip(chain, chain[1:]))
         for n in range(1, alpha):
-            assert closed_form_level(f, 5, n, alpha, table) == f.domain.zero
+            assert closed_form_level(f, 5, n, alpha) == f.domain.zero
     for n in range(1, 6):
         want = f.coefficient(5) * geometric_factor(f, 5, n)
-        assert closed_form_level(f, 5, n, 1, table) == want
+        assert closed_form_level(f, 5, n, 1) == want
     for alpha in (0, 5):
         with pytest.raises(ValueError):
             closed_form_level(f, 5, 3, alpha)
@@ -517,7 +552,7 @@ def test_closed_form_level_sums_terms():
     # the chain product built here from the power-coefficient table
     f = generic_series(6)
     dom = f.domain
-    table = PowerCoefficientTable(f)
+    table = PowerCoefficientTable(f, 6)
     for alpha in range(1, 6):
         for n in range(alpha, 7):
             total = dom.zero
@@ -527,10 +562,9 @@ def test_closed_form_level_sums_terms():
                     product_ = product_ * table.get(chain[m - 1], chain[m])
                 total = total + product_ * nested_geometric_sum(f, n, chain)
             want = f.coefficient(1) ** (n - alpha) * total
-            assert closed_form_level(f, 6, n, alpha, table) == want
             assert closed_form_level(f, 6, n, alpha) == want
         for n in range(1, alpha):
-            assert closed_form_level(f, 6, n, alpha, table) == dom.zero
+            assert closed_form_level(f, 6, n, alpha) == dom.zero
     for alpha in (0, 6):
         with pytest.raises(ValueError):
             closed_form_level(f, 6, 3, alpha)
@@ -572,10 +606,9 @@ def test_closed_equals_the_literal_chain_sum():
             cases.append((TruncatedSeries(field, 9, [field.from_int(a1)] + rest), 9, 7))
     cases.append((generic_series(8), 8, 5))
     for f, k_max, n_max in cases:
-        table = PowerCoefficientTable(f)
         got = coeff_closed(f, range(2, k_max + 1), range(1, n_max + 1))
         for k, n in product(range(2, k_max + 1), range(1, n_max + 1)):
-            levels = [closed_form_level(f, k, n, alpha, table) for alpha in range(1, k)]
+            levels = [closed_form_level(f, k, n, alpha) for alpha in range(1, k)]
             want = sum(levels[1:], levels[0])
             assert got[k, n] == want, (f.domain, k, n)
 
@@ -637,7 +670,7 @@ def test_small_k_chain_products_are_the_multinomial_chain_products():
         chains = [c for alpha in range(1, k) for c in enumerate_subsets(k, alpha)]
         assert sorted(products) == sorted(chains)
         f = generic_series(k)
-        table = PowerCoefficientTable(f)
+        table = PowerCoefficientTable(f, k)
         for chain, text in products.items():
             assert f.domain.parse(text) == _chain_product(f, chain, table), chain
 
@@ -751,7 +784,7 @@ def test_prime_field_methods_agree():
             assert cell(coeff_recursive, f, k, n) == want
             assert cell(coeff_closed, f, k, n) == want
             assert cell(coeff_explicit_small_k, f, k, n) == want
-    assert muckenhoupt_f2(f, 3) == f.iterate(3).coefficient(2)
+    assert cell(muckenhoupt_f2, f, 2, 3) == f.iterate(3).coefficient(2)
 
 
 def test_nested_sum_binomial():

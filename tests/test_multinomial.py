@@ -99,17 +99,18 @@ def test_multinomial_errors():
 
 def test_power_coefficient_table():
     f = generic_series(5)
-    table = PowerCoefficientTable(f)
+    table = PowerCoefficientTable(f, 5)
+    filled = [list(row) for row in table.rows]
     for k in range(1, 6):
         for i in range(1, 6):
             if k < i:
                 assert table.get(k, i) == f.domain.zero
             else:
                 assert table.get(k, i) == multinomial_coeff(f, k, i)
-    # memo returns the identical object on a repeat lookup
-    assert table.get(5, 2) is table.get(5, 2)
-    # the rows are a list, so once rows up to 5 are filled a bad index must
-    # still raise rather than wrap around
+    # a lookup reads the table's own entry, and no lookup changes the table
+    assert table.get(5, 2) is table.rows[5][1]
+    assert table.rows == filled
+    # the rows are a list, so a bad index must raise rather than wrap around
     for k in (0, -1):
         with pytest.raises(ValueError, match="index k must be >= 1"):
             table.get(k, 1)
@@ -139,7 +140,7 @@ def test_power_coefficient_table():
         TruncatedSeries(ring, 10, symbolic),
     ]
     for f in cases:
-        table = PowerCoefficientTable(f)
+        table = PowerCoefficientTable(f, f.order)
         power = f
         for i in range(1, f.order + 2):
             for k in range(1, f.order + 1):
@@ -147,7 +148,7 @@ def test_power_coefficient_table():
                 assert table.get(k, i) == expected, (f.domain, k, i)
                 assert multinomial_coeff(f, k, i) == expected, (f.domain, k, i)
             power = power.mul(f)
-        # bad indices raise as before, also once the row of k is filled
+        # bad indices raise as the multinomial walk does
         for bad in (
             lambda: table.get(5, 0),
             lambda: table.get(5, -1),
@@ -168,10 +169,10 @@ def test_power_coefficient_table():
 
 
 def test_table_filled_by_powers_matches_the_walk_through_k_12():
-    """Every a_k^[i] with i <= k <= 12, the table filled up to row 12 in one
-    lookup and, in a second table, row by row, against the multinomial
-    walk: over Q, Z/1000003 and Q[a1..a12], with a_1 = 0 and with a_1 a
-    unit or a variable."""
+    """Every a_k^[i] with i <= k <= 12, the table filled up to row 12 and,
+    in a table per k, up to row k, against the multinomial walk: over Q,
+    Z/1000003 and Q[a1..a12], with a_1 = 0 and with a_1 a unit or a
+    variable."""
     rng = random.Random(35)
     ring = PolynomialRing(12)
     variables = [ring.variable(j) for j in range(1, 13)]
@@ -181,11 +182,29 @@ def test_table_filled_by_powers_matches_the_walk_through_k_12():
         cases += [(dom, [dom.zero] + higher), (dom, [dom.from_int(-2)] + higher)]
     for dom, coeffs in cases:
         f = TruncatedSeries(dom, 12, coeffs)
-        whole, stepwise = PowerCoefficientTable(f), PowerCoefficientTable(f)
-        whole.row(12)
+        whole = PowerCoefficientTable(f, 12).rows
+        assert len(whole) == 13, f.domain
         for k in range(1, 13):
-            assert stepwise.row(k) == [multinomial_coeff(f, k, i) for i in range(1, k + 1)], (f.domain, k)
-            assert whole.row(k) == stepwise.row(k), (f.domain, k)
+            assert whole[k] == [multinomial_coeff(f, k, i) for i in range(1, k + 1)], (f.domain, k)
+            assert PowerCoefficientTable(f, k).rows == whole[: k + 1], (f.domain, k)
+
+
+def test_table_fills_only_up_to_its_top_row():
+    """The table holds rows 1..top and no more: a lookup past the top row
+    raises, and a top row outside 1..order raises with the walk's texts."""
+    f = generic_series(6)
+    table = PowerCoefficientTable(f, 3)
+    assert [len(row) for row in table.rows] == [0, 1, 2, 3]
+    assert table.get(3, 5) == f.domain.zero  # k < i within the order
+    for k in (4, 6):
+        with pytest.raises(ValueError, match=f"row k={k} is past the table's top row 3"):
+            table.get(k, 2)
+    with pytest.raises(ValueError, match="index k must be >= 1"):
+        PowerCoefficientTable(f, 0)
+    with pytest.raises(ValueError, match="insufficient truncation: k=7"):
+        PowerCoefficientTable(f, 7)
+    with pytest.raises(TypeError):
+        PowerCoefficientTable(f)  # the top row has no default
 
 
 def test_table_and_multinomial_walk_share_no_code():
@@ -204,6 +223,6 @@ def test_table_and_multinomial_walk_share_no_code():
         }
 
     assert not names("multinomial_coeff") & {
-        "PowerCoefficientTable", "get", "row", "combine", "horner"
+        "PowerCoefficientTable", "get", "rows", "combine", "horner"
     }
     assert not names("PowerCoefficientTable") & {"multinomial_coeff", "horner", "mul"}

@@ -163,7 +163,7 @@ def test_only_the_oracle_calls_horner():
 def test_only_the_routes_call_combine():
     """``Domain.combine`` is the routes' sum of products, which the base
     class leaves to the ``Rationals``, ``PrimeField`` and ``PolynomialRing``
-    kernels, named only by the power table's ``get``, ``coeff_recursive``
+    kernels, named only by the power table's constructor, ``coeff_recursive``
     and ``coeff_closed``. It names no ``horner``, and only series
     ``compose`` names ``horner``, so the oracle, the partition walk, the
     chain walks and ``small``, which name no kernel, check it on code it
@@ -197,7 +197,7 @@ def test_only_the_routes_call_combine():
     ]
     assert naming["domains.py", "combine"] == set()
     assert {key for key, names in naming.items() if "combine" in names} == {
-        ("multinomial.py", "get"),
+        ("multinomial.py", "__init__"),
         ("formulas.py", "coeff_recursive"),
         ("formulas.py", "coeff_closed"),
     }

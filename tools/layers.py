@@ -25,10 +25,10 @@ first), and ``paired_interval``, the sign test's interval for it, with its
 ``paired_coverage`` (see ``paired``); the stderr line prints both readings.
 Each route row calls the route as ``REGISTRY`` holds it, ``route(f, ks,
 ns)``, which returns {(k, n): f_k^(n)}: a cold row asks for one cell, a
-sweep row for all of one series' cells at once. A checkout whose routes
-still take ``(f, k, n, table, memo)`` (the parent of the change that gave
-them ranges) is called cell by cell on one new table and memo per call, as
-its sweep called it. The last answers of every checkout are cross-checked,
+sweep row for all of one series' cells at once. A table row fills a new
+power table up to row k: ``PowerCoefficientTable(f, k)``, or, in a
+checkout whose table still fills on demand (it has ``row``), a first
+lookup in row k. The last answers of every checkout are cross-checked,
 and a wrong one exits 1: the Q arithmetic
 rows against stdlib ``Fraction``, the kernel and series ``compose`` rows
 and the rational and symbolic oracle rows against the elements' operator
@@ -46,7 +46,6 @@ import argparse
 import contextlib
 import gc
 import importlib
-import inspect
 import io
 import json
 import math
@@ -138,35 +137,14 @@ def grid(tmp: str):
     or sweep row, whose count is calibrated."""
     from fps_iterate import cli
     from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
-    from fps_iterate.formulas import NotApplicable
     from fps_iterate.multinomial import PowerCoefficientTable, multinomial_coeff
     from fps_iterate.series import TruncatedSeries
     from fps_iterate.verify import REGISTRY, A1_POOL, _generic_series, run_preset
 
     field, ring = PrimeField(P), PolynomialRing(4)
 
-    def ranged(fn):
-        """``fn`` as ``route(f, ks, ns)``; one that takes ``(f, k, n, table,
-        memo)`` is called cell by cell."""
-        if "ks" in inspect.signature(fn).parameters:
-            return fn
-
-        def cells(f, ks, ns):
-            table, memo, out = PowerCoefficientTable(f), {}, {}
-            for k in ks:
-                for n in ns:
-                    try:
-                        out[k, n] = fn(f, k, n, table, memo)
-                    except NotApplicable:
-                        pass
-            return out
-
-        return cells
-
-    routes = {name: ranged(fn) for name, fn in REGISTRY.items()}
-
     def cell(name, f, k, n):
-        return routes[name](f, range(k, k + 1), range(n, n + 1))[k, n]
+        return REGISTRY[name](f, range(k, k + 1), range(n, n + 1))[k, n]
 
     def residues(order, dom=field):
         return TruncatedSeries(
@@ -257,10 +235,16 @@ def grid(tmp: str):
 
     big = residues(100)
 
+    # a table that fills on demand (before it took its top row); this can go
+    # once no compared checkout predates that change
+    lazy = hasattr(PowerCoefficientTable, "row")
+
     def table(k):
-        t = PowerCoefficientTable(big)
-        t.get(k, 1)
-        return t
+        if lazy:
+            t = PowerCoefficientTable(big)
+            t.get(k, 1)
+            return t
+        return PowerCoefficientTable(big, k)
 
     for k in (10, 20, 40, 100):
         rows.append((f"table/Z/{P}/k={k}", lambda k=k: table(k), 1,
@@ -276,7 +260,7 @@ def grid(tmp: str):
     sweep_series = residues(24)
 
     def closed_sweep():
-        return routes["closed"](sweep_series, range(1, 25), range(1, 25))
+        return REGISTRY["closed"](sweep_series, range(1, 25), range(1, 25))
 
     # one cold `fps coeff` through cli.main, output captured: argv parse,
     # JSON read, series parse, table, recursive route and formatting
@@ -302,7 +286,7 @@ def grid(tmp: str):
     for dom, label, K, n in ((field, f"Z/{P}", 24, 48), (field, f"Z/{P}", 45, 90),
                              (PrimeField(2**61 - 1), "Z/(2^61-1)", 24, 48)):
         f = residues(K, dom)
-        got = routes["recursive"](f, range(1, K + 1), range(n, n + 1))
+        got = REGISTRY["recursive"](f, range(1, K + 1), range(n, n + 1))
         want = [got[k, n] for k in range(1, K + 1)]
         rows.append((f"oracle/{label}/K={K},n={n}", lambda f=f, n=n: f.iterate(n), 1,
                      lambda got, w=want: list(got.coeffs) == w))
@@ -356,7 +340,7 @@ def grid(tmp: str):
             top = 5 if name == "small" else 8
             want = {(k, n): iterates[n - 1].coefficient(k) for k in range(1, top + 1) for n in ns}
 
-            def sweep(f=f, fn=routes[name], ks=ks, ns=ns):
+            def sweep(f=f, fn=REGISTRY[name], ks=ks, ns=ns):
                 return fn(f, ks, ns)
 
             rows.append((f"sweep/{name}/Q/k<={top},n<=6", sweep, None,
