@@ -17,6 +17,14 @@ and the oracle they are checked against run on different code:
   denominator, reduced once, over Q; one gathered sum of every pair's term
   products over Q[a1..aK]; one integer sum and one reduction over Z/p.
 
+A third kernel prepares ``combine`` for one matrix applied to many vectors,
+as ``coeff_recursive`` applies the power table to each row:
+``Domain.linear_map(rows)`` returns xs -> [combine(xs, row) for row in
+rows], one ``combine`` per row over Q and Q[a1..aK]; over Z/p, when
+w*(p-1)^2 < 2^64 for w the longest row's length, the rows are packed once
+as columns of 8-byte slots, and each application is one integer sum of
+products, one unpack and a reduction per slot.
+
 A rational is an ``int`` or a ``Fraction``, and every rational the package
 makes is an ``int`` or a ``QFraction``: a slotted subclass of ``Fraction``
 whose ``+ - * ** ==`` read their operands' slots and build the result
@@ -48,6 +56,7 @@ import re
 import struct
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 __all__ = [
     "Domain",
@@ -592,10 +601,11 @@ class Domain:
     Arithmetic is the elements' own exact operators, plus two kernels that
     each subclass implements and this class does not: ``horner``, the
     oracle's composition, and ``combine``, the routes' sum of products.
-    Neither calls the other. Subclasses fix the element types and their
-    form. The instance doubles as the domain descriptor: two domains are
-    equal when their ``to_json`` descriptors are, and ``domain_from_json``
-    inverts ``to_json``.
+    Neither calls the other. ``linear_map``, ``combine`` prepared for one
+    matrix, is defined here from ``combine``; ``PrimeField`` packs it.
+    Subclasses fix the element types and their form. The instance doubles
+    as the domain descriptor: two domains are equal when their ``to_json``
+    descriptors are, and ``domain_from_json`` inverts ``to_json``.
     """
 
     is_field = False
@@ -625,10 +635,17 @@ class Domain:
 
     def combine(self, xs, ys):
         """x_0*y_0 + x_1*y_1 + ..., summed up to the end of the shorter
-        sequence: the sum of products that the power table,
-        ``coeff_recursive`` and ``coeff_closed`` form; ``zero`` when either
-        sequence is empty."""
+        sequence: the sum of products that the power table, ``coeff_closed``
+        and ``linear_map``, so ``coeff_recursive``, form; ``zero`` when
+        either sequence is empty."""
         raise NotImplementedError
+
+    def linear_map(self, rows):
+        """The map xs -> [combine(xs, row) for row in rows], prepared once
+        for a matrix applied to many vectors, as ``coeff_recursive`` applies
+        the power table to each row; here one ``combine`` per row."""
+        combine = self.combine
+        return lambda xs: list(map(combine, repeat(xs), rows))
 
     def from_int(self, m: int):
         raise NotImplementedError
@@ -839,6 +856,38 @@ class PrimeField(Domain):
         e.value = total % p
         e.p = p
         return e
+
+    def linear_map(self, rows):
+        """Domain.linear_map with the rows packed once when w*(p-1)^2 <
+        2^64, w the longest row's length: column j, entry j of each row or
+        0 past a shorter row's end, is one int of len(rows) 8-byte slots,
+        and an apply is one integer sum of x_j times column j, one unpack
+        and v % p per slot. A slot sums at most w products of residues, so
+        none carries, and the sum stops at the end of xs or of the
+        columns, as ``combine`` stops at the shorter sequence. Wider primes
+        take the base map. The inputs must be elements of this field;
+        nothing checks them."""
+        p, width = self.p, max(map(len, rows), default=0)
+        if width * (p - 1) ** 2 >= 1 << 64:
+            return super().linear_map(rows)
+        slots, size = _slots(len(rows)), 8 * len(rows)
+        cols = []
+        for j in range(width):
+            column = [row[j].value if j < len(row) else 0 for row in rows]
+            cols.append(int.from_bytes(slots.pack(*column), "little"))
+
+        def apply(xs):
+            total = sum(map(operator.mul, [x.value for x in xs], cols))
+            out = []
+            for v in slots.unpack(total.to_bytes(size, "little")):
+                # _residue inlined, as in combine
+                e = _new(FpElement)
+                e.value = v % p
+                e.p = p
+                out.append(e)
+            return out
+
+        return apply
 
     def from_int(self, m: int):
         return FpElement(m, self.p)

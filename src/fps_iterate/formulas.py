@@ -19,7 +19,7 @@ by one, so they check the dynamic program against the literal chain sum.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations
 
 from .domains import PolynomialRing
 from .multinomial import PowerCoefficientTable
@@ -92,19 +92,19 @@ def coeff_recursive(f: TruncatedSeries, ks: range, ns: range) -> dict:
     sum_{j=2}^{k-1} f_j^(n-i-1) * a_k^[j], C_{k,n} the geometric factor.
 
     Rows 2..max(ns) are formed bottom-up, each to length max(ks), so every
-    f_j^(m) is formed once, O(K^2 N) domain operations in all. Entry i of
-    row m is one ``Domain.combine`` of the whole of row m-1 with the
-    table's row i, which holds i entries, so the sum stops at f_i^(m-1)
-    without a copy of row m-1; a row is one ``map``.
+    f_j^(m) is formed once, O(K^2 N) domain operations in all. Row m is
+    the table's rows 1..max(ks) applied to the whole of row m-1 by one
+    ``Domain.linear_map``, prepared once per call: entry i is the sum of
+    products of row m-1 with the table's row i, which holds i entries, so
+    the sum stops at f_i^(m-1) without a copy of row m-1.
     """
     _check_cells(f, ks, ns)
-    combine = f.domain.combine
-    powers = PowerCoefficientTable(f, ks[-1]).rows[1:]
+    step = f.domain.linear_map(PowerCoefficientTable(f, ks[-1]).rows[1:])
     row = f.coeffs
     out = {}
     for n in range(1, ns[-1] + 1):
         if n > 1:
-            row = list(map(combine, repeat(row), powers))
+            row = step(row)
         if n in ns:
             out.update(((k, n), row[k - 1]) for k in ks)
     return out

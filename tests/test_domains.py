@@ -429,7 +429,8 @@ def test_dot_of_no_terms_and_one_term(domain):
     "domain", [RATIONALS, PrimeField(1000003), PolynomialRing(2)], ids=repr
 )
 def test_combine_sums_up_to_the_shorter_sequence(domain):
-    # the table and coeff_recursive pass a longer sequence beside a shorter one
+    # the table and linear_map, so coeff_recursive, pass a longer sequence
+    # beside a shorter one
     rng = random.Random(35)
 
     def draw():
@@ -445,8 +446,10 @@ def test_combine_sums_up_to_the_shorter_sequence(domain):
 
 
 def test_the_base_domain_defines_no_kernel():
-    # each domain implements both kernels; the base class has no fallback
-    for kernel in (Domain().horner, Domain().combine):
+    # each domain implements both kernels; the base class has no fallback,
+    # and its linear map runs on combine
+    base = Domain()
+    for kernel in (base.horner, base.combine, lambda xs, row: base.linear_map([row])(xs)):
         with pytest.raises(NotImplementedError):
             kernel([], [])
 
@@ -478,6 +481,38 @@ def test_prime_field_horner_packs_residues_only_below_2_to_the_64(monkeypatch, m
     assert len(packs) == (m + 1 if packed else 0)
     assert len(built) == m and all(0 <= v < field.p for v in built)
     assert got == expected
+
+
+@pytest.mark.parametrize("p, width, packed", [
+    (4294967291, 1, True), (4294967291, 2, False), (2**31 - 1, 4, True), (2**31 - 1, 5, False),
+])
+def test_prime_field_linear_map_packs_columns_only_below_2_to_the_64(monkeypatch, p, width, packed):
+    """width*(p-1)^2 < 2^64 holds for width 1 alone at the largest prime
+    below 2^32, and up to width 4 at 2^31 - 1. Below the bound each of the
+    ``width`` columns is packed once, when the map is prepared, and each
+    apply unpacks once; at or above it nothing is packed. With every
+    entry and x_j at p - 1, slot i sums (i+1)*(p-1)^2, the last slot the
+    bound's width*(p-1)^2, and no slot carries."""
+    field = PrimeField(p)
+    top = field.from_int(-1)
+    rows = [[top] * (i + 1) for i in range(width)]
+    xs = [top] * width
+    packs, unpacks = [], []
+    slots = domains._slots
+
+    def counted(n):
+        layout = slots(n)
+        return SimpleNamespace(pack=lambda *args: packs.append(1) or layout.pack(*args),
+                               unpack=lambda z: unpacks.append(1) or layout.unpack(z))
+
+    monkeypatch.setattr(domains, "_slots", counted)
+    apply = field.linear_map(rows)
+    assert len(packs) == (width if packed else 0)
+    got = [apply(xs), apply(xs[:-1])]
+    monkeypatch.undo()
+    assert len(unpacks) == (2 if packed else 0)
+    assert got == [[field.combine(v, row) for row in rows] for v in (xs, xs[:-1])]
+    assert got[0] == [field.from_int((i + 1) * (p - 1) ** 2) for i in range(width)]
 
 
 def test_polynomial_coefficients_canonical():

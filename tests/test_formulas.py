@@ -381,6 +381,17 @@ def test_closed_satisfies_the_cayley_hamilton_recurrence_from_n_1000():
 
 
 @pytest.mark.parametrize("p", list(_PRIME_FACTORS), ids=["prime-1000003", "prime-2^61-1"])
+def test_recursive_satisfies_the_cayley_hamilton_recurrence_from_n_10000(p):
+    # rows 2..10,024 at K = 24, a_1 a primitive root: packed over
+    # Z/1000003, the base map of combine calls over Z/(2^61 - 1)
+    field = PrimeField(p)
+    rng = random.Random(p + 10000)
+    f = TruncatedSeries(field, 24, [field.from_int(_primitive_root(p))]
+                        + [field.from_int(rng.randrange(p)) for _ in range(23)])
+    _assert_cayley_hamilton(f, coeff_recursive(f, range(1, 25), range(10000, 10025)))
+
+
+@pytest.mark.parametrize("p", list(_PRIME_FACTORS), ids=["prime-1000003", "prime-2^61-1"])
 def test_recursive_matches_oracle_past_row_100(p):
     # every k at K = 24 and n = 150: a step of the recurrence skipped or
     # repeated past row 100 shifts n, which the Cayley-Hamilton identity

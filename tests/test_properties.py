@@ -269,6 +269,48 @@ def test_combine_equals_operator_fold(case):
 
 
 @st.composite
+def linear_map_inputs(draw):
+    """Lower-triangular rows, row i holding at most i + 1 elements and
+    ragged below that, and two vectors of up to two more elements than the
+    longest row, over Q, Q[a1..a4], Z/1000003, Z/(2^61 - 1) or
+    Z/4294967291, for ``linear_map``."""
+    dom = draw(st.sampled_from((RATIONALS, _RING, PrimeField(1000003), PrimeField(2**61 - 1), _P32)))
+    values = _values(dom)
+    rows = [draw(st.lists(values, max_size=i + 1)) for i in range(draw(st.integers(0, 10)))]
+    vectors = st.lists(values, max_size=max(map(len, rows), default=0) + 2)
+    return dom, rows, draw(vectors), draw(vectors)
+
+
+def _power_shaped(p, size):
+    # the power table's shape, rows 1..size, every entry and x_j p - 1
+    dom = PrimeField(p)
+    top = dom.from_int(p - 1)
+    return dom, [[top] * (i + 1) for i in range(size)], [top] * size, [top] * (size - 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(linear_map_inputs())
+@example((RATIONALS, [], [], [1]))
+@example((_RING, [[_RING.variable(1)], [_RING.one, _RING.variable(3)]], [_RING.variable(2)], []))
+@example(_power_shaped(1000003, 24))
+@example(_power_shaped(2**61 - 1, 24))
+@example(_power_shaped(4294967291, 1))
+@example(_power_shaped(4294967291, 2))
+def test_linear_map_equals_combine_per_row(case):
+    # one prepared map applied to two vectors, each shorter or longer than
+    # the rows; packed over Z/1000003 and Z/4294967291 at width 1
+    dom, rows, xs, ys = case
+    apply = dom.linear_map(rows)
+    for vector in (xs, ys):
+        expected = [dom.combine(vector, row) for row in rows]
+        got = apply(vector)
+        assert got == expected
+        assert all(map(dom.contains, got))
+        assert list(map(dom.format, got)) == list(map(dom.format, expected))
+        assert list(map(type, got)) == list(map(type, expected))
+
+
+@st.composite
 def equal_values(draw):
     """An element x of Q, Z/5, Z/97 or Q[a1..a4] and (x + z) - z for a drawn
     z: over Q an int x and a Fraction z give an integral Fraction."""

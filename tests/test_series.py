@@ -117,12 +117,14 @@ _ELEMENT_LEVEL = {
 
 def test_only_the_oracle_calls_horner():
     """``Domain.horner`` is the oracle's arithmetic alone: only series
-    ``compose`` calls it. Each of ``Rationals``, ``PrimeField`` and
-    ``PolynomialRing`` defines exactly two kernels, ``horner`` and
-    ``combine``; the base class declares both and raises in each, and no
-    module defines or names a ``convolve`` or ``dot``. The routes sum on
-    ``Domain.combine`` and the elements' operators instead, so the
-    cross-check covers both implementations."""
+    ``compose`` calls it. Each of ``Rationals`` and ``PolynomialRing``
+    defines exactly two kernels, ``horner`` and ``combine``, and
+    ``PrimeField`` those two and ``linear_map``, the routes' prepared sums;
+    the base class declares all three, raises in ``horner`` and
+    ``combine``, and no module defines or names a ``convolve`` or ``dot``.
+    The routes sum on ``Domain.combine``, ``Domain.linear_map`` and the
+    elements' operators instead, so the cross-check covers both
+    implementations."""
     package = Path(fps_iterate.__file__).parent
     callers, names, methods = set(), set(), {}
     for path in sorted(package.glob("*.py")):
@@ -151,58 +153,67 @@ def test_only_the_oracle_calls_horner():
         }
     assert not names & {"convolve", "dot"}
     assert callers == {("series.py", "TruncatedSeries.compose")}
-    for cls in ("Domain", "Rationals", "PrimeField", "PolynomialRing"):
-        assert set(methods["domains.py", cls]) - _ELEMENT_LEVEL == {"horner", "combine"}, cls
-    for kernel in ("horner", "combine"):
+    kernels = {"horner", "combine"}
+    for cls, more in (("Domain", {"linear_map"}), ("Rationals", set()),
+                      ("PrimeField", {"linear_map"}), ("PolynomialRing", set())):
+        assert set(methods["domains.py", cls]) - _ELEMENT_LEVEL == kernels | more, cls
+    for kernel in kernels:
         # a docstring, then ``raise NotImplementedError``
         body = methods["domains.py", "Domain"][kernel].body
         assert len(body) == 2 and isinstance(body[1], ast.Raise), kernel
         assert ast.unparse(body[1]) == "raise NotImplementedError", kernel
 
 
+def _functions(tree, prefix=""):
+    # (qualified name, node) of every function and method, nested ones too
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield prefix + node.name, node
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from _functions(node, f"{prefix}{node.name}.")
+
+
 def test_only_the_routes_call_combine():
     """``Domain.combine`` is the routes' sum of products, which the base
     class leaves to the ``Rationals``, ``PrimeField`` and ``PolynomialRing``
-    kernels, named only by the power table's constructor, ``coeff_recursive``
-    and ``coeff_closed``. It names no ``horner``, and only series
-    ``compose`` names ``horner``, so the oracle, the partition walk, the
-    chain walks and ``small``, which name no kernel, check it on code it
-    does not run; series ``mul`` names no kernel either."""
+    kernels, named only by the power table's constructor, ``coeff_closed``
+    and the base ``Domain.linear_map``. ``linear_map``, defined by the base
+    class and packed by ``PrimeField``, is named only by ``coeff_recursive``
+    and by ``PrimeField.linear_map``, which falls back to the base map. No
+    kernel names ``horner``, and only series ``compose`` names it, so the
+    oracle, the partition walk, the chain walks and ``small``, which name
+    no kernel, check them on code they do not run; series ``mul`` names no
+    kernel either."""
     package = Path(fps_iterate.__file__).parent
-    defined, naming = [], {}
+    defined, naming = {}, {}
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                defined += [
-                    (path.name, node.name)
-                    for item in node.body
-                    if isinstance(item, ast.FunctionDef) and item.name == "combine"
-                ]
-            if isinstance(node, ast.FunctionDef):
-                names = {
-                    n.id if isinstance(n, ast.Name) else n.attr
-                    for n in ast.walk(node)
-                    if isinstance(n, (ast.Name, ast.Attribute))
-                }
-                key = (path.name, node.name)
-                naming[key] = naming.get(key, set()) | (
-                    names & {"combine", "horner"}
-                )
-    assert sorted(defined) == [
-        ("domains.py", "Domain"),
-        ("domains.py", "PolynomialRing"),
-        ("domains.py", "PrimeField"),
-        ("domains.py", "Rationals"),
-    ]
-    assert naming["domains.py", "combine"] == set()
+        for name, node in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            kernel = name.rsplit(".", 1)[-1]
+            if name.count(".") == 1 and kernel in {"combine", "linear_map"}:
+                defined.setdefault(kernel, []).append(name.split(".")[0])
+            naming[path.name, name] = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            } & {"combine", "horner", "linear_map"}
+    assert defined == {
+        "combine": ["Domain", "Rationals", "PrimeField", "PolynomialRing"],
+        "linear_map": ["Domain", "PrimeField"],
+    }
+    for cls in ("Domain", "Rationals", "PrimeField", "PolynomialRing"):
+        assert naming["domains.py", f"{cls}.combine"] == set(), cls
+        assert naming["domains.py", f"{cls}.horner"] == set(), cls
     assert {key for key, names in naming.items() if "combine" in names} == {
-        ("multinomial.py", "__init__"),
-        ("formulas.py", "coeff_recursive"),
+        ("multinomial.py", "PowerCoefficientTable.__init__"),
         ("formulas.py", "coeff_closed"),
+        ("domains.py", "Domain.linear_map"),
+    }
+    assert {key for key, names in naming.items() if "linear_map" in names} == {
+        ("formulas.py", "coeff_recursive"),
+        ("domains.py", "PrimeField.linear_map"),
     }
     assert {key for key, names in naming.items() if "horner" in names} == {
-        ("series.py", "compose"),
+        ("series.py", "TruncatedSeries.compose"),
     }
     checks = [key for key in naming if key[0] == "series.py"] + [
         ("multinomial.py", "multinomial_coeff"),
@@ -212,8 +223,8 @@ def test_only_the_routes_call_combine():
         ("formulas.py", "coeff_schroder"),
         ("formulas.py", "coeff_explicit_small_k"),
     ]
-    oracle = {("series.py", "compose"): {"horner"}}
-    assert ("series.py", "mul") in checks
+    oracle = {("series.py", "TruncatedSeries.compose"): {"horner"}}
+    assert ("series.py", "TruncatedSeries.mul") in checks
     for key in checks:
         assert naming[key] == oracle.get(key, set()), key
 
@@ -237,7 +248,8 @@ def _names_in_route(name):
 def test_small_route_shares_no_code_with_the_closed_form():
     """``coeff_explicit_small_k`` is cross-checked against the closed form
     and the oracle, so its body names none of the closed form's pieces,
-    not the oracle's ``horner`` and not the routes' ``combine``."""
+    not the oracle's ``horner`` and not the routes' ``combine`` or
+    ``linear_map``."""
     names = _names_in_route("coeff_explicit_small_k")
     assert "_SMALL_K_TERMS" in names
     assert not names & {
@@ -249,6 +261,7 @@ def test_small_route_shares_no_code_with_the_closed_form():
         "coeff_closed",
         "horner",
         "combine",
+        "linear_map",
     }
 
 

@@ -33,11 +33,11 @@ and a wrong one exits 1: the Q arithmetic
 rows against stdlib ``Fraction``, the kernel and series ``compose`` rows
 and the rational and symbolic oracle rows against the elements' operator
 fold, the CLI row against the Z/p oracle, the Z/p oracle rows against
-``recursive`` at every k, the symbolic routes and the route sweeps
-against the oracle. A kernel, compose, CLI or sweep row makes as many
-calls per run as take ``KERNEL_RUN_S`` on the first checkout, timed once before its runs,
-and every checkout makes that many; each row records its count as
-``calls``. Standard library only.
+``recursive`` at every k, the Z/p ``recursive`` rows, the symbolic routes
+and the route sweeps against the oracle. A kernel, compose, CLI or sweep
+row makes as many calls per run as take ``KERNEL_RUN_S`` on the first
+checkout, timed once before its runs, and every checkout makes that
+many; each row records its count as ``calls``. Standard library only.
 """
 
 from __future__ import annotations
@@ -250,10 +250,12 @@ def grid(tmp: str):
         rows.append((f"table/Z/{P}/k={k}", lambda k=k: table(k), 1,
                      lambda got, k=k: got.get(k, 2) == multinomial_coeff(big, k, 2)))
 
-    for k, n in ((24, 48), (45, 90)):
-        f = residues(k)
+    # over Z/(2^61 - 1) the recursive step takes the base map, not packed
+    for label, dom, k, n in ((f"Z/{P}", field, 24, 48), (f"Z/{P}", field, 45, 90),
+                             ("Z/(2^61-1)", PrimeField(2**61 - 1), 24, 48)):
+        f = residues(k, dom)
         want = f.iterate(n).coefficient(k)
-        rows.append((f"recursive/Z/{P}/k={k},n={n}",
+        rows.append((f"recursive/{label}/k={k},n={n}",
                      lambda f=f, k=k, n=n: cell("recursive", f, k, n),
                      1, lambda got, w=want: got == w))
 
