@@ -9,20 +9,21 @@ and the oracle they are checked against run on different code:
   forming only the entries that still reach order m, because the inner
   series has a zero constant term; over Q, int numerators over one
   denominator, the fixed operand scaled to integers once per call; over
-  Q[a1..aK], one gathered sum per entry; over Z/p, plain residues, and for
-  primes with m*(p-1)^2 < 2^64 one integer product per step, the fixed
-  operand packed once per call;
+  Q[a1..aK], one gathered sum per entry; over Z/p, for every prime, the
+  residues packed into one int for the whole call, each step one integer
+  product and one reduction of all slots at once;
 - ``Domain.combine``, the routes' sum of products x_0*y_0 + x_1*y_1 + ...
   up to the end of the shorter sequence: one integer sum over one common
   denominator, reduced once, over Q; one gathered sum of every pair's term
   products over Q[a1..aK]; one integer sum and one reduction over Z/p.
 
-A third kernel prepares ``combine`` for one matrix applied to many vectors,
-as ``coeff_recursive`` applies the power table to each row:
+A third kernel prepares ``combine`` for one lower-triangular matrix applied
+to many vectors, as ``coeff_recursive`` applies the power table to each row
+and the power table multiplies each power of f by f:
 ``Domain.linear_map(rows)`` returns xs -> [combine(xs, row) for row in
-rows], one ``combine`` per row over Q and Q[a1..aK]; over Z/p, when
-w*(p-1)^2 < 2^64 for w the longest row's length, the rows are packed once
-as columns of 8-byte slots, and each application is one integer sum of
+rows[:len(xs)]], one ``combine`` per row over Q and Q[a1..aK]; over Z/p,
+when w*(p-1)^2 < 2^64 for w the longest row's length, the rows are packed
+once as columns of 8-byte slots, and each application is one integer sum of
 products, one unpack and a reduction per slot.
 
 A rational is an ``int`` or a ``Fraction``, and every rational the package
@@ -56,7 +57,7 @@ import re
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import repeat, zip_longest
 
 __all__ = [
     "Domain",
@@ -210,6 +211,14 @@ def _residue(v: int, p: int) -> FpElement:
     e.value = v
     e.p = p
     return e
+
+
+def _horner_layout(m: int, p: int) -> tuple[int, int]:
+    """s and the slot size in bytes of ``PrimeField.horner`` at length m over
+    Z/p: s = bit_length(2mp^2), and whole bytes of at least s +
+    bit_length(2mp) bits (see the bound argument there)."""
+    s = (2 * m * p * p).bit_length()
+    return s, (s + (2 * m * p).bit_length() + 7) // 8
 
 
 @lru_cache(maxsize=256)
@@ -635,17 +644,21 @@ class Domain:
 
     def combine(self, xs, ys):
         """x_0*y_0 + x_1*y_1 + ..., summed up to the end of the shorter
-        sequence: the sum of products that the power table, ``coeff_closed``
-        and ``linear_map``, so ``coeff_recursive``, form; ``zero`` when
-        either sequence is empty."""
+        sequence: the sum of products that ``coeff_closed`` and
+        ``linear_map``, so ``coeff_recursive`` and the power table, form;
+        ``zero`` when either sequence is empty."""
         raise NotImplementedError
 
     def linear_map(self, rows):
-        """The map xs -> [combine(xs, row) for row in rows], prepared once
-        for a matrix applied to many vectors, as ``coeff_recursive`` applies
-        the power table to each row; here one ``combine`` per row."""
+        """The map xs -> [combine(xs, row) for row in rows[:len(xs)]],
+        prepared once for a lower-triangular matrix applied to many vectors.
+        Entry i of such a map reads x_0..x_i alone, so the output stops
+        where xs does: the map on a series known to len(xs) terms.
+        ``coeff_recursive`` applies the power table's rows to each of its
+        rows, and the power table multiplies each power of f by f. Here one
+        ``combine`` per row."""
         combine = self.combine
-        return lambda xs: list(map(combine, repeat(xs), rows))
+        return lambda xs: list(map(combine, repeat(xs, len(xs)), rows))
 
     def from_int(self, m: int):
         raise NotImplementedError
@@ -812,35 +825,41 @@ class PrimeField(Domain):
         return FpElement(pow(a.value, -1, self.p), self.p)
 
     def horner(self, coeffs, ys):
-        """Domain.horner on plain residues, each entry of each step reduced
-        mod p, so that its products stay at most m*(p-1)^2; the elements
-        are built once, at the end. When m*(p-1)^2 < 2^64, ``ys`` is packed
-        once, a residue per 8-byte slot, and step j is one pack of a_j and
-        acc, one integer product with the low m - j + 1 slots of ``ys`` and
-        one unpack of the product's low m - j + 1 slots; the higher slots
-        never reach x^m (see ``Domain.horner``), the low slots of a product
-        depend only on its factors' low slots, and no slot carries. Wider
-        primes sum each entry's int products in turn. Each slot count's
-        layout is compiled once per process (``_slots``), and the elements
-        are built on their residues (``_residue``). The inputs must be
-        elements of this field; nothing checks them."""
+        """Domain.horner on residues packed into one int for the whole call,
+        one slot of w bits per entry, w a whole number of bytes (Kronecker
+        substitution). ``ys`` is packed once; step j shifts acc up one slot,
+        sets a_j in the lowest, multiplies by the low m - j + 1 slots of
+        ``ys`` and keeps the low m - j + 1 slots of the product: the higher
+        ones never reach x^m (see ``Domain.horner``), and the low slots of a
+        product depend only on its factors' low slots. Each slot z of the
+        product is then reduced by Barrett's quotient q = (z*r) >> s, with
+        r = 2^s // p, all slots at once: acc = z - q*p (Barrett, CRYPTO '86).
+
+        The bound: acc's slots stay below 2p and a_j and ``ys`` are below p,
+        so a slot sums at most m products below 2p^2, and z < 2mp^2 < 2^s,
+        s the bit length of 2mp^2. Then z/p - 1 < z*r/2^s <= z/p, so q is
+        z // p or one less and z - q*p < 2p again; and z*r < 2mp * 2^s fits
+        in w >= s + bit_length(2mp) bits, so no slot carries into the next,
+        and after the shift by s the low w - s bits of each slot are q. The
+        call ends with one unpack and v - p where v >= p, and the elements
+        are built on their residues (``_residue``). ``_horner_layout``
+        gives s and the slot size. The inputs must be elements of this
+        field; nothing checks them."""
         p, m = self.p, len(ys)
-        if m * (p - 1) ** 2 >= 1 << 64:
-            g, acc = [y.value for y in ys], []
-            for j in range(m, 0, -1):
-                x = [coeffs[j - 1].value, *acc]
-                acc = [sum(map(operator.mul, x[: s + 1], g[s::-1])) % p for s in range(len(x))]
-            return [_residue(v, p) for v in acc]
-        g = int.from_bytes(_slots(m).pack(*[y.value for y in ys]), "little")
-        acc = []
+        s, size = _horner_layout(m, p)
+        w, r = 8 * size, (1 << s) // p
+        g = int.from_bytes(b"".join([y.value.to_bytes(size, "little") for y in ys]), "little")
+        qmask = int.from_bytes(((1 << (w - s)) - 1).to_bytes(size, "little") * m, "little")
+        acc = 0
         for j in range(m, 0, -1):
-            n = m - j + 1
-            low = (1 << 64 * n) - 1
-            slots = _slots(n)
-            x = int.from_bytes(slots.pack(coeffs[j - 1].value, *acc), "little")
-            z = (x * (g & low) & low).to_bytes(8 * n, "little")
-            acc = [v % p for v in slots.unpack(z)]
-        return [_residue(v, p) for v in acc]
+            low = (1 << w * (m - j + 1)) - 1
+            z = ((acc << w) | coeffs[j - 1].value) * (g & low) & low
+            acc = z - ((z * r >> s) & qmask) * p
+        z, out = acc.to_bytes(size * m, "little"), []
+        for i in range(m):
+            v = int.from_bytes(z[i * size : (i + 1) * size], "little")
+            out.append(_residue(v - p if v >= p else v, p))
+        return out
 
     def combine(self, xs, ys):
         """Domain.combine as one integer sum of the residues' products in a
@@ -861,25 +880,23 @@ class PrimeField(Domain):
         """Domain.linear_map with the rows packed once when w*(p-1)^2 <
         2^64, w the longest row's length: column j, entry j of each row or
         0 past a shorter row's end, is one int of len(rows) 8-byte slots,
-        and an apply is one integer sum of x_j times column j, one unpack
-        and v % p per slot. A slot sums at most w products of residues, so
-        none carries, and the sum stops at the end of xs or of the
-        columns, as ``combine`` stops at the shorter sequence. Wider primes
-        take the base map. The inputs must be elements of this field;
-        nothing checks them."""
+        and an apply is one integer sum of x_j times column j, one unpack,
+        a cut to the first len(xs) slots and v % p per slot. A slot sums at
+        most w products of residues, so none carries, and the sum stops at
+        the end of xs or of the columns, as ``combine`` stops at the shorter
+        sequence. Wider primes take the base map. The inputs must be
+        elements of this field; nothing checks them."""
         p, width = self.p, max(map(len, rows), default=0)
         if width * (p - 1) ** 2 >= 1 << 64:
             return super().linear_map(rows)
         slots, size = _slots(len(rows)), 8 * len(rows)
-        cols = []
-        for j in range(width):
-            column = [row[j].value if j < len(row) else 0 for row in rows]
-            cols.append(int.from_bytes(slots.pack(*column), "little"))
+        cols = [int.from_bytes(slots.pack(*[x.value for x in column]), "little")
+                for column in zip_longest(*rows, fillvalue=self.zero)]
 
         def apply(xs):
             total = sum(map(operator.mul, [x.value for x in xs], cols))
             out = []
-            for v in slots.unpack(total.to_bytes(size, "little")):
+            for v in slots.unpack(total.to_bytes(size, "little"))[: len(xs)]:
                 # _residue inlined, as in combine
                 e = _new(FpElement)
                 e.value = v % p

@@ -96,7 +96,9 @@ def coeff_recursive(f: TruncatedSeries, ks: range, ns: range) -> dict:
     the table's rows 1..max(ks) applied to the whole of row m-1 by one
     ``Domain.linear_map``, prepared once per call: entry i is the sum of
     products of row m-1 with the table's row i, which holds i entries, so
-    the sum stops at f_i^(m-1) without a copy of row m-1.
+    the sum stops at f_i^(m-1) without a copy of row m-1. Row m-1 is never
+    shorter than the max(ks) rows applied to it, so the map's cut at the
+    vector's length keeps every entry.
     """
     _check_cells(f, ks, ns)
     step = f.domain.linear_map(PowerCoefficientTable(f, ks[-1]).rows[1:])

@@ -9,8 +9,10 @@ brute-force oracle.
 
 ``PowerCoefficientTable`` feeds the coefficient routes. It is filled once,
 up to the top row its caller names, by f's powers, since f^j = f * f^(j-1):
-each entry is one ``Domain.combine`` of f's coefficients with the reversed
-coefficients of f^(j-1), O(k^2) products per row and no division, so it
+the coefficients of f^j are those of f^(j-1) under one lower-triangular
+map, the product by f, prepared once as ``Domain.linear_map`` and applied
+top - 1 times. Each entry is one sum of products of f's coefficients with
+those of f^(j-1), O(k^2) products per row and no division, so it
 holds over every domain and for a_1 = 0.
 """
 
@@ -66,28 +68,25 @@ class PowerCoefficientTable:
     Row m is [a_m^[1], ..., a_m^[m]], with a_m^[1] = a_m and
     a_m^[j] = sum_{t=1}^{m-j+1} a_t * a_(m-t)^[j-1], the x^m coefficient of
     f * f^(j-1); ``rows[m]`` holds it for m = 1..top. The fill keeps f's
-    powers as columns: column j is [a_j^[j], a_(j+1)^[j], ...], the
-    coefficients of f^j from x^j up, and column 1 is f's own. So entry
-    (m, j) is one ``Domain.combine`` of f's coefficients with column j-1
-    reversed from a_(m-1)^[j-1] down, which stops the sum at t = m-j+1.
-    ``get(k, i)`` reads an entry; k < i gives zero when k is within the
-    truncation order.
+    powers as columns: column j is [a_j^[j], a_(j+1)^[j], ..., a_top^[j]],
+    the coefficients of f^j from x^j up, and column 1 is f's own. Row r of
+    the product by f is a_(r+1), ..., a_1, so entry r of its map on column
+    j-1 is sum_{t<=r} a_(j-1+t)^[j-1] * a_(r-t+1) = a_(j+r)^[j]. Column j
+    is that map on the first top - j + 1 entries of column j-1, and the
+    map stops its output where its input stops. ``get(k, i)`` reads an
+    entry; k < i gives zero when k is within the truncation order.
     """
 
     def __init__(self, series: TruncatedSeries, top: int):
         _check_power_index(series, top, 1)
         self.series = series
-        coeffs, combine = series.coeffs, series.domain.combine
+        coeffs = series.coeffs
+        times_f = series.domain.linear_map([coeffs[r::-1] for r in range(top - 1)])
+        cols = [coeffs[:top]]  # column j at index j-1
+        for j in range(2, top + 1):
+            cols.append(times_f(cols[-1][: top - j + 1]))
         self.rows: list[list] = [[]]  # row 0 is never read
-        cols: list = []  # column j at index j-1, added with row j
-        for m in range(1, top + 1):
-            # entry j = 2..m from column j-1, the m-1 columns so far
-            row = [coeffs[m - 1]]
-            row += [combine(coeffs, col[m - j::-1]) for j, col in enumerate(cols, 2)]
-            for col, entry in zip(cols[1:], row[1:]):
-                col.append(entry)
-            cols.append([row[-1]] if cols else coeffs)
-            self.rows.append(row)
+        self.rows += [[cols[j][m - j - 1] for j in range(m)] for m in range(1, top + 1)]
 
     def get(self, k: int, i: int):
         if k < i and 1 <= k <= self.series.order:

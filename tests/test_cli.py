@@ -223,9 +223,9 @@ def test_symbolic_output_golden(capsys, argv, digest):
 # route is checked against; these digests were taken before its Cauchy
 # product moved onto a per-domain kernel (now ``Domain.horner``), and the
 # two order-16 ones before it moved onto a packed integer product over Z/p.
-# Over Z/2 (every entry p - 1) the kernel packs 8-byte slots, and over
-# Z/(2^61 - 1) it sums plain ints. The Z/2 answer is f^(16) = x, but
-# f^(15) is not.
+# Every prime takes one packed path, its slots sized by m and p: 2 bytes
+# over Z/2 (every entry p - 1) and 25 over Z/(2^61 - 1) at order 16. The
+# Z/2 answer is f^(16) = x, but f^(15) is not.
 @pytest.mark.parametrize(
     "series, n, digest",
     [

@@ -429,8 +429,8 @@ def test_dot_of_no_terms_and_one_term(domain):
     "domain", [RATIONALS, PrimeField(1000003), PolynomialRing(2)], ids=repr
 )
 def test_combine_sums_up_to_the_shorter_sequence(domain):
-    # the table and linear_map, so coeff_recursive, pass a longer sequence
-    # beside a shorter one
+    # linear_map, so coeff_recursive and the table, passes a longer
+    # sequence beside a shorter one
     rng = random.Random(35)
 
     def draw():
@@ -447,40 +447,102 @@ def test_combine_sums_up_to_the_shorter_sequence(domain):
 
 def test_the_base_domain_defines_no_kernel():
     # each domain implements both kernels; the base class has no fallback,
-    # and its linear map runs on combine
+    # and its linear map runs on combine, once per row up to len(xs): none
+    # for an empty xs
     base = Domain()
     for kernel in (base.horner, base.combine, lambda xs, row: base.linear_map([row])(xs)):
         with pytest.raises(NotImplementedError):
-            kernel([], [])
+            kernel([1], [1])
+    assert base.linear_map([[1], [1, 1]])([]) == []
+
+
+# the least primes, 1000003, the largest below 2^32, 2^61 - 1 and the
+# largest that PrimeField takes
+_EXTREME_PRIMES = pytest.mark.parametrize(
+    "p", [2, 3, 1000003, 4294967291, 2**61 - 1,
+          next(q for q in range(domains._PRIME_BOUND - 1, 0, -1) if is_prime(q))],
+    ids=["2", "3", "1000003", "4294967291", "2^61-1", "top"],
+)
 
 
 @pytest.mark.parametrize("m, packed", [(1, True), (2, False)])
 def test_prime_field_horner_packs_residues_only_below_2_to_the_64(monkeypatch, m, packed):
     """Over the largest prime below 2^32, m*(p-1)^2 < 2^64 holds for m = 1
-    alone: m = 1 runs on 8-byte slots, packing ``ys`` once and each step
-    once, and m = 2 on plain ints, packing nothing. Either way each step's
-    entries are reduced mod p, so the elements are built from residues."""
+    alone (``packed``): a slot's sum of products fits 8 bytes there and not
+    at m = 2. ``horner`` packs both sides one way, in slots wider than 8
+    bytes, since acc's slots run to 2p and Barrett's quotient shares the
+    slot; each side builds its m elements from residues, once each."""
     field = PrimeField(4294967291)
+    assert (m * (field.p - 1) ** 2 < 1 << 64) == packed
+    assert domains._horner_layout(m, field.p)[1] > 8
     a = g = [field.from_int(-1)] * m
     # f(g) to order m <= 2: a_1 g_1 x + (a_1 g_2 + a_2 g_1^2) x^2
     expected = [a[0] * g[0]]
     if m == 2:
         expected.append(a[0] * g[1] + a[1] * g[0] * g[0])
-    packs, built = [], []
-    slots, residue = domains._slots, domains._residue
-
-    def counted(n):
-        layout = slots(n)
-        return SimpleNamespace(pack=lambda *args: packs.append(1) or layout.pack(*args),
-                               unpack=layout.unpack)
-
-    monkeypatch.setattr(domains, "_slots", counted)
+    built, residue = [], domains._residue
     monkeypatch.setattr(domains, "_residue", lambda v, p: built.append(v) or residue(v, p))
     got = field.horner(a, g)
     monkeypatch.undo()
-    assert len(packs) == (m + 1 if packed else 0)
     assert len(built) == m and all(0 <= v < field.p for v in built)
     assert got == expected
+
+
+@_EXTREME_PRIMES
+def test_prime_field_horner_equals_the_operator_fold_at_the_extremes(p):
+    """``horner`` packs every prime the same way, its slots and Barrett
+    quotient sized by m and p. With every input p - 1, each slot's sum of
+    products is as large as residues make it; with 0 and p - 1 alternating
+    in both operands, every other slot sums nothing, in one order and the
+    other. Each against the truncated Horner steps on the element
+    operators, for m up to 45."""
+    field = PrimeField(p)
+    top = field.from_int(-1)
+
+    def fold(coeffs, ys):
+        acc = []
+        for j in range(len(ys), 0, -1):
+            x = [coeffs[j - 1], *acc]
+            acc = [sum((x[i] * ys[s - i] for i in range(s + 1)), field.zero) for s in range(len(x))]
+        return acc
+
+    for m in (0, 1, 2, 24, 45):
+        alternating = [top if i % 2 else field.zero for i in range(m)]
+        shifted = [field.zero if i % 2 else top for i in range(m)]
+        for coeffs, ys in (([top] * m, [top] * m), (alternating, shifted), (shifted, alternating)):
+            got = field.horner(coeffs, ys)
+            assert got == fold(coeffs, ys), (p, m)
+            assert all(0 <= v.value < p for v in got)
+
+
+def test_prime_field_horner_takes_one_path():
+    """``PrimeField.horner`` packs every prime one way: it has no ``if``
+    statement, and its Horner loop packs and unpacks nothing, acc staying
+    one int for the whole call."""
+    tree = ast.parse(Path(domains.__file__).read_text(encoding="utf-8"))
+    (field,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PrimeField"]
+    (horner,) = [n for n in field.body if isinstance(n, ast.FunctionDef) and n.name == "horner"]
+    assert not [n for n in ast.walk(horner) if isinstance(n, ast.If)]
+    (loop,) = [n for n in ast.walk(horner)
+               if isinstance(n, ast.For) and ast.unparse(n.iter) == "range(m, 0, -1)"]
+    called = {n.func.attr for n in ast.walk(loop)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+    assert not called & {"pack", "unpack", "unpack_from", "to_bytes", "from_bytes"}
+
+
+@_EXTREME_PRIMES
+def test_prime_field_horner_slots_hold_the_bound(p):
+    """The bound argument of ``PrimeField.horner``, on its layout: with
+    acc's slots below 2p and the inputs below p, a slot's sum of products
+    is at most z = m*(2p-1)*(p-1), which must be below 2^s, and z times
+    2^s // p must fit in a slot. Inputs rarely bring a slot near z, so a
+    layout one bit short passes the operator-fold checks; this reads the
+    layout itself, for every m up to 45."""
+    for m in range(1, 46):
+        s, size = domains._horner_layout(m, p)
+        z = m * (2 * p - 1) * (p - 1)
+        assert z < 1 << s, (m, s)
+        assert z * ((1 << s) // p) < 1 << 8 * size, (m, size)
 
 
 @pytest.mark.parametrize("p, width, packed", [
@@ -492,7 +554,8 @@ def test_prime_field_linear_map_packs_columns_only_below_2_to_the_64(monkeypatch
     ``width`` columns is packed once, when the map is prepared, and each
     apply unpacks once; at or above it nothing is packed. With every
     entry and x_j at p - 1, slot i sums (i+1)*(p-1)^2, the last slot the
-    bound's width*(p-1)^2, and no slot carries."""
+    bound's width*(p-1)^2, and no slot carries. An xs one shorter than the
+    rows gives one entry fewer: the map cuts its output at len(xs)."""
     field = PrimeField(p)
     top = field.from_int(-1)
     rows = [[top] * (i + 1) for i in range(width)]
@@ -511,8 +574,9 @@ def test_prime_field_linear_map_packs_columns_only_below_2_to_the_64(monkeypatch
     got = [apply(xs), apply(xs[:-1])]
     monkeypatch.undo()
     assert len(unpacks) == (2 if packed else 0)
-    assert got == [[field.combine(v, row) for row in rows] for v in (xs, xs[:-1])]
+    assert got == [[field.combine(v, row) for row in rows[: len(v)]] for v in (xs, xs[:-1])]
     assert got[0] == [field.from_int((i + 1) * (p - 1) ** 2) for i in range(width)]
+    assert len(got[1]) == width - 1
 
 
 def test_polynomial_coefficients_canonical():

@@ -392,6 +392,26 @@ def test_recursive_satisfies_the_cayley_hamilton_recurrence_from_n_10000(p):
 
 
 @pytest.mark.parametrize("p", list(_PRIME_FACTORS), ids=["prime-1000003", "prime-2^61-1"])
+def test_oracle_satisfies_the_cayley_hamilton_recurrence_over_z_p(p):
+    # the oracle's iterates at K = 24 on n = 1..25 and 1,000..1,024, with
+    # the six a_1 of the routes' test above: over a thousand compositions
+    # on Domain.horner per series, and no route. With a_1 = 0, f^(n) is
+    # O(x^(2^(n-1))), zero to order 24 from n = 6, so it skips n = 1,000
+    root = _primitive_root(p)
+    rng = random.Random(p + 1)
+    field = PrimeField(p)
+    for a1 in (0, 1, p - 1, root, pow(root, (p - 1) // 3, p), rng.randrange(2, p - 1)):
+        f = TruncatedSeries(field, 24, [field.from_int(a1)]
+                            + [field.from_int(rng.randrange(p)) for _ in range(23)])
+        for start in (1, 1000) if a1 else (1,):
+            g, cells = f.iterate(start), {}
+            for n in range(start, start + 25):
+                cells.update(((k, n), g.coefficient(k)) for k in range(1, 25))
+                g = g.compose(f)
+            _assert_cayley_hamilton(f, cells)
+
+
+@pytest.mark.parametrize("p", list(_PRIME_FACTORS), ids=["prime-1000003", "prime-2^61-1"])
 def test_recursive_matches_oracle_past_row_100(p):
     # every k at K = 24 and n = 150: a step of the recurrence skipped or
     # repeated past row 100 shifts n, which the Cayley-Hamilton identity

@@ -189,6 +189,19 @@ def test_table_filled_by_powers_matches_the_walk_through_k_12():
             assert PowerCoefficientTable(f, k).rows == whole[: k + 1], (f.domain, k)
 
 
+@pytest.mark.parametrize("p", [1000003, 2**61 - 1], ids=["packed-1000003", "base-2^61-1"])
+def test_table_matches_the_walk_at_k_24_on_top_residues(p):
+    """Every a_k^[i] with i <= k <= 24 of the series with every
+    coefficient p - 1, against the multinomial walk: the fill's map is
+    packed over Z/1000003, (p-1)^2 * 23 < 2^64, and the base map of
+    ``combine`` calls over Z/(2^61 - 1)."""
+    field = PrimeField(p)
+    f = TruncatedSeries(field, 24, [field.from_int(-1)] * 24)
+    rows = PowerCoefficientTable(f, 24).rows
+    for k in range(1, 25):
+        assert rows[k] == [multinomial_coeff(f, k, i) for i in range(1, k + 1)], (p, k)
+
+
 def test_table_fills_only_up_to_its_top_row():
     """The table holds rows 1..top and no more: a lookup past the top row
     raises, and a top row outside 1..order raises with the walk's texts."""
@@ -209,9 +222,9 @@ def test_table_fills_only_up_to_its_top_row():
 
 def test_table_and_multinomial_walk_share_no_code():
     """The table and ``multinomial_coeff`` check each other, so neither
-    reads the other; the table sums on ``combine`` rather than series
-    ``mul`` or the oracle's ``horner``, and the walk keeps the element
-    operators."""
+    reads the other; the table sums on ``linear_map``, not on ``combine``
+    directly, series ``mul`` or the oracle's ``horner``, and the walk keeps
+    the element operators."""
     tree = ast.parse(Path(multinomial.__file__).read_text(encoding="utf-8"))
 
     def names(name):
@@ -223,6 +236,7 @@ def test_table_and_multinomial_walk_share_no_code():
         }
 
     assert not names("multinomial_coeff") & {
-        "PowerCoefficientTable", "get", "rows", "combine", "horner"
+        "PowerCoefficientTable", "get", "rows", "combine", "linear_map", "horner"
     }
-    assert not names("PowerCoefficientTable") & {"multinomial_coeff", "horner", "mul"}
+    assert "linear_map" in names("PowerCoefficientTable")
+    assert not names("PowerCoefficientTable") & {"multinomial_coeff", "combine", "horner", "mul"}

@@ -155,7 +155,8 @@ def _horner_fold(dom, coeffs, ys):
     return acc
 
 
-# the largest prime below 2^32: m*(p-1)^2 < 2^64 holds for m = 1 alone
+# the largest prime below 2^32: w*(p-1)^2 < 2^64 holds for w = 1 alone, so
+# linear_map packs rows of one entry only
 _P32 = PrimeField(4294967291)
 
 
@@ -175,7 +176,7 @@ _P32 = PrimeField(4294967291)
 @example(_all_top(_P32.p, 1))
 @example(_all_top(_P32.p, 2))
 # the first step leaves acc_0 = p - 1, so the second step's x^1 entry is
-# 2*(p-1)^2, above 2^64: it would carry out of an 8-byte slot
+# 2*(p-1)^2, above 2^64: more than an 8-byte slot holds
 @example((_P32, [_P32.from_int(-1), _P32.one], [_P32.from_int(-1)] * 2))
 # length 33 in each domain
 @example((RATIONALS, [Fraction(j, 7) for j in range(33)], list(range(-16, 17))))
@@ -298,11 +299,12 @@ def _power_shaped(p, size):
 @example(_power_shaped(4294967291, 2))
 def test_linear_map_equals_combine_per_row(case):
     # one prepared map applied to two vectors, each shorter or longer than
-    # the rows; packed over Z/1000003 and Z/4294967291 at width 1
+    # the rows, and cut to the rows the vector reaches; packed over
+    # Z/1000003 and Z/4294967291 at width 1
     dom, rows, xs, ys = case
     apply = dom.linear_map(rows)
     for vector in (xs, ys):
-        expected = [dom.combine(vector, row) for row in rows]
+        expected = [dom.combine(vector, row) for row in rows[: len(vector)]]
         got = apply(vector)
         assert got == expected
         assert all(map(dom.contains, got))

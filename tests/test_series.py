@@ -176,10 +176,11 @@ def _functions(tree, prefix=""):
 def test_only_the_routes_call_combine():
     """``Domain.combine`` is the routes' sum of products, which the base
     class leaves to the ``Rationals``, ``PrimeField`` and ``PolynomialRing``
-    kernels, named only by the power table's constructor, ``coeff_closed``
-    and the base ``Domain.linear_map``. ``linear_map``, defined by the base
-    class and packed by ``PrimeField``, is named only by ``coeff_recursive``
-    and by ``PrimeField.linear_map``, which falls back to the base map. No
+    kernels, named only by ``coeff_closed`` and the base
+    ``Domain.linear_map``. ``linear_map``, defined by the base class and
+    packed by ``PrimeField``, is named only by ``coeff_recursive``, the
+    power table's constructor and ``PrimeField.linear_map``, which falls
+    back to the base map. No
     kernel names ``horner``, and only series ``compose`` names it, so the
     oracle, the partition walk, the chain walks and ``small``, which name
     no kernel, check them on code they do not run; series ``mul`` names no
@@ -204,12 +205,12 @@ def test_only_the_routes_call_combine():
         assert naming["domains.py", f"{cls}.combine"] == set(), cls
         assert naming["domains.py", f"{cls}.horner"] == set(), cls
     assert {key for key, names in naming.items() if "combine" in names} == {
-        ("multinomial.py", "PowerCoefficientTable.__init__"),
         ("formulas.py", "coeff_closed"),
         ("domains.py", "Domain.linear_map"),
     }
     assert {key for key, names in naming.items() if "linear_map" in names} == {
         ("formulas.py", "coeff_recursive"),
+        ("multinomial.py", "PowerCoefficientTable.__init__"),
         ("domains.py", "PrimeField.linear_map"),
     }
     assert {key for key, names in naming.items() if "horner" in names} == {

@@ -26,18 +26,17 @@ first), and ``paired_interval``, the sign test's interval for it, with its
 Each route row calls the route as ``REGISTRY`` holds it, ``route(f, ks,
 ns)``, which returns {(k, n): f_k^(n)}: a cold row asks for one cell, a
 sweep row for all of one series' cells at once. A table row fills a new
-power table up to row k: ``PowerCoefficientTable(f, k)``, or, in a
-checkout whose table still fills on demand (it has ``row``), a first
-lookup in row k. The last answers of every checkout are cross-checked,
-and a wrong one exits 1: the Q arithmetic
-rows against stdlib ``Fraction``, the kernel and series ``compose`` rows
-and the rational and symbolic oracle rows against the elements' operator
-fold, the CLI row against the Z/p oracle, the Z/p oracle rows against
-``recursive`` at every k, the Z/p ``recursive`` rows, the symbolic routes
-and the route sweeps against the oracle. A kernel, compose, CLI or sweep
+power table up to row k, ``PowerCoefficientTable(f, k)``. The last answers
+of every checkout are cross-checked, and a wrong one exits 1: the Q
+arithmetic rows against stdlib ``Fraction``, the table rows against
+``multinomial_coeff``, the kernel and series ``compose`` rows and the
+rational and symbolic oracle rows against the elements' operator fold, the
+CLI row against the Z/p oracle, the Z/p oracle rows against ``recursive``
+at every k, the Z/p ``recursive`` rows, the symbolic routes and the route
+sweeps against the oracle. A kernel, compose, CLI, sweep or Q or Q[a] table
 row makes as many calls per run as take ``KERNEL_RUN_S`` on the first
-checkout, timed once before its runs, and every checkout makes that
-many; each row records its count as ``calls``. Standard library only.
+checkout, timed once before its runs, and every checkout makes that many;
+each row records its count as ``calls``. Standard library only.
 """
 
 from __future__ import annotations
@@ -133,8 +132,8 @@ def load(src: Path, tmp: str):
 
 def grid(tmp: str):
     """(name, fn, calls, check) per row; ``check`` takes the last result and
-    says whether it is right. ``calls`` is None for a kernel, compose, CLI
-    or sweep row, whose count is calibrated."""
+    says whether it is right. ``calls`` is None for a kernel, compose, CLI,
+    sweep or Q or Q[a] table row, whose count is calibrated."""
     from fps_iterate import cli
     from fps_iterate.domains import RATIONALS, PolynomialRing, PrimeField
     from fps_iterate.multinomial import PowerCoefficientTable, multinomial_coeff
@@ -234,23 +233,18 @@ def grid(tmp: str):
                          None, lambda got, w=want: list(got.coeffs) == w))
 
     big = residues(100)
-
-    # a table that fills on demand (before it took its top row); this can go
-    # once no compared checkout predates that change
-    lazy = hasattr(PowerCoefficientTable, "row")
-
-    def table(k):
-        if lazy:
-            t = PowerCoefficientTable(big)
-            t.get(k, 1)
-            return t
-        return PowerCoefficientTable(big, k)
-
     for k in (10, 20, 40, 100):
-        rows.append((f"table/Z/{P}/k={k}", lambda k=k: table(k), 1,
+        rows.append((f"table/Z/{P}/k={k}", lambda k=k: PowerCoefficientTable(big, k), 1,
                      lambda got, k=k: got.get(k, 2) == multinomial_coeff(big, k, 2)))
+    # the table over Q and Q[a1..a8], each row k against the multinomial walk
+    for label, f, k in (("Q", rational, 14),
+                        ("Q[a1..a8]", _generic_series(PolynomialRing(8), 8, "generic"), 8)):
+        want = [multinomial_coeff(f, k, i) for i in range(1, k + 1)]
+        rows.append((f"table/{label}/k={k}", lambda f=f, k=k: PowerCoefficientTable(f, k), None,
+                     lambda got, k=k, w=want: got.rows[k] == w))
 
-    # over Z/(2^61 - 1) the recursive step takes the base map, not packed
+    # over Z/(2^61 - 1), w*(p-1)^2 >= 2^64 already at w = 1, so the
+    # recursive step takes the base map, not packed
     for label, dom, k, n in ((f"Z/{P}", field, 24, 48), (f"Z/{P}", field, 45, 90),
                              ("Z/(2^61-1)", PrimeField(2**61 - 1), 24, 48)):
         f = residues(k, dom)
@@ -283,8 +277,8 @@ def grid(tmp: str):
 
     rows.append((f"closed-sweep/Z/{P}/k,n<=24", closed_sweep, 1,
                  lambda got: got[24, 24] == sweep_series.iterate(24).coefficient(24)))
-    # the Z/p oracle against recursive at every k, in one call; over
-    # Z/(2^61 - 1) the oracle takes its plain-int loop
+    # the Z/p oracle against recursive at every k, in one call; the oracle's
+    # horner packs every prime, in slots sized by m and p
     for dom, label, K, n in ((field, f"Z/{P}", 24, 48), (field, f"Z/{P}", 45, 90),
                              (PrimeField(2**61 - 1), "Z/(2^61-1)", 24, 48)):
         f = residues(K, dom)
